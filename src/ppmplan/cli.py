@@ -237,12 +237,18 @@ def _cmd_export_lp(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    data = json.loads(Path(args.summary).read_text(encoding="utf-8"))
+    summary_path = Path(args.summary)
+    data = json.loads(summary_path.read_text(encoding="utf-8"))
     fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
     otdr_total = data.get("otdr_total")
     if otdr_total is None:
         raise ConfigError("summary has no otdr_total; run with an OTDR scenario")
+    # the cost model the bundle was computed with, when its config is beside it
+    config_path = summary_path.with_name("config.json")
     cost_model = CostModel()
+    if config_path.is_file():
+        bundle = json.loads(config_path.read_text(encoding="utf-8"))
+        cost_model = ExperimentConfig.from_dict(bundle["config"]).cost_model
     results = []
     crossings = {}
     for name, row in sorted(data["scenarios"].items()):

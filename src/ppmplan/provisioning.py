@@ -2,7 +2,8 @@
 
 Demands are served in input order. Grooming onto established lightpaths is
 tried first (opaque: a hop-by-hop chain of single-hop lightpaths with spare
-capacity; transparent: a chain of established lightpaths whose add/drop
+capacity, found by a shortest-path search over the links that still have
+one; transparent: a chain of established lightpaths whose add/drop
 endpoints follow one of the k candidate routes). Otherwise new lightpaths
 are created along the shortest feasible candidate route: opaque decomposes
 it into one single-hop lightpath per link, transparent covers it with the
@@ -10,16 +11,19 @@ fewest reach-feasible segments; every new lightpath takes the highest rate
 whose reach covers its length (maximizing groomable headroom) and the
 first-fit channel free on all traversed links. Demands are never split
 across lightpaths, and a demand either commits fully or is rejected.
+
+Candidate routes are the k shortest loopless routes by length, ties broken
+by the sequence of node names (`Topology.k_shortest_routes`). They are kept
+on the Topology object, so every Provisioner on one object shares them.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count
 from pathlib import Path
-
-import networkx as nx
 
 from .topology import Topology, link_label
 from .traffic import Demand
@@ -179,15 +183,15 @@ class Provisioner:
         self.reach_table = reach_table
         self.k = k
         self.n_channels = n_channels
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(topology.nodes)
-        for l in topology.links:
-            self._graph.add_edge(l.src, l.dst, length_km=l.length_km)
-        self._route_cache: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
         self._channel_used: dict[str, set[int]] = {e: set() for e in topology.link_labels}
         self._lps: list[Lightpath] = []
+        # single-hop lightpath ids per link, and per node the largest spare
+        # capacity on each outgoing link that has any; both in the order the
+        # links got their first single-hop lightpath
         self._single_hop: dict[tuple[str, str], list[int]] = {}
-        self._by_add: dict[str, list[int]] = {n: [] for n in topology.nodes}
+        self._max_spare: dict[str, dict[str, int]] = {n: {} for n in topology.nodes}
+        # lightpath ids per (add, drop) node pair, in creation order
+        self._by_ends: dict[tuple[str, str], list[int]] = {}
         self._accepted: list[Demand] = []
         self._rejected: list[Demand] = []
         self._assignments: list[tuple[Demand, tuple[int, ...]]] = []
@@ -213,19 +217,7 @@ class Provisioner:
     # -- route candidates ---------------------------------------------------
 
     def routes(self, src: str, dst: str) -> tuple[tuple[str, ...], ...]:
-        key = (src, dst)
-        if key not in self._route_cache:
-            try:
-                gen = nx.shortest_simple_paths(self._graph, src, dst, weight="length_km")
-                paths = [tuple(p) for p in islice(gen, self.k)]
-            except nx.NetworkXNoPath:
-                paths = []
-            paths.sort(key=lambda p: (self._route_length(p), p))
-            self._route_cache[key] = tuple(paths)
-        return self._route_cache[key]
-
-    def _route_length(self, nodes) -> float:
-        return sum(self.topology.link(a, b).length_km for a, b in zip(nodes, nodes[1:]))
+        return self.topology.k_shortest_routes(src, dst, self.k)
 
     # -- serving ------------------------------------------------------------
 
@@ -252,20 +244,48 @@ class Provisioner:
         if chain is None:
             return None
         for lp_id in chain:
-            self._lps[lp_id].carried_gbps += demand.rate_gbps
+            lp = self._lps[lp_id]
+            lp.carried_gbps += demand.rate_gbps
+            if lp.hops == 1:
+                u, v = lp.nodes
+                self._max_spare[u][v] = max(self._lps[i].spare_gbps
+                                            for i in self._single_hop[(u, v)])
         return chain
 
     def _groom_opaque(self, demand: Demand) -> tuple[int, ...] | None:
+        """Shortest chain of links whose single-hop lightpaths have `rate`
+        spare, by Dijkstra over `_max_spare`. The heap is keyed (distance,
+        push count) and a node is relaxed only on a strictly shorter
+        distance, so equal-length chains resolve by link creation order."""
         rate = demand.rate_gbps
-        spare = nx.DiGraph()
-        spare.add_nodes_from(self.topology.nodes)
-        for (u, v), ids in self._single_hop.items():
-            if any(self._lps[i].spare_gbps >= rate for i in ids):
-                spare.add_edge(u, v, length_km=self.topology.link(u, v).length_km)
-        try:
-            path = nx.dijkstra_path(spare, demand.src, demand.dst, weight="length_km")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        src, dst = demand.src, demand.dst
+        adj = self.topology.link_lengths
+        pushes = count(1)
+        seen = {src: 0.0}
+        pred: dict[str, str] = {}
+        done: set[str] = set()
+        heap = [(0.0, 0, src)]
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            if u == dst:
+                break
+            done.add(u)
+            for v, spare in self._max_spare.get(u, {}).items():
+                if spare < rate or v in done:
+                    continue
+                nd = d + adj[u][v]
+                if v not in seen or nd < seen[v]:
+                    seen[v] = nd
+                    pred[v] = u
+                    heapq.heappush(heap, (nd, next(pushes), v))
+        else:
             return None
+        path = [dst]
+        while path[-1] != src:
+            path.append(pred[path[-1]])
+        path.reverse()
         chain = []
         for u, v in zip(path, path[1:]):
             lp_id = next(i for i in self._single_hop[(u, v)]
@@ -276,20 +296,21 @@ class Provisioner:
     def _groom_transparent(self, demand: Demand) -> tuple[int, ...] | None:
         rate = demand.rate_gbps
         for route in self.routes(demand.src, demand.dst):
-            pos = {n: i for i, n in enumerate(route)}
             i = 0
             chain: list[int] = []
             while i < len(route) - 1:
-                best_id, best_j = None, i
-                for lp_id in self._by_add[route[i]]:
-                    lp = self._lps[lp_id]
-                    j = pos.get(lp.drop_node, -1)
-                    if j > best_j and lp.spare_gbps >= rate:
-                        best_id, best_j = lp_id, j
-                if best_id is None:
+                # the lightpath reaching furthest along the route; among
+                # those, the first created
+                best = None
+                for j in range(len(route) - 1, i, -1):
+                    best = next((lp_id for lp_id in self._by_ends.get((route[i], route[j]), ())
+                                 if self._lps[lp_id].spare_gbps >= rate), None)
+                    if best is not None:
+                        break
+                if best is None:
                     break
-                chain.append(best_id)
-                i = best_j
+                chain.append(best)
+                i = j
             else:
                 return tuple(chain)
         return None
@@ -345,7 +366,7 @@ class Provisioner:
                 continue
             chain = []
             for seg, ch in zip(segments, channels):
-                length = self._route_length(seg)
+                length = self.topology.route_length(seg)
                 rate = self.reach_table.best_rate(length)
                 chain.append(self._create(tuple(seg), length, rate, ch,
                                           demand.rate_gbps))
@@ -390,8 +411,10 @@ class Provisioner:
         for e in lp.links:
             self._channel_used[e].add(channel)
         if lp.hops == 1:
-            self._single_hop.setdefault((nodes[0], nodes[1]), []).append(lp.lp_id)
-        self._by_add[nodes[0]].append(lp.lp_id)
+            u, v = nodes
+            self._single_hop.setdefault((u, v), []).append(lp.lp_id)
+            self._max_spare[u][v] = max(self._max_spare[u].get(v, 0), lp.spare_gbps)
+        self._by_ends.setdefault((nodes[0], nodes[-1]), []).append(lp.lp_id)
         return lp.lp_id
 
 

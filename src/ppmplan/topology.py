@@ -2,11 +2,14 @@
 
 Topologies are loaded from JSON files listing undirected edges (both link
 directions are materialized), or generated as random Gabriel graphs. Link
-span counts and node degrees drive the monitoring baseline.
+span counts and node degrees drive the monitoring baseline. Each Topology
+object also keeps the table of candidate routes (k shortest loopless paths)
+that provisioning asks it for, so every user of one object shares it.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -68,11 +71,21 @@ class Topology:
         return {(l.src, l.dst): l for l in self.links}
 
     @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
+    def link_lengths(self) -> dict[str, dict[str, float]]:
+        """Per node, each successor and the length of the link to it, in
+        link order."""
+        adj: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
         for l in self.links:
-            adj[l.src].append(l.dst)
-        return {n: tuple(vs) for n, vs in adj.items()}
+            adj[l.src][l.dst] = l.length_km
+        return adj
+
+    @cached_property
+    def _route_table(self) -> dict[tuple[str, str, int], tuple[tuple[str, ...], ...]]:
+        return {}
+
+    @cached_property
+    def _distance_table(self) -> dict[str, dict[str, float]]:
+        return {}
 
     @cached_property
     def undirected_edges(self) -> tuple[tuple[str, str, float], ...]:
@@ -101,12 +114,116 @@ class Topology:
         return (src, dst) in self._link_map
 
     def neighbors(self, node: str) -> tuple[str, ...]:
-        if node not in self._adjacency:
+        if node not in self.link_lengths:
             raise TopologyError(f"unknown node {node!r} in topology {self.name!r}")
-        return self._adjacency[node]
+        return tuple(self.link_lengths[node])
 
     def max_link_length(self) -> float:
         return max(l.length_km for l in self.links) if self.links else 0.0
+
+    def route_length(self, nodes) -> float:
+        """Length of a node chain, summed link by link in path order."""
+        adj = self.link_lengths
+        return sum(adj[a][b] for a, b in zip(nodes, nodes[1:]))
+
+    def k_shortest_routes(self, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
+        """The k shortest loopless routes src -> dst, ordered by (length, node
+        names); fewer when fewer exist. Computed once per (src, dst, k) and
+        kept on this object."""
+        key = (src, dst, k)
+        routes = self._route_table.get(key)
+        if routes is None:
+            if k < 1:
+                raise ValueError(f"k must be >= 1, got {k}")
+            for node in (src, dst):
+                self.neighbors(node)  # raises TopologyError for an unknown node
+            routes = self._route_table[key] = _yen(self, src, dst, k)
+        return routes
+
+    def _distances_to(self, dst: str) -> dict[str, float]:
+        """Shortest distance to dst from every node that can reach it."""
+        dist = self._distance_table.get(dst)
+        if dist is None:
+            into: dict[str, list[tuple[str, float]]] = {n: [] for n in self.nodes}
+            for l in self.links:
+                into[l.dst].append((l.src, l.length_km))
+            dist = self._distance_table[dst] = {dst: 0.0}
+            heap = [(0.0, dst)]
+            while heap:
+                d, v = heapq.heappop(heap)
+                if d > dist[v]:
+                    continue
+                for u, w in into[v]:
+                    if d + w < dist.get(u, math.inf):
+                        dist[u] = d + w
+                        heapq.heappush(heap, (d + w, u))
+        return dist
+
+
+def _spur(adj, to_dst: dict[str, float], src: str, dst: str,
+          banned_nodes, banned_edges) -> tuple[str, ...] | None:
+    """A shortest path src -> dst avoiding the banned nodes and directed
+    edges: A* guided by the distances to dst in the whole graph, which
+    removing nodes and edges can only lengthen."""
+    if src not in to_dst:
+        return None
+    dist = {src: 0.0}
+    pred: dict[str, str] = {}
+    done: set[str] = set()
+    heap = [(to_dst[src], 0.0, src)]
+    while heap:
+        _, d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        if u == dst:
+            path = [u]
+            while path[-1] != src:
+                path.append(pred[path[-1]])
+            return tuple(reversed(path))
+        done.add(u)
+        for v, w in adj[u].items():
+            if v in done or v in banned_nodes or (u, v) in banned_edges or v not in to_dst:
+                continue
+            nd = d + w
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd + to_dst[v], nd, v))
+    return None
+
+
+def _yen(topology: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
+    """Yen's k shortest loopless paths (Management Science 17(11), 1971).
+
+    Ties are settled by the pinned rule (length, node-name tuple): past the
+    k-th path, candidates keep being accepted while they are as long as the
+    k-th, then the accepted paths are sorted and cut to k. Without that, the
+    order in which equal-length candidates were found would decide which of
+    them is kept.
+    """
+    adj = topology.link_lengths
+    to_dst = topology._distances_to(dst)
+    first = _spur(adj, to_dst, src, dst, (), ())
+    if first is None:
+        return ()
+    accepted: list[tuple[float, tuple[str, ...]]] = []
+    seen = {first}
+    heap = [(topology.route_length(first), first)]
+    while heap and (len(accepted) < k or heap[0][0] == accepted[k - 1][0]):
+        entry = heapq.heappop(heap)
+        accepted.append(entry)
+        path = entry[1]
+        for i in range(len(path) - 1):
+            root = path[:i + 1]
+            banned_edges = {(p[i], p[i + 1]) for _, p in accepted if p[:i + 1] == root}
+            spur = _spur(adj, to_dst, path[i], dst, root[:-1], banned_edges)
+            if spur is not None:
+                candidate = root[:-1] + spur
+                if candidate not in seen:
+                    seen.add(candidate)
+                    heapq.heappush(heap, (topology.route_length(candidate), candidate))
+    accepted.sort()
+    return tuple(p for _, p in accepted[:k])
 
 
 def node_degree(topology: Topology, node: str) -> int:

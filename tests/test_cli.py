@@ -109,6 +109,13 @@ class TestPipeline:
                        "--gamma", "2", "--out", str(out)) == 0
         assert out.read_text().startswith("\\ monitor-cover integer model")
 
+    def test_provision_unknown_node_is_data_error(self, tmp_path, capsys):
+        d = tmp_path / "bad.csv"
+        d.write_text("src,dst,rate_gbps\n1,99,100\n")
+        assert run_cli("provision", "--topo", "n14", "--demands", str(d),
+                       "--arch", "transparent", "--out", str(tmp_path / "lps.csv")) == 2
+        assert "unknown node '99'" in capsys.readouterr().err
+
     def test_baseline_n14(self, tmp_path):
         out = tmp_path / "plan.json"
         assert run_cli("baseline", "--topo", "n14", "--out", str(out)) == 0
@@ -140,6 +147,28 @@ class TestRunAndAnalyze:
         assert "Tr-O-1" in crossing["crossings"]
         assert (ana / "cost_curves.csv").exists()
         assert (ana / "power_curves.csv").exists()
+
+    def test_analyze_uses_bundle_cost_model(self, tmp_path):
+        cfg = {"topology": "j14", "seeds": [0], "load_mode": "counts",
+               "counts": [40], "scenarios": ["Op", "Tr-O-1", "OTDR"],
+               "solver": "greedy",
+               "cost_model": {"transponder_cost": 8.0, "transponder_power": 5.0,
+                              "otdr_cost": 0.2, "otdr_power": 0.25}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+        ana = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(out / "summary.json"),
+                       "--out", str(ana)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        crossing = json.loads((ana / "crossing.json").read_text())
+        expected = {name: {"cost_pct": row["crossing_cost_pct"],
+                           "power_pct": row["crossing_power_pct"]}
+                    for name, row in summary["scenarios"].items()
+                    if row["crossing_cost_pct"] is not None}
+        assert crossing["crossings"] == expected
+        assert set(expected) == {"Op", "Tr-O-1"}
 
     def test_run_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -170,3 +170,30 @@ class TestRun:
         for row in rows:
             assert row[2] == "Tr-O-1"
             assert int(row[3]) >= int(row[4])  # greedy never beats exact
+
+
+# sha256 of per_seed/seed_N/lightpaths_{arch}.csv for the README N14 config on
+# seeds 0-2. They pin provisioning output (routes, grooming, channels) across
+# versions; a change to them must be deliberate and explained.
+README_N14_LIGHTPATHS = {
+    (0, "opaque"): "fce869b6fddb3f40305f401138b9109f7fa1a7013c6e51a5b80214e4f021340c",
+    (0, "transparent"): "e8ec68098489658a868b14164e8dca3d9a16e565633482a8e00f6c31b222b6d2",
+    (1, "opaque"): "f7136392f9ed300f716c6140976f8e426a15811a65c07d1109c84fd976380136",
+    (1, "transparent"): "62bebb47c022b94257909ff152ffc8bdba0806ad80f16f57ae6eccea00265f6c",
+    (2, "opaque"): "b7b886ee12fb3f85902ab54dc3f0a5cad8890cbb2906b16155d31bb06af6a9cd",
+    (2, "transparent"): "0a5b7ab20ddd105f6d2ef4b6da36ead58d935ecf57d9ea21d0d6a434c000d479",
+}
+
+
+def test_readme_n14_lightpaths_golden(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "topology": "n14",
+        "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
+        "seeds": [0, 1, 2], "load_mode": "rejection", "rejection_target": 0.01,
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+    run_experiment(cfg, tmp_path)
+    got = {(seed, arch): hashlib.sha256(
+               (tmp_path / "per_seed" / f"seed_{seed}" / f"lightpaths_{arch}.csv")
+               .read_bytes()).hexdigest()
+           for seed, arch in README_N14_LIGHTPATHS}
+    assert got == README_N14_LIGHTPATHS

@@ -1,5 +1,14 @@
-import pytest
+import os
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
 
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ppmplan
 from ppmplan.provisioning import (
     CHANNELS_PER_FIBER,
     DEFAULT_REACH_TABLE,
@@ -10,7 +19,13 @@ from ppmplan.provisioning import (
     read_lightpaths_csv,
     write_lightpaths_csv,
 )
-from ppmplan.topology import topology_from_dict
+from ppmplan.topology import (
+    TopologyError,
+    bundled_topology,
+    generate_gabriel,
+    topology_from_dict,
+    topology_to_dict,
+)
 from ppmplan.traffic import Demand, generate_demands
 
 
@@ -120,6 +135,17 @@ class TestOpaque:
         assert len(lset.lightpaths) == 2  # second demand groomed hop-by-hop
         assert lset.assignments[1][1] == (0, 1)
 
+    def test_equal_chains_follow_link_creation_order(self):
+        square = topology_from_dict({
+            "name": "square", "span_length_km": 80, "nodes": ["A", "B", "C", "D"],
+            "edges": [{"a": a, "b": b, "length_km": 100}
+                      for a, b in (("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"))]})
+        demands = [Demand(a, b, 400) for a, b in
+                   (("A", "C"), ("C", "D"), ("A", "B"), ("B", "D"), ("A", "D"))]
+        lset = provision(square, demands, "opaque")
+        # A->B->D and A->C->D are both 200 km; the links lit first win
+        assert lset.assignments[-1][1] == (0, 1)
+
     def test_per_link_channel_rejection(self, line3):
         # saturate only link A->B, then A->C demands cannot be served
         demands = [Demand("A", "B", 400)] * 120 + [Demand("A", "C", 400)]
@@ -211,3 +237,154 @@ class TestInvariants:
         whole = provision(n14, demands, "transparent")
         assert len(prov.result().lightpaths) == len(whole.lightpaths)
         assert mid <= len(whole.lightpaths)
+
+
+def nx_digraph(topo):
+    g = nx.DiGraph()
+    g.add_nodes_from(topo.nodes)
+    for l in topo.links:
+        g.add_edge(l.src, l.dst, length_km=l.length_km)
+    return g
+
+
+def coarse(topo, grid_km=100.0):
+    """The same graph with lengths rounded to multiples of grid_km (at least
+    one), so that many routes tie."""
+    data = topology_to_dict(topo)
+    for e in data["edges"]:
+        e["length_km"] = grid_km * max(1, round(e["length_km"] / grid_km))
+    return topology_from_dict(data)
+
+
+class TestRoutes:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(6, 30), seed=st.integers(0, 10_000), k=st.integers(1, 5))
+    def test_k_shortest_match_networkx(self, n, seed, k):
+        # networkx's first k paths, sorted by the pinned rule, wherever its
+        # k-th and (k+1)-th paths differ in length (ties are settled below)
+        topo = generate_gabriel(n, seed=seed)
+        g = nx_digraph(topo)
+        for a in topo.nodes[:4]:
+            for b in topo.nodes:
+                if a == b:
+                    continue
+                paths = [tuple(p) for p in islice(
+                    nx.shortest_simple_paths(g, a, b, weight="length_km"), k + 1)]
+                lengths = [topo.route_length(p) for p in paths]
+                if len(paths) > k and lengths[k - 1] == lengths[k]:
+                    continue
+                expected = sorted(paths[:k], key=lambda p: (topo.route_length(p), p))
+                assert topo.k_shortest_routes(a, b, k) == tuple(expected)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(6, 9), seed=st.integers(0, 10_000), k=st.integers(1, 5))
+    def test_ties_follow_node_names(self, n, seed, k):
+        # with many equal lengths, the k routes are the first k of all simple
+        # paths ordered by (length, node names)
+        topo = coarse(generate_gabriel(n, seed=seed, extent_km=400.0))
+        g = nx_digraph(topo)
+        for a in topo.nodes:
+            for b in topo.nodes:
+                if a == b:
+                    continue
+                every = sorted((tuple(p) for p in nx.all_simple_paths(g, a, b)),
+                               key=lambda p: (topo.route_length(p), p))
+                assert topo.k_shortest_routes(a, b, k) == tuple(every[:k])
+
+    def test_pinned_tie_on_n14(self, n14):
+        # 4->11->12->14 and 4->11->13->14 are both 3400 km; networkx yields
+        # the latter second, the node-name rule the former
+        routes = Provisioner(n14, "transparent", k=2).routes("4", "14")
+        assert routes[1] == ("4", "11", "12", "14")
+
+    def test_shared_per_topology_object(self, line3):
+        a = Provisioner(line3, "opaque")
+        b = Provisioner(line3, "transparent")
+        assert a.routes("A", "C") is b.routes("A", "C")
+        again = topology_from_dict(topology_to_dict(line3))
+        assert Provisioner(again, "opaque").routes("A", "C") is not a.routes("A", "C")
+
+    def test_no_route(self):
+        topo = topology_from_dict({
+            "name": "split", "span_length_km": 80, "nodes": ["A", "B", "C"],
+            "edges": [{"a": "A", "b": "B", "length_km": 100}]})
+        assert Provisioner(topo, "transparent").routes("A", "C") == ()
+        lset = provision(topo, [Demand("A", "C", 100)], "opaque")
+        assert len(lset.rejected) == 1
+        with pytest.raises(TopologyError, match="unknown node"):
+            topo.k_shortest_routes("A", "Z", 3)
+        with pytest.raises(ValueError, match="k must be"):
+            topo.k_shortest_routes("A", "B", 0)
+
+
+class ReferenceProvisioner(Provisioner):
+    """Grooming as it was done with networkx and full lightpath scans: a
+    spare-capacity DiGraph searched by nx.dijkstra_path (opaque), and every
+    lightpath added at a node checked against the route (transparent)."""
+
+    def _groom_opaque(self, demand):
+        rate = demand.rate_gbps
+        spare = nx.DiGraph()
+        spare.add_nodes_from(self.topology.nodes)
+        for (u, v), ids in self._single_hop.items():
+            if any(self._lps[i].spare_gbps >= rate for i in ids):
+                spare.add_edge(u, v, length_km=self.topology.link(u, v).length_km)
+        try:
+            path = nx.dijkstra_path(spare, demand.src, demand.dst, weight="length_km")
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return None
+        return tuple(next(i for i in self._single_hop[(u, v)]
+                          if self._lps[i].spare_gbps >= rate)
+                     for u, v in zip(path, path[1:]))
+
+    def _groom_transparent(self, demand):
+        rate = demand.rate_gbps
+        for route in self.routes(demand.src, demand.dst):
+            pos = {n: i for i, n in enumerate(route)}
+            i = 0
+            chain = []
+            while i < len(route) - 1:
+                best_id, best_j = None, i
+                for lp in self._lps:
+                    j = pos.get(lp.drop_node, -1)
+                    if lp.add_node == route[i] and j > best_j and lp.spare_gbps >= rate:
+                        best_id, best_j = lp.lp_id, j
+                if best_id is None:
+                    break
+                chain.append(best_id)
+                i = best_j
+            else:
+                return tuple(chain)
+        return None
+
+
+class TestGroomingAgainstReference:
+    @settings(max_examples=25, deadline=None)
+    @given(topo_key=st.sampled_from(["n14", "j14", "gabriel"]),
+           seed=st.integers(0, 10_000), count=st.integers(20, 250),
+           n_channels=st.sampled_from([2, 6, 60]),
+           arch=st.sampled_from(["opaque", "transparent"]))
+    def test_same_chains(self, topo_key, seed, count, n_channels, arch):
+        if topo_key == "gabriel":
+            # coarse lengths make equal-length grooming chains common
+            topo = coarse(generate_gabriel(12, seed=seed, extent_km=800.0))
+        else:
+            topo = bundled_topology(topo_key)
+        demands = generate_demands(topo, count, seed).demands
+        fast = Provisioner(topo, arch, n_channels=n_channels)
+        ref = ReferenceProvisioner(topo, arch, n_channels=n_channels)
+        for d in demands:
+            assert fast.serve(d) == ref.serve(d)
+        got, want = fast.result(), ref.result()
+        assert [chain for _, chain in got.assignments] == \
+            [chain for _, chain in want.assignments]
+        assert got.lightpaths == want.lightpaths
+
+
+def test_runtime_imports_no_networkx():
+    src = str(Path(ppmplan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, ppmplan, ppmplan.experiment, ppmplan.cli; "
+            "assert 'networkx' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path}, timeout=120)
