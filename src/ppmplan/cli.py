@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 solver budget exceeded.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 solver budget exceeded,
+4 solver failure (the exact solver's LP relaxation failed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import CostModel, ScenarioResult, crossing_value, sweep_cost_curves
-from .exact import DEFAULT_NODE_BUDGET, solve_exact
+from .exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from .experiment import ConfigError, ExperimentConfig, run_experiment
 from .lpfile import export_lp
 from .otdr import count_otdrs
@@ -52,6 +53,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BUDGET = 3
+EXIT_SOLVER = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,6 +331,9 @@ def main(argv=None) -> int:
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (TopologyError, ProvisioningError, InstanceError, ConfigError,
             SaturationError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

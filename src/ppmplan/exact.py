@@ -20,17 +20,20 @@ from .placement import (
     CoverInstance,
     InstanceError,
     PlacementSolution,
+    _greedy_counts,
     solution_from_counts,
-    solve_greedy,
 )
 
 DEFAULT_NODE_BUDGET = 100_000
 _INT_TOL = 1e-6
 
 
+class SolverError(RuntimeError):
+    """The LP relaxation failed for a reason other than infeasibility."""
+
+
 def _greedy_p(instance: CoverInstance) -> np.ndarray:
-    sol = solve_greedy(instance, architecture="transparent")
-    return np.array([sol.p.get(g.key, 0) for g in instance.groups], dtype=np.int64)
+    return np.array(_greedy_counts(instance)[0], dtype=np.int64)
 
 
 def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
@@ -97,7 +100,8 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
         if res.status == 2:  # infeasible under current bounds
             continue
         if res.status != 0:
-            raise RuntimeError(f"LP relaxation failed with status {res.status}")
+            raise SolverError(f"LP relaxation failed with status {res.status}: "
+                              f"{res.message}")
         bound = math.ceil(res.fun - _INT_TOL)
         if bound >= best_val:
             continue

@@ -167,9 +167,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     per_seed: dict[int, dict] = {}
     errors: dict[int, str] = {}
+    fixed = None  # a file or bundled topology, shared by every seed with its routes
     for seed in config.seeds:
         try:
-            per_seed[seed] = _run_seed(config, seed, solver, archs, out, chash)
+            topo = fixed if fixed is not None else config.resolve_topology(seed)
+            if config.gabriel is None:
+                fixed = topo
+            per_seed[seed] = _run_seed(config, topo, seed, solver, archs, out, chash)
         except Exception as exc:  # recorded, bundle marked partial
             errors[seed] = f"{type(exc).__name__}: {exc}"
     if not per_seed:
@@ -262,9 +266,8 @@ def _mean_or_none(values):
     return sum(vals) / len(vals) if vals else None
 
 
-def _run_seed(config: ExperimentConfig, seed: int, solver: str, archs,
+def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, archs,
               out: Path, chash: str) -> dict:
-    topo = config.resolve_topology(seed)
     seed_dir = out / "per_seed" / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
 

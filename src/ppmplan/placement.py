@@ -235,9 +235,13 @@ def greedy_cost(z_values) -> float:
     """Harmonic tie-break cost over covered-link availabilities: 1 / sum(1/z).
 
     Only strictly positive availabilities participate; links with no
-    remaining coverage need contribute nothing.
+    remaining coverage need contribute nothing. The reciprocals are added
+    left to right in the order given, on every Python version.
     """
-    inv = sum(1.0 / z for z in z_values if z > 0)
+    inv = 0.0
+    for z in z_values:
+        if z > 0:
+            inv += 1.0 / z
     if inv == 0:
         return math.inf
     return 1.0 / inv
@@ -266,9 +270,13 @@ def solve_greedy(instance: CoverInstance, architecture: str = "transparent",
     """Iterative covering heuristic.
 
     Picks, while any link is below the required count, the group covering
-    the most still-needy links; ties go to the smallest harmonic cost over
-    remaining availabilities, then to the lowest group index (or a seeded
-    random pick when tie_break="seeded_random").
+    the most still-needy links. Ties go to the smallest `greedy_cost` over
+    the group's still-needy links with positive availability, summed in
+    link-index order and compared by exact equality; remaining ties go to
+    the lowest group index, or to a seeded draw over the tied indices in
+    ascending order when tie_break="seeded_random". A pick costs time in
+    proportion to the tied groups and to the links and covering groups it
+    touches, not to |links| x |groups|.
     """
     if architecture not in ("opaque", "transparent"):
         raise InstanceError(f"unknown architecture {architecture!r}")
@@ -276,52 +284,71 @@ def solve_greedy(instance: CoverInstance, architecture: str = "transparent",
         raise InstanceError(f"unknown tie_break {tie_break!r}")
     if architecture == "opaque":
         return _solve_greedy_opaque(instance)
-
-    n_e, n_l = len(instance.links), len(instance.groups)
-    gamma = instance.gamma
-    delta = instance.delta
-    c = instance.counts.copy()
-    if n_l == 0 or n_e == 0:
-        return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64),
-                                    optimal=False, selection=())
     rng = np.random.default_rng(seed) if tie_break == "seeded_random" else None
+    p, selection = _greedy_counts(instance, rng)
+    return solution_from_counts(instance, p, optimal=False, selection=tuple(selection))
 
-    p = np.zeros(n_l, dtype=np.int64)
-    x = np.zeros(n_e, dtype=np.int64)
-    in_em = np.ones(n_e, dtype=bool)
-    m = delta.astype(np.int64).copy()
-    v = m.sum(axis=0)
-    z = delta @ c
-    group_rows = [np.flatnonzero(delta[:, j]) for j in range(n_l)]
+
+def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[int]]:
+    """Per-group monitor counts and pick sequence of the transparent greedy.
+
+    `rng` (a numpy Generator) breaks ties left after the cost comparison;
+    without it the lowest group index wins.
+    """
+    gamma = instance.gamma
+    index = instance.link_index
+    rows = [sorted(index[e] for e in g.links) for g in instance.groups]
+    counts = [g.count for g in instance.groups]
+    covering: list[list[int]] = [[] for _ in instance.links]
+    z = [0] * len(instance.links)  # availability: lightpaths left on a needy link
+    for j, row in enumerate(rows):
+        for e in row:
+            covering[e].append(j)
+            z[e] += counts[j]
+    need = [gamma] * len(instance.links)
+    n_needy = len(need)
+    v = [len(row) for row in rows]  # still-needy links per group; 0 once used up
+    # live groups by v; v only falls, so the top non-empty bucket only falls
+    bucket: list[set[int]] = [set() for _ in range(max(v, default=0) + 1)]
+    for j, vj in enumerate(v):
+        bucket[vj].add(j)
+    top = len(bucket) - 1
+    p = [0] * len(rows)
     selection: list[int] = []
 
-    while in_em.any():
-        vmax = v.max()
-        if vmax == 0:
+    while n_needy:
+        while top and not bucket[top]:
+            top -= 1
+        if top == 0:
             break
-        tied = np.flatnonzero(v == vmax)
-        if len(tied) > 1:
-            costs = np.array([greedy_cost(z[m[:, j] == 1]) for j in tied])
-            tied = tied[costs == costs.min()]
-        if len(tied) > 1 and rng is not None:
-            ls = int(tied[rng.integers(len(tied))])
+        if len(bucket[top]) == 1:
+            (ls,) = bucket[top]
         else:
-            ls = int(tied[0])
+            tied = sorted(bucket[top])
+            costs = [greedy_cost([z[e] for e in rows[j] if need[e]]) for j in tied]
+            best = min(costs)
+            tied = [j for j, cost in zip(tied, costs) if cost == best]
+            if len(tied) > 1 and rng is not None:
+                ls = tied[rng.integers(len(tied))]
+            else:
+                ls = tied[0]
         selection.append(ls)
         p[ls] += 1
-        for e in group_rows[ls]:
-            x[e] += 1
-            if in_em[e]:
+        for e in rows[ls]:
+            if need[e]:
+                need[e] -= 1
                 z[e] -= 1
-                if x[e] >= gamma:
-                    v -= m[e, :]
-                    m[e, :] = 0
-                    in_em[e] = False
-                    z[e] = 0
-        if p[ls] >= c[ls]:
-            m[:, ls] = 0
+                if not need[e]:
+                    n_needy -= 1
+                    for j in covering[e]:
+                        if v[j]:  # 0 here only for used-up groups, out of the buckets
+                            bucket[v[j]].remove(j)
+                            v[j] -= 1
+                            bucket[v[j]].add(j)
+        if p[ls] == counts[ls]:
+            bucket[v[ls]].remove(ls)
             v[ls] = 0
-    return solution_from_counts(instance, p, optimal=False, selection=tuple(selection))
+    return p, selection
 
 
 def brute_force_oracle(instance: CoverInstance, mode: str = "weighted",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from pathlib import Path
 
@@ -102,8 +103,9 @@ class Lightpath:
     channel: int
     carried_gbps: int = 0
 
-    @property
+    @cached_property
     def links(self) -> tuple[str, ...]:
+        """Directed link labels along the route, computed on first access."""
         return tuple(link_label(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
 
     @property

@@ -102,6 +102,20 @@ class TestPipeline:
         assert code == 3
         assert json.loads(out.read_text())["optimal"] is False
 
+    def test_place_lp_failure_exit_code(self, tmp_path, stage_files, monkeypatch, capsys):
+        from scipy.optimize import OptimizeResult
+
+        from ppmplan import exact
+
+        monkeypatch.setattr(exact, "linprog", lambda *a, **k: OptimizeResult(
+            status=4, message="numerical difficulties", x=None, fun=None))
+        _, lps = stage_files
+        code = run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
+                       "--solver", "exact", "--gamma", "1",
+                       "--out", str(tmp_path / "sol.json"))
+        assert code == 4
+        assert "LP relaxation failed with status 4" in capsys.readouterr().err
+
     def test_export_lp(self, tmp_path, stage_files):
         _, lps = stage_files
         out = tmp_path / "model.lp"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from conftest import random_instance
-from ppmplan.exact import solve_exact
+from ppmplan import exact
+from ppmplan.exact import SolverError, solve_exact
 from ppmplan.placement import (
     brute_force_oracle,
     make_instance,
@@ -92,3 +94,24 @@ class TestBudget:
         inst = make_instance(["e1"], [(("e1",), 1)], gamma=1)
         with pytest.raises(Exception):
             solve_exact(inst, mode="fastest")
+
+
+class TestWarmStartAndFailures:
+    def test_warm_start_is_the_greedy_placement(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            inst = random_instance(rng, max_links=8, max_groups=8, max_count=3, max_gamma=3)
+            greedy = solve_greedy(inst)
+            p = exact._greedy_p(inst)
+            assert p.dtype == np.int64
+            assert {g.key: int(c) for g, c in zip(inst.groups, p) if c} == greedy.p
+
+    def test_lp_failure_raises_solver_error(self, monkeypatch):
+        def failing_linprog(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
+
+        monkeypatch.setattr(exact, "linprog", failing_linprog)
+        inst = make_instance(["e1", "e2"], [(("e1", "e2"), 1), (("e1",), 2)], gamma=1)
+        with pytest.raises(SolverError, match="status 4: numerical difficulties"):
+            solve_exact(inst)
+        assert issubclass(SolverError, RuntimeError)

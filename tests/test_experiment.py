@@ -197,3 +197,50 @@ def test_readme_n14_lightpaths_golden(tmp_path):
                .read_bytes()).hexdigest()
            for seed, arch in README_N14_LIGHTPATHS}
     assert got == README_N14_LIGHTPATHS
+
+
+# sha256 over the sorted "relative path\0file sha256\n" lines of the whole
+# README N14 bundle on seeds 0-2, computed when every seed still resolved its
+# own copy of the bundled topology.
+README_N14_BUNDLE = "116b44509f1681e92cdd03d1c48cce8815073a854ff05fae316534d6ebd5cd7e"
+
+
+def test_fixed_topology_resolved_once_per_run(tmp_path, monkeypatch):
+    from ppmplan import topology
+
+    calls = []
+    yen = topology._yen
+
+    def counting_yen(topo, src, dst, k):
+        calls.append((id(topo), src, dst, k))
+        return yen(topo, src, dst, k)
+
+    monkeypatch.setattr(topology, "_yen", counting_yen)
+    cfg = ExperimentConfig.from_dict({
+        "topology": "n14",
+        "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
+        "seeds": [0, 1, 2], "load_mode": "rejection", "rejection_target": 0.01,
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+    run_experiment(cfg, tmp_path)
+    assert calls and len({c[0] for c in calls}) == 1  # one Topology for all seeds
+    assert len(calls) == len(set(calls))  # each (src, dst, k) route set computed once
+    lines = sorted(f"{path}\0{digest}\n" for path, digest in bundle_digest(tmp_path).items())
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == README_N14_BUNDLE
+
+
+def test_gabriel_topology_drawn_per_seed(tmp_path, monkeypatch):
+    from ppmplan import experiment
+
+    drawn = []
+    generate = experiment.generate_gabriel
+
+    def recording(n, seed, **kwargs):
+        drawn.append(seed)
+        return generate(n, seed=seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "generate_gabriel", recording)
+    cfg = ExperimentConfig.from_dict({
+        "gabriel": {"nodes": 8}, "scenarios": ["Tr-O-1"], "seeds": [3, 4],
+        "load_mode": "counts", "counts": [20], "solver": "greedy"})
+    run_experiment(cfg, tmp_path)
+    assert drawn == [3, 4]

@@ -1,7 +1,13 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
+from ppmplan.experiment import ExperimentConfig, run_experiment
 from ppmplan.placement import (
     CoverInstance,
     InstanceError,
@@ -97,6 +103,12 @@ class TestGreedyTransparent:
         assert greedy_cost([2, 0, 3]) == pytest.approx(6 / 5)  # exhausted links skipped
         assert greedy_cost([]) == float("inf")
 
+    def test_harmonic_cost_sums_left_to_right(self):
+        # a compensated sum (math.fsum) rounds this one differently
+        assert greedy_cost([1, 3, 1]) == 1.0 / (1.0 + 1.0 / 3 + 1.0)
+        assert greedy_cost([1, 3, 1]) != 1.0 / math.fsum([1.0, 1.0 / 3, 1.0])
+        assert greedy_cost(np.array([1, 3, 1])) == greedy_cost([1, 3, 1])
+
     def test_walkthrough(self):
         # two overlapping 2-hop routes dominate; the single-hop pile is unused
         inst = make_instance(
@@ -190,3 +202,144 @@ class TestSolutionPlumbing:
         sol = solve_greedy(inst)
         d = sol.to_json_dict()
         assert set(d) == {"p", "x", "unsatisfied", "monitors", "objective", "optimal"}
+
+
+def reference_greedy(instance, tie_break="deterministic", seed=0):
+    """The transparent greedy as first written, on dense numpy matrices: every
+    pick rescans the |links| x |groups| need matrix. The sparse solver must
+    reproduce its picks exactly."""
+    n_e, n_l = len(instance.links), len(instance.groups)
+    gamma = instance.gamma
+    delta = instance.delta
+    c = instance.counts.copy()
+    if n_l == 0 or n_e == 0:
+        return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64),
+                                    optimal=False, selection=())
+    rng = np.random.default_rng(seed) if tie_break == "seeded_random" else None
+    p = np.zeros(n_l, dtype=np.int64)
+    x = np.zeros(n_e, dtype=np.int64)
+    in_em = np.ones(n_e, dtype=bool)
+    m = delta.astype(np.int64).copy()
+    v = m.sum(axis=0)
+    z = delta @ c
+    group_rows = [np.flatnonzero(delta[:, j]) for j in range(n_l)]
+    selection = []
+    while in_em.any():
+        vmax = v.max()
+        if vmax == 0:
+            break
+        tied = np.flatnonzero(v == vmax)
+        if len(tied) > 1:
+            costs = np.array([greedy_cost(z[m[:, j] == 1]) for j in tied])
+            tied = tied[costs == costs.min()]
+        if len(tied) > 1 and rng is not None:
+            ls = int(tied[rng.integers(len(tied))])
+        else:
+            ls = int(tied[0])
+        selection.append(ls)
+        p[ls] += 1
+        for e in group_rows[ls]:
+            x[e] += 1
+            if in_em[e]:
+                z[e] -= 1
+                if x[e] >= gamma:
+                    v -= m[e, :]
+                    m[e, :] = 0
+                    in_em[e] = False
+                    z[e] = 0
+        if p[ls] >= c[ls]:
+            m[:, ls] = 0
+            v[ls] = 0
+    return solution_from_counts(instance, p, optimal=False, selection=tuple(selection))
+
+
+@st.composite
+def cover_instances(draw):
+    """1-30 links under shuffled labels, up to 40 groups whose routes list
+    links in drawn order (not link-index order), counts 1-4, gamma 1-3.
+    Small counts against gamma up to 3 leave links whose availability runs
+    out while they are still needy, and some links have no group at all."""
+    n_e = draw(st.integers(1, 30))
+    labels = draw(st.permutations([f"e{i}" for i in range(n_e)]))
+    routes = draw(st.lists(
+        st.lists(st.integers(0, n_e - 1), min_size=1, max_size=min(n_e, 6), unique=True)
+        .map(tuple), max_size=40, unique=True))
+    groups = [(tuple(labels[i] for i in route), draw(st.integers(1, 4))) for route in routes]
+    return make_instance(labels, groups, draw(st.integers(1, 3)))
+
+
+class TestGreedyMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(cover_instances())
+    @example(make_instance(["e1", "e0"], [(("e0", "e1"), 1), (("e1",), 1)], gamma=3))
+    def test_same_picks_deterministic(self, inst):
+        sol = solve_greedy(inst)
+        assert sol == reference_greedy(inst)
+        assert verify_solution(inst, sol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover_instances(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_same_picks_seeded_random(self, inst, seeds):
+        for seed in seeds:
+            assert (solve_greedy(inst, tie_break="seeded_random", seed=seed)
+                    == reference_greedy(inst, "seeded_random", seed))
+
+    def test_same_picks_on_provisioned_n14(self, n14):
+        from ppmplan.provisioning import Provisioner
+        from ppmplan.traffic import generate_demands
+
+        prov = Provisioner(n14, "transparent")
+        for d in generate_demands(n14, 500, seed=4).demands:
+            prov.serve(d)
+        for gamma in (1, 2, 3):
+            inst = build_cover_instance(prov.result(), n14, gamma)
+            assert solve_greedy(inst) == reference_greedy(inst)
+            for seed in range(3):
+                assert (solve_greedy(inst, tie_break="seeded_random", seed=seed)
+                        == reference_greedy(inst, "seeded_random", seed))
+
+
+# sha256 of the placement outputs of the README N14 config with
+# compare_solvers on seeds 0-2: exact solutions (warm-started by the greedy)
+# and gap.csv (greedy monitor counts). Computed with the dense greedy above.
+README_N14_PLACEMENT = {
+    "gap.csv": "6276c61b62ab87e831d3d62798e90676bc3507d206e3c53dc087b48d18e76d6d",
+    "per_seed/seed_0/solution_Op-O-1_n580.json":
+        "5d7d31bacc33acf632ff598f5f277c32b473a4814b9d23565fff613d7dca7c49",
+    "per_seed/seed_0/solution_Op-O-3_n580.json":
+        "3efe25e8a133c458d23bb8d603545a96cd0e98e4ccf39d9b5c4062c22f873275",
+    "per_seed/seed_0/solution_Tr-O-1_n580.json":
+        "500679d5d8ebf92cd06bf2d2031d73b90d419b453b13b9e433af1bb992a32244",
+    "per_seed/seed_0/solution_Tr-O-3_n580.json":
+        "9418867b6184548995ddd463b17b537b23827bd830f218a4f938f9ac7816956a",
+    "per_seed/seed_1/solution_Op-O-1_n560.json":
+        "5d7d31bacc33acf632ff598f5f277c32b473a4814b9d23565fff613d7dca7c49",
+    "per_seed/seed_1/solution_Op-O-3_n560.json":
+        "d30196bcb262552e75e9f68db1e5f9f1fb8a213f1dd6dfb7e12a3919c09cdcc4",
+    "per_seed/seed_1/solution_Tr-O-1_n560.json":
+        "67c33310eee5ad6332097285593cc35c18dd525f9b3046091e0bfaacf5fd4fe8",
+    "per_seed/seed_1/solution_Tr-O-3_n560.json":
+        "400f89ceb5a09e55899b4dd6a723600f255e53773a5f7d30a1273d8f469fef97",
+    "per_seed/seed_2/solution_Op-O-1_n550.json":
+        "5d7d31bacc33acf632ff598f5f277c32b473a4814b9d23565fff613d7dca7c49",
+    "per_seed/seed_2/solution_Op-O-3_n550.json":
+        "19be31886646404bb7ac24636a26a7a19a6c969ada288ff99db89be0e261f7ae",
+    "per_seed/seed_2/solution_Tr-O-1_n550.json":
+        "eb41a7e1391332d79352bf16783030e60a69f5751b5bb3167eebc3810d86c53e",
+    "per_seed/seed_2/solution_Tr-O-3_n550.json":
+        "207566002bee9966ff078a89e0148e5c499360b23a1755d8bf723ed3bbaab546",
+}
+
+
+def test_readme_n14_placement_golden(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "topology": "n14",
+        "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
+        "seeds": [0, 1, 2], "load_mode": "rejection", "rejection_target": 0.01,
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100],
+        "compare_solvers": True})
+    run_experiment(cfg, tmp_path)
+    got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("*"))
+           if p.name == "gap.csv" or p.name.startswith("solution_")}
+    assert got == README_N14_PLACEMENT

@@ -225,6 +225,25 @@ class TestInvariants:
             assert back.carried_gbps == orig.carried_gbps
             assert back.length_km == pytest.approx(orig.length_km)
 
+    def test_lightpath_links_cached_without_changing_identity(self, tmp_path):
+        from dataclasses import fields
+
+        from ppmplan.provisioning import Lightpath
+
+        a = Lightpath(0, ("A", "B", "C"), 200.0, 600, 3, carried_gbps=100)
+        b = Lightpath(0, ("A", "B", "C"), 200.0, 600, 3, carried_gbps=100)
+        fresh = repr(a)
+        write_lightpaths_csv([a], tmp_path / "before.csv")
+        assert a.links == ("A->B", "B->C")
+        assert a.links is a.links  # built once per lightpath
+        assert a == b and repr(a) == repr(b) == fresh
+        assert fresh == ("Lightpath(lp_id=0, nodes=('A', 'B', 'C'), length_km=200.0, "
+                         "rate_gbps=600, channel=3, carried_gbps=100)")
+        assert [f.name for f in fields(a)] == ["lp_id", "nodes", "length_km", "rate_gbps",
+                                                "channel", "carried_gbps"]
+        write_lightpaths_csv([a], tmp_path / "after.csv")
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
     def test_serve_is_incremental(self, n14):
         # serving a prefix then the rest equals serving everything at once
         demands = generate_demands(n14, 80, seed=9).demands
