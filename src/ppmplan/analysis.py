@@ -42,9 +42,6 @@ class ScenarioResult:
     scenario: str
     monitor_count: float
     carried_tbps: float = 0.0
-    unsatisfied_npl_avg: float | None = None
-    crossing_cost_pct: float | None = None
-    crossing_power_pct: float | None = None
 
 
 def unsatisfied_npl_avg(solution_or_counts, gamma: int, mode: str = "optimized") -> float:
@@ -85,7 +82,6 @@ class CurvePoint:
 
 
 def sweep_cost_curves(scenario_results, cost_model: CostModel, fractions,
-                      n_otdr: float | None = None,
                       dimension: str = "cost") -> list[CurvePoint]:
     """Monitoring expenditure per Tb/s versus the monitor unit-price fraction.
 
@@ -93,17 +89,16 @@ def sweep_cost_curves(scenario_results, cost_model: CostModel, fractions,
     monitor_count * (f/100 * transponder_unit) / carried_tbps, with the
     baseline n_otdr * otdr_unit / carried_tbps (the scenario's own carried
     traffic) alongside. The baseline count comes from the "OTDR" entry of
-    `scenario_results` unless given explicitly.
+    `scenario_results`.
     """
     fractions = list(fractions)
     if not fractions:
         raise ValueError("empty fractions list")
     results = list(scenario_results)
-    if n_otdr is None:
-        otdr_rows = [r for r in results if r.scenario.upper() == "OTDR"]
-        if not otdr_rows:
-            raise ValueError("no OTDR baseline among scenario results")
-        n_otdr = otdr_rows[0].monitor_count
+    otdr_rows = [r for r in results if r.scenario.upper() == "OTDR"]
+    if not otdr_rows:
+        raise ValueError("no OTDR baseline among scenario results")
+    n_otdr = otdr_rows[0].monitor_count
     t_unit, o_unit = cost_model.units(dimension)
     points = []
     for r in results:

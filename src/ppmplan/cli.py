@@ -7,15 +7,20 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 solver budget exceeded,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import CostModel, ScenarioResult, crossing_value, sweep_cost_curves
 from .exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
-from .experiment import ConfigError, ExperimentConfig, run_experiment
+from .experiment import (
+    ConfigError,
+    ExperimentConfig,
+    crossings,
+    run_experiment,
+    write_curves,
+    write_json,
+)
 from .lpfile import export_lp
 from .otdr import count_otdrs
 from .placement import (
@@ -37,9 +42,9 @@ from .topology import (
     DEFAULT_EXTENT_KM,
     DEFAULT_SPAN_KM,
     TopologyError,
-    bundled_topology,
     generate_gabriel,
     load_topology,
+    resolve_topology,
     save_topology,
 )
 from .traffic import (
@@ -60,20 +65,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _load_topo(name_or_path: str, span_km: float | None = None):
-    if name_or_path.lower() in ("j14", "n14"):
-        return bundled_topology(name_or_path, span_km)
-    return load_topology(name_or_path, span_km)
-
-
-def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="crossing values and cost curves from a summary")
     ana.add_argument("--summary", required=True)
-    ana.add_argument("--fractions", default=",".join(str(f) for f in range(0, 101, 5)),
-                     help="comma-separated monitor price fractions (%% of transponder)")
+    ana.add_argument("--fractions", help="comma-separated monitor price fractions "
+                     "(%% of transponder); default: the bundle's ppm_fractions")
     ana.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="full pipeline from a config file and/or flags")
@@ -171,7 +162,7 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_demands(args) -> int:
-    topo = _load_topo(args.topo)
+    topo = resolve_topology(args.topo)
     ds = generate_demands(topo, args.count, args.seed)
     write_demands_csv(ds, args.out)
     print(f"wrote {args.out}: {len(ds)} demands, {ds.total_tbps:.2f} Tb/s offered")
@@ -179,27 +170,19 @@ def _cmd_demands(args) -> int:
 
 
 def _cmd_provision(args) -> int:
-    topo = _load_topo(args.topo)
+    topo = resolve_topology(args.topo)
     ds = read_demands_csv(args.demands)
     lset = provision(topo, ds, args.arch, k=args.k, n_channels=args.channels)
     write_lightpaths_csv(lset, args.out)
-    meta = {
-        "architecture": args.arch,
-        "accepted": len(lset.accepted),
-        "rejected": len(lset.rejected),
-        "carried_tbps": lset.carried_gbps / 1000.0,
-        "rejection_fraction": lset.rejection_fraction,
-        "spectrum_occupancy": lset.spectrum_occupancy(topo),
-        "transponders": lset.transponder_count,
-    }
-    _write_json(str(Path(args.out)) + ".meta.json", meta)
+    write_json(str(Path(args.out)) + ".meta.json",
+               {**lset.meta(topo), "transponders": lset.transponder_count})
     print(f"wrote {args.out}: {len(lset.lightpaths)} lightpaths, "
           f"{len(lset.rejected)} rejected")
     return EXIT_OK
 
 
 def _cmd_place(args) -> int:
-    topo = _load_topo(args.topo)
+    topo = resolve_topology(args.topo)
     lps = read_lightpaths_csv(args.lightpaths, topo)
     instance = build_cover_instance(lps, topo, args.gamma, alpha_policy=args.alpha_policy)
     if args.solver == "greedy":
@@ -209,7 +192,7 @@ def _cmd_place(args) -> int:
         sol = solve_exact(instance, mode=args.mode, node_budget=args.node_budget)
     else:
         sol = brute_force_oracle(instance, mode=args.mode)
-    _write_json(args.out, sol.to_json_dict())
+    write_json(args.out, sol.to_json_dict())
     if args.solver == "exact" and not sol.optimal:
         print("node budget exceeded: incumbent only", file=sys.stderr)
         return EXIT_BUDGET
@@ -217,20 +200,20 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    topo = _load_topo(args.topo)
+    topo = resolve_topology(args.topo)
     lit = None
     if args.lightpaths:
         lps = read_lightpaths_csv(args.lightpaths, topo)
         lit = {e for lp in lps for e in lp.links}
     plan = count_otdrs(topo, lit_links=lit)
-    _write_json(args.out, plan.to_json_dict())
+    write_json(args.out, plan.to_json_dict())
     if args.out != "-":
         print(f"wrote {args.out}: total {plan.total}")
     return EXIT_OK
 
 
 def _cmd_export_lp(args) -> int:
-    topo = _load_topo(args.topo)
+    topo = resolve_topology(args.topo)
     lps = read_lightpaths_csv(args.lightpaths, topo)
     instance = build_cover_instance(lps, topo, args.gamma, alpha_policy=args.alpha_policy)
     export_lp(instance, args.out)
@@ -240,44 +223,22 @@ def _cmd_export_lp(args) -> int:
 
 def _cmd_analyze(args) -> int:
     summary_path = Path(args.summary)
-    data = json.loads(summary_path.read_text(encoding="utf-8"))
-    fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
-    otdr_total = data.get("otdr_total")
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    otdr_total = summary.get("otdr_total")
     if otdr_total is None:
         raise ConfigError("summary has no otdr_total; run with an OTDR scenario")
-    # the cost model the bundle was computed with, when its config is beside it
-    config_path = summary_path.with_name("config.json")
-    cost_model = CostModel()
-    if config_path.is_file():
-        bundle = json.loads(config_path.read_text(encoding="utf-8"))
-        cost_model = ExperimentConfig.from_dict(bundle["config"]).cost_model
-    results = []
-    crossings = {}
-    for name, row in sorted(data["scenarios"].items()):
-        if name == "OTDR":
-            results.append(ScenarioResult(name, row["monitors"]))
-            continue
-        results.append(ScenarioResult(name, row["monitors"],
-                                      carried_tbps=row["carried_tbps"] or 0.0))
-        if row["monitors"] > 0:
-            crossings[name] = {
-                "cost_pct": crossing_value(row["monitors"], otdr_total, cost_model, "cost"),
-                "power_pct": crossing_value(row["monitors"], otdr_total, cost_model, "power"),
-            }
+    # the bundle's config gives the cost model, fractions and scenario order
+    bundle = json.loads(summary_path.with_name("config.json").read_text(encoding="utf-8"))
+    config = ExperimentConfig.from_dict(bundle["config"])
+    fractions = config.ppm_fractions
+    if args.fractions is not None:
+        fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+    rows = {name: summary["scenarios"][name] for name in config.scenarios}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "crossing.json", {"otdr_total": otdr_total, "crossings": crossings})
-    for dim in ("cost", "power"):
-        points = sweep_cost_curves(
-            [r for r in results if r.scenario == "OTDR" or r.carried_tbps > 0],
-            cost_model, fractions, n_otdr=otdr_total, dimension=dim)
-        with open(out / f"{dim}_curves.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "fraction_pct", "cost_per_tbps",
-                             "otdr_cost_per_tbps"])
-            for pt in points:
-                writer.writerow([pt.scenario, pt.fraction_pct,
-                                 f"{pt.cost_per_tbps:.6g}", f"{pt.otdr_cost_per_tbps:.6g}"])
+    write_json(out / "crossing.json", {"otdr_total": otdr_total,
+                                       "crossings": crossings(rows, otdr_total, config.cost_model)})
+    write_curves(out, summary["config_hash"], rows, config.cost_model, fractions)
     print(f"wrote {out}/crossing.json and curves")
     return EXIT_OK
 

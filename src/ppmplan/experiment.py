@@ -12,7 +12,8 @@ import csv
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -24,10 +25,11 @@ from .provisioning import (
     CHANNELS_PER_FIBER,
     DEFAULT_K_PATHS,
     Provisioner,
+    ProvisioningError,
     write_lightpaths_csv,
 )
-from .topology import Topology, bundled_topology, generate_gabriel, load_topology
-from .traffic import find_load_at_rejection, generate_demands
+from .topology import Topology, TopologyError, generate_gabriel, resolve_topology
+from .traffic import SaturationError, find_load_at_rejection, generate_demands
 
 DEFAULT_SCENARIOS = ("Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR")
 _SCENARIO_RE = re.compile(r"^(Op|Tr)(-O-(\d+))?$|^OTDR$")
@@ -98,49 +100,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def to_dict(self) -> dict:
-        cm = self.cost_model
-        return {
-            "topology": self.topology,
-            "gabriel": self.gabriel,
-            "span_length_km": self.span_length_km,
-            "scenarios": list(self.scenarios),
-            "seeds": list(self.seeds),
-            "load_mode": self.load_mode,
-            "rejection_target": self.rejection_target,
-            "step": self.step,
-            "max_demands": self.max_demands,
-            "counts": list(self.counts),
-            "solver": self.solver,
-            "node_budget": self.node_budget,
-            "k_paths": self.k_paths,
-            "n_channels": self.n_channels,
-            "cost_model": {
-                "transponder_cost": cm.transponder_cost,
-                "transponder_power": cm.transponder_power,
-                "otdr_cost": cm.otdr_cost,
-                "otdr_power": cm.otdr_power,
-            },
-            "ppm_fractions": list(self.ppm_fractions),
-            "compare_solvers": self.compare_solvers,
-        }
-
     @property
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def resolve_topology(self, seed: int) -> Topology:
-        if self.gabriel is not None:
-            kwargs = dict(self.gabriel)
-            n = kwargs.pop("nodes")
-            if self.span_length_km is not None:
-                kwargs.setdefault("span_length_km", self.span_length_km)
-            return generate_gabriel(n, seed=seed, **kwargs)
-        name = str(self.topology)
-        if name.lower() in ("j14", "n14"):
-            return bundled_topology(name, self.span_length_km)
-        return load_topology(name, self.span_length_km)
+        if self.gabriel is None:
+            return resolve_topology(self.topology, self.span_length_km)
+        kwargs = dict(self.gabriel)
+        n = kwargs.pop("nodes")
+        if self.span_length_km is not None:
+            kwargs.setdefault("span_length_km", self.span_length_km)
+        return generate_gabriel(n, seed=seed, **kwargs)
 
     def resolve_solver(self) -> str:
         if self.solver != "auto":
@@ -167,14 +139,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     per_seed: dict[int, dict] = {}
     errors: dict[int, str] = {}
-    fixed = None  # a file or bundled topology, shared by every seed with its routes
+    # a file or bundled topology is resolved once; every seed shares it and its routes
+    shared = None if config.gabriel is not None else config.resolve_topology(config.seeds[0])
     for seed in config.seeds:
         try:
-            topo = fixed if fixed is not None else config.resolve_topology(seed)
-            if config.gabriel is None:
-                fixed = topo
+            topo = shared or config.resolve_topology(seed)
             per_seed[seed] = _run_seed(config, topo, seed, solver, archs, out, chash)
-        except Exception as exc:  # recorded, bundle marked partial
+        except (SaturationError, ProvisioningError, TopologyError) as exc:
+            # a seed the model cannot serve is recorded and the bundle marked
+            # partial; solver failures and bugs propagate
             errors[seed] = f"{type(exc).__name__}: {exc}"
     if not per_seed:
         raise RuntimeError(f"all seeds failed: {errors}")
@@ -206,33 +179,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         agg_points.append(point)
 
     # summary at the final load point, with crossing values
-    final = agg_points[-1]
-    otdr_count = None
-    if "OTDR" in config.scenarios:
-        otdr_count = final["scenarios"]["OTDR"]["monitors"]
+    final = agg_points[-1]["scenarios"]
+    otdr_count = final["OTDR"]["monitors"] if "OTDR" in final else None
+    cross = {} if otdr_count is None else crossings(final, otdr_count, config.cost_model)
     scenario_summaries = {}
-    scenario_results = []
-    for name in config.scenarios:
-        row = final["scenarios"][name]
-        entry = {
-            "monitors": row["monitors"],
-            "carried_tbps": row["carried_tbps"],
-            "unsatisfied_npl_avg": row["unsatisfied_npl_avg"],
-            "crossing_cost_pct": None,
-            "crossing_power_pct": None,
-        }
-        if name != "OTDR" and otdr_count is not None and row["monitors"] > 0:
-            entry["crossing_cost_pct"] = crossing_value(
-                row["monitors"], otdr_count, config.cost_model, "cost")
-            entry["crossing_power_pct"] = crossing_value(
-                row["monitors"], otdr_count, config.cost_model, "power")
-        scenario_summaries[name] = entry
-        scenario_results.append(ScenarioResult(
-            scenario=name, monitor_count=row["monitors"],
-            carried_tbps=row["carried_tbps"] or 0.0,
-            unsatisfied_npl_avg=row["unsatisfied_npl_avg"],
-            crossing_cost_pct=entry["crossing_cost_pct"],
-            crossing_power_pct=entry["crossing_power_pct"]))
+    for name, row in final.items():
+        values = cross.get(name, {})
+        scenario_summaries[name] = {**row, "crossing_cost_pct": values.get("cost_pct"),
+                                    "crossing_power_pct": values.get("power_pct")}
 
     summary = {
         "config_hash": chash,
@@ -245,17 +199,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         "otdr_total": otdr_count,
     }
 
-    _write_json(out / "config.json", {"config_hash": chash, "version": __version__,
-                                      "config": config.to_dict()})
-    _write_json(out / "summary.json", summary)
+    write_json(out / "config.json", {"config_hash": chash, "version": __version__,
+                                     "config": asdict(config)})
+    write_json(out / "summary.json", summary)
     _write_monitors_csv(out / "monitors.csv", chash, config.scenarios, agg_points)
     if otdr_count is not None:
-        for dim in ("cost", "power"):
-            points = sweep_cost_curves(
-                [r for r in scenario_results
-                 if r.scenario == "OTDR" or (r.carried_tbps and r.monitor_count > 0)],
-                config.cost_model, config.ppm_fractions, dimension=dim)
-            _write_curves_csv(out / f"{dim}_curves.csv", chash, points)
+        write_curves(out, chash, final, config.cost_model, config.ppm_fractions)
     if config.compare_solvers:
         _write_gap_csv(out / "gap.csv", chash, per_seed, seeds_ok)
     return summary
@@ -264,6 +213,36 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
 def _mean_or_none(values):
     vals = [v for v in values if v is not None]
     return sum(vals) / len(vals) if vals else None
+
+
+def crossings(rows: dict, otdr_total: float, cost_model: CostModel) -> dict:
+    """{scenario: {"cost_pct", "power_pct"}} for every monitored scenario
+    row (name -> row with "monitors") that places at least one monitor."""
+    return {name: {"cost_pct": crossing_value(row["monitors"], otdr_total, cost_model, "cost"),
+                   "power_pct": crossing_value(row["monitors"], otdr_total, cost_model, "power")}
+            for name, row in rows.items() if name != "OTDR" and row["monitors"] > 0}
+
+
+def write_curves(out: Path, chash: str, rows: dict, cost_model: CostModel,
+                 fractions) -> None:
+    """Write cost_curves.csv and power_curves.csv into `out`.
+
+    `rows` maps scenario name -> row with "monitors" and "carried_tbps", in
+    the order the curves are written; its OTDR row gives the baseline.
+    Scenarios that carry no traffic or place no monitor get no curve."""
+    results = [ScenarioResult(name, row["monitors"], row["carried_tbps"] or 0.0)
+               for name, row in rows.items()
+               if name == "OTDR" or (row["carried_tbps"] and row["monitors"] > 0)]
+    for dim in ("cost", "power"):
+        points = sweep_cost_curves(results, cost_model, fractions, dimension=dim)
+        with open(out / f"{dim}_curves.csv", "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"# config_hash={chash}\n")
+            writer = csv.writer(fh)
+            writer.writerow(["scenario", "fraction_pct", "cost_per_tbps",
+                             "otdr_cost_per_tbps"])
+            for pt in points:
+                writer.writerow([pt.scenario, _fmt(pt.fraction_pct),
+                                 _fmt(pt.cost_per_tbps), _fmt(pt.otdr_cost_per_tbps)])
 
 
 def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, archs,
@@ -333,21 +312,14 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
                         "exact_monitors": exact_sol.total_monitors,
                         "exact_optimal": exact_sol.optimal,
                     })
-                _write_json(seed_dir / f"solution_{name}_n{n}.json",
-                            {"config_hash": chash, **sol.to_json_dict()})
+                write_json(seed_dir / f"solution_{name}_n{n}.json",
+                           {"config_hash": chash, **sol.to_json_dict()})
         points.append(point)
 
     for arch, ls in lsets.items():
         write_lightpaths_csv(ls, seed_dir / f"lightpaths_{arch}.csv", config_hash=chash)
-        _write_json(seed_dir / f"provision_{arch}.meta.json", {
-            "config_hash": chash,
-            "architecture": arch,
-            "accepted": len(ls.accepted),
-            "rejected": len(ls.rejected),
-            "carried_tbps": ls.carried_gbps / 1000.0,
-            "rejection_fraction": ls.rejection_fraction,
-            "spectrum_occupancy": ls.spectrum_occupancy(topo),
-        })
+        write_json(seed_dir / f"provision_{arch}.meta.json",
+                   {"config_hash": chash, **ls.meta(topo)})
     return {"points": points, "gap_rows": gap_rows}
 
 
@@ -361,10 +333,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(path: str | Path, payload: dict) -> None:
+    """Indented, key-sorted JSON with a trailing newline; path "-" is stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _write_monitors_csv(path: Path, chash: str, scenarios, agg_points) -> None:
@@ -378,17 +353,6 @@ def _write_monitors_csv(path: Path, chash: str, scenarios, agg_points) -> None:
                 writer.writerow([name, _fmt(point["offered_tbps"]),
                                  _fmt(row["monitors"]),
                                  _fmt(row["unsatisfied_npl_avg"])])
-
-
-def _write_curves_csv(path: Path, chash: str, points) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "fraction_pct", "cost_per_tbps",
-                         "otdr_cost_per_tbps"])
-        for pt in points:
-            writer.writerow([pt.scenario, _fmt(pt.fraction_pct),
-                             _fmt(pt.cost_per_tbps), _fmt(pt.otdr_cost_per_tbps)])
 
 
 def _write_gap_csv(path: Path, chash: str, per_seed, seeds_ok) -> None:

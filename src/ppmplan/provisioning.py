@@ -25,9 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .topology import Topology, link_label
-from .traffic import Demand
+
+if TYPE_CHECKING:
+    from .traffic import Demand
 
 # Table of long-haul transponder operating points: (rate Gb/s, reach km),
 # all at 100 GHz spacing.
@@ -161,6 +164,17 @@ class LightpathSet:
     def spectrum_occupancy(self, topology: Topology) -> float:
         used = sum(lp.hops for lp in self.lightpaths)
         return used / (self.n_channels * len(topology.links))
+
+    def meta(self, topology: Topology) -> dict:
+        """Provisioning outcome, as written beside a lightpath dump."""
+        return {
+            "architecture": self.architecture,
+            "accepted": len(self.accepted),
+            "rejected": len(self.rejected),
+            "carried_tbps": self.carried_gbps / 1000.0,
+            "rejection_fraction": self.rejection_fraction,
+            "spectrum_occupancy": self.spectrum_occupancy(topology),
+        }
 
 
 class Provisioner:

@@ -313,6 +313,13 @@ def bundled_topology(name: str, span_length_km: float | None = None) -> Topology
     return topology_from_dict(json.loads(ref.read_text(encoding="utf-8")), span_length_km)
 
 
+def resolve_topology(name_or_path: str | Path, span_length_km: float | None = None) -> Topology:
+    """A bundled dataset when given its name ('j14' or 'n14'), else a topology JSON file."""
+    if str(name_or_path).lower() in ("j14", "n14"):
+        return bundled_topology(str(name_or_path), span_length_km)
+    return load_topology(name_or_path, span_length_km)
+
+
 def gabriel_edges(points: np.ndarray) -> list[tuple[int, int]]:
     """Index pairs (i < j) forming the Gabriel graph of 2-D `points`.
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .provisioning import Provisioner
 from .topology import Topology, TopologyError
 
 ALLOWED_RATES_GBPS = (100, 200, 300, 400)
@@ -83,8 +84,6 @@ def find_load_at_rejection(topology: Topology, target_rejection: float, seed: in
         raise ValueError(f"target_rejection must be in (0, 1), got {target_rejection}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    from .provisioning import Provisioner
-
     prov = Provisioner(topology, "transparent", **provision_kwargs)
     rng = np.random.default_rng(seed)
     demands: list[Demand] = []

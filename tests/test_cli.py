@@ -184,6 +184,57 @@ class TestRunAndAnalyze:
         assert crossing["crossings"] == expected
         assert set(expected) == {"Op", "Tr-O-1"}
 
+    def test_analyze_reproduces_bundle_curves(self, tmp_path):
+        # scenarios out of name order, so row order is the config's or wrong
+        cfg = {"topology": "j14", "seeds": [0, 1], "load_mode": "counts",
+               "counts": [40], "scenarios": ["Tr-O-1", "Op", "Tr", "OTDR"],
+               "solver": "greedy", "ppm_fractions": [0, 12.5, 25, 100]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+        ana = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(out / "summary.json"),
+                       "--out", str(ana)) == 0
+        for name in ("cost_curves.csv", "power_curves.csv"):
+            assert (ana / name).read_bytes() == (out / name).read_bytes(), name
+        summary = json.loads((out / "summary.json").read_text())
+        crossing = json.loads((ana / "crossing.json").read_text())
+        assert crossing["otdr_total"] == summary["otdr_total"]
+        assert crossing["crossings"] == {
+            name: {"cost_pct": row["crossing_cost_pct"],
+                   "power_pct": row["crossing_power_pct"]}
+            for name, row in summary["scenarios"].items()
+            if row["crossing_cost_pct"] is not None}
+
+    def test_analyze_needs_bundle_config(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                       "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "greedy", "--out", str(out)) == 0
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        (lone / "summary.json").write_bytes((out / "summary.json").read_bytes())
+        assert run_cli("analyze", "--summary", str(lone / "summary.json"),
+                       "--out", str(tmp_path / "analysis")) == 2
+        assert "config.json" in capsys.readouterr().err
+
+    def test_run_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        from scipy.optimize import OptimizeResult
+
+        from ppmplan import exact
+
+        monkeypatch.setattr(exact, "linprog", lambda *a, **k: OptimizeResult(
+            status=4, message="numerical difficulties", x=None, fun=None))
+        assert run_cli("run", "--topo", "n14", "--mode", "counts", "--counts", "40",
+                       "--seeds", "0,1", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "exact", "--out", str(tmp_path / "o")) == 4
+        assert "LP relaxation failed with status 4" in capsys.readouterr().err
+
+    def test_run_missing_topology_is_data_error(self, tmp_path):
+        assert run_cli("run", "--topo", str(tmp_path / "nowhere.json"), "--mode", "counts",
+                       "--counts", "5", "--seeds", "0", "--out", str(tmp_path / "o")) == 2
+
     def test_run_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"load_mode": "counts"}))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from ppmplan.experiment import ConfigError, ExperimentConfig, parse_scenario, ru
 from ppmplan.placement import build_cover_instance
 from ppmplan.provisioning import read_lightpaths_csv
 from ppmplan.topology import bundled_topology
+from ppmplan.traffic import SaturationError
 
 
 def bundle_digest(out: Path) -> dict[str, str]:
@@ -58,8 +60,25 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = ExperimentConfig(topology="n14", seeds=(0, 1), load_mode="counts",
                                counts=(10, 20))
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
+
+    def test_hash_pinned(self):
+        # config_hash names every bundle file; these values were computed
+        # when the canonical dict was still listed field by field
+        readme_n14 = ExperimentConfig.from_dict({  # the README_N14_BUNDLE config
+            "topology": "n14",
+            "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
+            "seeds": [0, 1, 2], "load_mode": "rejection", "rejection_target": 0.01,
+            "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+        gabriel = ExperimentConfig.from_dict({
+            "gabriel": {"nodes": 30, "extent_km": 500}, "span_length_km": 60.0,
+            "seeds": [1, 2], "load_mode": "counts", "counts": [5, 10],
+            "compare_solvers": True,
+            "cost_model": {"transponder_cost": 8.0, "transponder_power": 5.0,
+                           "otdr_cost": 0.2, "otdr_power": 0.25}})
+        assert readme_n14.config_hash == "62d5089921b882ba"
+        assert gabriel.config_hash == "ad08320be8edc872"
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +138,18 @@ class TestRun:
         assert bundle_digest(out) == bundle_digest(again)
 
     def test_failed_seed_recorded_partial(self, tmp_path):
-        # seed 0 regenerates a 2-node Gabriel graph with a single 0-length...
-        # instead: a gabriel config where one seed yields a graph with an
-        # unreachable pair is hard to force; use a missing topology file for
-        # all seeds and expect a hard failure
-        cfg = ExperimentConfig(topology="nowhere.json", seeds=(0,),
-                               load_mode="counts", counts=(5,))
-        with pytest.raises(RuntimeError, match="all seeds failed"):
+        # 1% rejection is out of reach within 20 demands on J14, so every seed
+        # fails with SaturationError and there is no bundle to write
+        cfg = ExperimentConfig(topology="j14", seeds=(0, 1), max_demands=20,
+                               scenarios=("Tr-O-1", "OTDR"), solver="greedy")
+        with pytest.raises(RuntimeError, match="all seeds failed") as exc:
             run_experiment(cfg, tmp_path / "x")
+        assert "SaturationError" in str(exc.value)
+        # a missing topology file is an input error, raised before any seed runs
+        missing = ExperimentConfig(topology="nowhere.json", seeds=(0,),
+                                   load_mode="counts", counts=(5,))
+        with pytest.raises(FileNotFoundError):
+            run_experiment(missing, tmp_path / "y")
 
     def test_gabriel_counts_run(self, tmp_path):
         cfg = ExperimentConfig(gabriel={"nodes": 16}, seeds=(3,),
@@ -143,7 +166,7 @@ class TestRun:
 
         def flaky(topology, count, seed):
             if seed == 1:
-                raise RuntimeError("synthetic seed failure")
+                raise SaturationError("synthetic seed failure")
             return real(topology, count, seed)
 
         monkeypatch.setattr(exp, "generate_demands", flaky)
@@ -154,6 +177,19 @@ class TestRun:
         assert summary["partial"] is True
         assert "synthetic seed failure" in summary["errors"]["1"]
         assert summary["seeds"] == [0]
+
+    def test_bug_in_a_seed_propagates(self, tmp_path, monkeypatch):
+        import ppmplan.experiment as exp
+
+        def broken(topology, count, seed):
+            raise KeyError("synthetic bug")
+
+        monkeypatch.setattr(exp, "generate_demands", broken)
+        cfg = ExperimentConfig(topology="j14", seeds=(0, 1), load_mode="counts",
+                               counts=(20,), scenarios=("Tr-O-1", "OTDR"),
+                               solver="greedy")
+        with pytest.raises(KeyError, match="synthetic bug"):
+            run_experiment(cfg, tmp_path / "b")
 
     def test_compare_solvers_gap_table(self, tmp_path):
         cfg = ExperimentConfig(gabriel={"nodes": 16}, seeds=(3, 4),

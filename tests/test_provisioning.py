@@ -407,3 +407,19 @@ def test_runtime_imports_no_networkx():
             "assert 'networkx' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_provisioning_does_not_import_traffic():
+    # traffic imports provisioning, so the reverse import would be a cycle. The
+    # package __init__ imports every module, so it is bypassed with a bare
+    # package object to see what provisioning itself loads.
+    src = str(Path(ppmplan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import importlib.util, sys, types; "
+            "pkg = types.ModuleType('ppmplan'); "
+            "pkg.__path__ = importlib.util.find_spec('ppmplan').submodule_search_locations; "
+            "sys.modules['ppmplan'] = pkg; "
+            "import ppmplan.provisioning; "
+            "assert 'ppmplan.traffic' not in sys.modules, 'ppmplan.traffic loaded'")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path}, timeout=120)
