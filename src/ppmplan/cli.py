@@ -14,6 +14,7 @@ from pathlib import Path
 from . import __version__
 from .exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from .experiment import (
+    AllSeedsFailedError,
     ConfigError,
     ExperimentConfig,
     crossings,
@@ -296,7 +297,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (TopologyError, ProvisioningError, InstanceError, ConfigError,
-            SaturationError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+            SaturationError, AllSeedsFailedError, ValueError, OSError,
+            json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

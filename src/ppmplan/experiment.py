@@ -24,6 +24,7 @@ from .placement import build_cover_instance, solve_greedy
 from .provisioning import (
     CHANNELS_PER_FIBER,
     DEFAULT_K_PATHS,
+    LightpathSet,
     Provisioner,
     ProvisioningError,
     write_lightpaths_csv,
@@ -37,6 +38,10 @@ _SCENARIO_RE = re.compile(r"^(Op|Tr)(-O-(\d+))?$|^OTDR$")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+class AllSeedsFailedError(RuntimeError):
+    """Every seed of a run failed with a domain error; no bundle is written."""
 
 
 def parse_scenario(name: str) -> tuple[str | None, int | None]:
@@ -150,7 +155,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
             # partial; solver failures and bugs propagate
             errors[seed] = f"{type(exc).__name__}: {exc}"
     if not per_seed:
-        raise RuntimeError(f"all seeds failed: {errors}")
+        raise AllSeedsFailedError(f"all seeds failed: {errors}")
 
     seeds_ok = sorted(per_seed)
     n_points = len(per_seed[seeds_ok[0]]["points"])
@@ -250,8 +255,13 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
     seed_dir = out / "per_seed" / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
 
+    # lightpath sets already built for the whole demand set, per architecture;
+    # one is used only when a scenario of its architecture is configured
+    built: dict[str, LightpathSet] = {}
     if config.load_mode == "rejection":
-        demand_set, _ = find_load_at_rejection(
+        # the search serves its demands transparently, in order, with this
+        # k and channel count, so its set is the seed's transparent result
+        demand_set, built["transparent"] = find_load_at_rejection(
             topo, config.rejection_target, seed, step=config.step,
             max_demands=config.max_demands, k=config.k_paths,
             n_channels=config.n_channels)
@@ -262,7 +272,8 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
         demands = generate_demands(topo, counts[-1], seed).demands
 
     provisioners = {a: Provisioner(topo, a, k=config.k_paths,
-                                   n_channels=config.n_channels) for a in archs}
+                                   n_channels=config.n_channels)
+                    for a in archs if a not in built}
     served = 0
     points = []
     gap_rows = []
@@ -271,7 +282,7 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
             for prov in provisioners.values():
                 prov.serve(d)
         served = n
-        lsets = {a: prov.result() for a, prov in provisioners.items()}
+        lsets = {a: built[a] if a in built else provisioners[a].result() for a in archs}
         offered = sum(d.rate_gbps for d in demands[:n]) / 1000.0
         point = {"offered_tbps": offered, "scenarios": {}}
         for name in config.scenarios:

@@ -199,7 +199,8 @@ class Provisioner:
         self.reach_table = reach_table
         self.k = k
         self.n_channels = n_channels
-        self._channel_used: dict[str, set[int]] = {e: set() for e in topology.link_labels}
+        # per link, a bitmask of the channels in use: bit c set <=> channel c taken
+        self._channel_used: dict[str, int] = dict.fromkeys(topology.link_labels, 0)
         self._lps: list[Lightpath] = []
         # single-hop lightpath ids per link, and per node the largest spare
         # capacity on each outgoing link that has any; both in the order the
@@ -215,10 +216,6 @@ class Provisioner:
     @property
     def rejected_count(self) -> int:
         return len(self._rejected)
-
-    @property
-    def carried_gbps(self) -> int:
-        return sum(d.rate_gbps for d in self._accepted)
 
     def result(self) -> LightpathSet:
         return LightpathSet(
@@ -264,8 +261,10 @@ class Provisioner:
             lp.carried_gbps += demand.rate_gbps
             if lp.hops == 1:
                 u, v = lp.nodes
-                self._max_spare[u][v] = max(self._lps[i].spare_gbps
-                                            for i in self._single_hop[(u, v)])
+                if lp.spare_gbps + demand.rate_gbps == self._max_spare[u][v]:
+                    # the link's largest spare falls only if this lightpath held it
+                    self._max_spare[u][v] = max(self._lps[i].spare_gbps
+                                                for i in self._single_hop[(u, v)])
         return chain
 
     def _groom_opaque(self, demand: Demand) -> tuple[int, ...] | None:
@@ -311,6 +310,7 @@ class Provisioner:
 
     def _groom_transparent(self, demand: Demand) -> tuple[int, ...] | None:
         rate = demand.rate_gbps
+        by_ends, lps = self._by_ends, self._lps
         for route in self.routes(demand.src, demand.dst):
             i = 0
             chain: list[int] = []
@@ -319,8 +319,10 @@ class Provisioner:
                 # those, the first created
                 best = None
                 for j in range(len(route) - 1, i, -1):
-                    best = next((lp_id for lp_id in self._by_ends.get((route[i], route[j]), ())
-                                 if self._lps[lp_id].spare_gbps >= rate), None)
+                    ids = by_ends.get((route[i], route[j]))
+                    if ids is None:
+                        continue
+                    best = next((lp_id for lp_id in ids if lps[lp_id].spare_gbps >= rate), None)
                     if best is not None:
                         break
                 if best is None:
@@ -411,13 +413,12 @@ class Provisioner:
         return segments
 
     def _first_fit(self, labels) -> int | None:
-        used = set()
+        """The lowest channel free on every link in `labels`, or None."""
+        used = 0
         for e in labels:
             used |= self._channel_used[e]
-        for ch in range(self.n_channels):
-            if ch not in used:
-                return ch
-        return None
+        ch = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
+        return ch if ch < self.n_channels else None
 
     def _create(self, nodes: tuple[str, ...], length: float, rate: int,
                 channel: int, carried: int) -> int:
@@ -425,7 +426,7 @@ class Provisioner:
                        rate_gbps=rate, channel=channel, carried_gbps=carried)
         self._lps.append(lp)
         for e in lp.links:
-            self._channel_used[e].add(channel)
+            self._channel_used[e] |= 1 << channel
         if lp.hops == 1:
             u, v = nodes
             self._single_hop.setdefault((u, v), []).append(lp.lp_id)

@@ -5,6 +5,9 @@ directions are materialized), or generated as random Gabriel graphs. Link
 span counts and node degrees drive the monitoring baseline. Each Topology
 object also keeps the table of candidate routes (k shortest loopless paths)
 that provisioning asks it for, so every user of one object shares it.
+Routes are ordered by length, summed link by link in path order, then by the
+tuple of node names. They are searched on integer node ids numbered in
+sorted-name order, so a tuple of ids orders as its tuple of names does.
 """
 
 from __future__ import annotations
@@ -80,11 +83,31 @@ class Topology:
         return adj
 
     @cached_property
+    def _id_names(self) -> tuple[str, ...]:
+        """Node names by integer id: ids follow the sorted names, so tuples of
+        ids order as the tuples of names they stand for."""
+        return tuple(sorted(self.nodes))
+
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return {n: i for i, n in enumerate(self._id_names)}
+
+    @cached_property
+    def _id_lengths(self) -> list[dict[int, float]]:
+        """`link_lengths` on node ids: per id, each successor id and the
+        length of the link to it, in link order."""
+        ids = self._ids
+        adj: list[dict[int, float]] = [{} for _ in ids]
+        for l in self.links:
+            adj[ids[l.src]][ids[l.dst]] = l.length_km
+        return adj
+
+    @cached_property
     def _route_table(self) -> dict[tuple[str, str, int], tuple[tuple[str, ...], ...]]:
         return {}
 
     @cached_property
-    def _distance_table(self) -> dict[str, dict[str, float]]:
+    def _distance_table(self) -> dict[int, list[float]]:
         return {}
 
     @cached_property
@@ -128,8 +151,10 @@ class Topology:
 
     def k_shortest_routes(self, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
         """The k shortest loopless routes src -> dst, ordered by (length, node
-        names); fewer when fewer exist. Computed once per (src, dst, k) and
-        kept on this object."""
+        names); fewer when fewer exist. Lengths are summed link by link in
+        path order, and equal lengths are ordered by the tuple of node names,
+        compared as strings. Computed once per (src, dst, k) and kept on this
+        object."""
         key = (src, dst, k)
         routes = self._route_table.get(key)
         if routes is None:
@@ -140,52 +165,57 @@ class Topology:
             routes = self._route_table[key] = _yen(self, src, dst, k)
         return routes
 
-    def _distances_to(self, dst: str) -> dict[str, float]:
-        """Shortest distance to dst from every node that can reach it."""
+    def _distances_to(self, dst: int) -> list[float]:
+        """Shortest distance to node id dst from every node id (inf where
+        dst cannot be reached)."""
         dist = self._distance_table.get(dst)
         if dist is None:
-            into: dict[str, list[tuple[str, float]]] = {n: [] for n in self.nodes}
-            for l in self.links:
-                into[l.dst].append((l.src, l.length_km))
-            dist = self._distance_table[dst] = {dst: 0.0}
+            into: list[list[tuple[int, float]]] = [[] for _ in self._id_names]
+            for u, succ in enumerate(self._id_lengths):
+                for v, w in succ.items():
+                    into[v].append((u, w))
+            dist = self._distance_table[dst] = [math.inf] * len(into)
+            dist[dst] = 0.0
             heap = [(0.0, dst)]
             while heap:
                 d, v = heapq.heappop(heap)
                 if d > dist[v]:
                     continue
                 for u, w in into[v]:
-                    if d + w < dist.get(u, math.inf):
+                    if d + w < dist[u]:
                         dist[u] = d + w
                         heapq.heappush(heap, (d + w, u))
         return dist
 
 
-def _spur(adj, to_dst: dict[str, float], src: str, dst: str,
-          banned_nodes, banned_edges) -> tuple[str, ...] | None:
-    """A shortest path src -> dst avoiding the banned nodes and directed
-    edges: A* guided by the distances to dst in the whole graph, which
-    removing nodes and edges can only lengthen."""
-    if src not in to_dst:
+def _spur(adj: list[dict[int, float]], to_dst: list[float], src: int, dst: int,
+          done: bytearray, banned: set[int]) -> tuple[int, ...] | None:
+    """A shortest path src -> dst on node ids: A* guided by the distances to
+    dst in the whole graph, which removing nodes and edges can only lengthen.
+    The path avoids the nodes already marked in `done` (which this call
+    marks further) and the links from src to the ids in `banned`."""
+    if to_dst[src] == math.inf:
         return None
-    dist = {src: 0.0}
-    pred: dict[str, str] = {}
-    done: set[str] = set()
+    dist = [math.inf] * len(adj)
+    dist[src] = 0.0
+    pred: dict[int, int] = {}
     heap = [(to_dst[src], 0.0, src)]
     while heap:
         _, d, u = heapq.heappop(heap)
-        if u in done:
+        if done[u]:
             continue
         if u == dst:
             path = [u]
             while path[-1] != src:
                 path.append(pred[path[-1]])
             return tuple(reversed(path))
-        done.add(u)
+        done[u] = 1
+        skip = banned if u == src else ()
         for v, w in adj[u].items():
-            if v in done or v in banned_nodes or (u, v) in banned_edges or v not in to_dst:
+            if done[v] or v in skip:
                 continue
             nd = d + w
-            if nd < dist.get(v, math.inf):
+            if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
                 heapq.heappush(heap, (nd + to_dst[v], nd, v))
@@ -195,35 +225,53 @@ def _spur(adj, to_dst: dict[str, float], src: str, dst: str,
 def _yen(topology: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
     """Yen's k shortest loopless paths (Management Science 17(11), 1971).
 
-    Ties are settled by the pinned rule (length, node-name tuple): past the
-    k-th path, candidates keep being accepted while they are as long as the
-    k-th, then the accepted paths are sorted and cut to k. Without that, the
-    order in which equal-length candidates were found would decide which of
-    them is kept.
+    Runs on integer node ids that follow the sorted node names, so that
+    ordering id tuples orders the name tuples. Ties are settled by the
+    pinned rule (length, node-name tuple): past the k-th path, candidates
+    keep being accepted while they are as long as the k-th, then the
+    accepted paths are sorted and cut to k. Without that, the order in which
+    equal-length candidates were found would decide which of them is kept.
+
+    A path is spurred only from the index where it left the path it was
+    found from (Lawler, Management Science 18(7), 1972). A skipped spur could
+    find no path shorter than one already queued from the same root, so
+    every path up to the k-th length is still accepted. Heap entries are
+    (length, path, that index); no two share a path, so the index never
+    takes part in the order.
     """
-    adj = topology.link_lengths
-    to_dst = topology._distances_to(dst)
-    first = _spur(adj, to_dst, src, dst, (), ())
+    adj = topology._id_lengths
+    n = len(adj)
+    s, t = topology._ids[src], topology._ids[dst]
+    to_dst = topology._distances_to(t)
+
+    def length(path):
+        return sum(adj[a][b] for a, b in zip(path, path[1:]))
+
+    first = _spur(adj, to_dst, s, t, bytearray(n), set())
     if first is None:
         return ()
-    accepted: list[tuple[float, tuple[str, ...]]] = []
+    accepted: list[tuple[float, tuple[int, ...], int]] = []
     seen = {first}
-    heap = [(topology.route_length(first), first)]
+    heap = [(length(first), first, 0)]
     while heap and (len(accepted) < k or heap[0][0] == accepted[k - 1][0]):
         entry = heapq.heappop(heap)
         accepted.append(entry)
-        path = entry[1]
-        for i in range(len(path) - 1):
+        _, path, deviation = entry
+        for i in range(deviation, len(path) - 1):
             root = path[:i + 1]
-            banned_edges = {(p[i], p[i + 1]) for _, p in accepted if p[:i + 1] == root}
-            spur = _spur(adj, to_dst, path[i], dst, root[:-1], banned_edges)
+            done = bytearray(n)
+            for node in path[:i]:
+                done[node] = 1
+            banned = {p[i + 1] for _, p, _ in accepted if p[:i + 1] == root}
+            spur = _spur(adj, to_dst, path[i], t, done, banned)
             if spur is not None:
                 candidate = root[:-1] + spur
                 if candidate not in seen:
                     seen.add(candidate)
-                    heapq.heappush(heap, (topology.route_length(candidate), candidate))
+                    heapq.heappush(heap, (length(candidate), candidate, i))
     accepted.sort()
-    return tuple(p for _, p in accepted[:k])
+    names = topology._id_names
+    return tuple(tuple(names[i] for i in p) for _, p, _ in accepted[:k])
 
 
 def node_degree(topology: Topology, node: str) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .provisioning import Provisioner
+from .provisioning import LightpathSet, Provisioner
 from .topology import Topology, TopologyError
 
 ALLOWED_RATES_GBPS = (100, 200, 300, 400)
@@ -72,12 +72,15 @@ def generate_demands(topology: Topology, count: int, seed: int) -> DemandSet:
 
 def find_load_at_rejection(topology: Topology, target_rejection: float, seed: int,
                            step: int = 10, max_demands: int = 100_000,
-                           **provision_kwargs) -> tuple[DemandSet, float]:
+                           **provision_kwargs) -> tuple[DemandSet, LightpathSet]:
     """Grow the demand set by `step` until the transparent-architecture
     rejection fraction reaches `target_rejection`.
 
-    Returns the offered demand set and the carried traffic (Tb/s) under the
-    transparent architecture; the same demand set is meant to be reused for
+    Returns the offered demand set and the transparent lightpath set the
+    search built while serving it. That set equals `provision(topology,
+    demand_set, "transparent", **provision_kwargs)`, so it need not be
+    provisioned again; its carried traffic in Tb/s is
+    `lset.carried_gbps / 1000`. The same demand set is meant to be reused for
     the opaque run. Raises SaturationError if the cap is hit first.
     """
     if not (0.0 < target_rejection < 1.0):
@@ -93,7 +96,7 @@ def find_load_at_rejection(topology: Topology, target_rejection: float, seed: in
             demands.append(d)
             prov.serve(d)
         if prov.rejected_count / len(demands) >= target_rejection:
-            return DemandSet(tuple(demands), seed=seed), prov.carried_gbps / 1000.0
+            return DemandSet(tuple(demands), seed=seed), prov.result()
     raise SaturationError(
         f"rejection {prov.rejected_count / len(demands):.4f} below target "
         f"{target_rejection} after {max_demands} demands")

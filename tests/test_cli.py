@@ -231,6 +231,20 @@ class TestRunAndAnalyze:
                        "--solver", "exact", "--out", str(tmp_path / "o")) == 4
         assert "LP relaxation failed with status 4" in capsys.readouterr().err
 
+    def test_run_all_seeds_failed_is_data_error(self, tmp_path, capsys):
+        # 1% rejection is out of reach within 20 demands on J14: every seed
+        # saturates and there is no bundle to write
+        cfg = {"topology": "j14", "seeds": [0], "max_demands": 20,
+               "scenarios": ["Tr-O-1", "OTDR"], "solver": "greedy"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(cfg_path), "--out",
+                       str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: all seeds failed:")
+        assert "SaturationError" in err
+        assert "Traceback" not in err
+
     def test_run_missing_topology_is_data_error(self, tmp_path):
         assert run_cli("run", "--topo", str(tmp_path / "nowhere.json"), "--mode", "counts",
                        "--counts", "5", "--seeds", "0", "--out", str(tmp_path / "o")) == 2

@@ -260,6 +260,7 @@ def test_fixed_topology_resolved_once_per_run(tmp_path, monkeypatch):
     run_experiment(cfg, tmp_path)
     assert calls and len({c[0] for c in calls}) == 1  # one Topology for all seeds
     assert len(calls) == len(set(calls))  # each (src, dst, k) route set computed once
+    assert len(calls) == 14 * 13  # every ordered N14 pair, at k=3 only
     lines = sorted(f"{path}\0{digest}\n" for path, digest in bundle_digest(tmp_path).items())
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == README_N14_BUNDLE
 
@@ -280,3 +281,37 @@ def test_gabriel_topology_drawn_per_seed(tmp_path, monkeypatch):
         "load_mode": "counts", "counts": [20], "solver": "greedy"})
     run_experiment(cfg, tmp_path)
     assert drawn == [3, 4]
+
+
+def whole_bundle_sha(out: Path) -> str:
+    lines = sorted(f"{path}\0{digest}\n" for path, digest in bundle_digest(out).items())
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# Whole-bundle sha256 (as README_N14_BUNDLE), computed while `run` still
+# served every demand again with a fresh transparent provisioner after the
+# load search. With no transparent scenario the OTDR baseline counts the
+# opaque lit links and the bundle holds no transparent files; at k=5 the
+# search and provisioning see routes past the default cut.
+OPAQUE_ONLY_N14_BUNDLE = "f7034058e8a2372bda31053554fb34ac506e76697d81aa26a88a496ae67e8064"
+J14_K5_BUNDLE = "68c8b8c213be9338f60c87cd4001612e09e29a22ab9ef4ceffc958ebe6b80690"
+
+
+def test_opaque_only_rejection_bundle_golden(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "topology": "n14", "scenarios": ["Op", "Op-O-1", "OTDR"],
+        "seeds": [0, 1, 2], "load_mode": "rejection", "rejection_target": 0.01,
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+    run_experiment(cfg, tmp_path)
+    assert not list(tmp_path.rglob("*transparent*"))
+    assert whole_bundle_sha(tmp_path) == OPAQUE_ONLY_N14_BUNDLE
+
+
+def test_j14_k5_bundle_golden(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "topology": "j14",
+        "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
+        "seeds": [0, 1, 2], "k_paths": 5, "solver": "exact",
+        "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+    run_experiment(cfg, tmp_path)
+    assert whole_bundle_sha(tmp_path) == J14_K5_BUNDLE

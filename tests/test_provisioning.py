@@ -91,6 +91,17 @@ class TestTransparent:
         assert len(lset.rejected) == 1
         assert {lp.channel for lp in lset.lightpaths} == set(range(60))
 
+    def test_first_fit_takes_lowest_channel_free_on_every_link(self, line3):
+        # two 400G demands fill one 800G single-hop lightpath: channel 0 ends
+        # up full on A->B, channels 0 and 1 on B->C
+        demands = [Demand("A", "B", 400)] * 2 + [Demand("B", "C", 400)] * 4
+        demands += [Demand("A", "C", 400), Demand("A", "B", 400)]
+        lset = provision(line3, demands, "transparent")
+        assert [(lp.nodes, lp.channel) for lp in lset.lightpaths] == [
+            (("A", "B"), 0), (("B", "C"), 0), (("B", "C"), 1),
+            (("A", "B", "C"), 2),  # lowest channel free on both links
+            (("A", "B"), 1)]
+
     def test_multi_hop_when_reach_allows(self, line3):
         lset = provision(line3, [Demand("A", "C", 400)], "transparent")
         assert len(lset.lightpaths) == 1
@@ -266,6 +277,12 @@ def nx_digraph(topo):
     return g
 
 
+def brute_force_routes(topo, a, b):
+    """Every simple path a -> b, ordered by (length, node names)."""
+    return sorted((tuple(p) for p in nx.all_simple_paths(nx_digraph(topo), a, b)),
+                  key=lambda p: (topo.route_length(p), p))
+
+
 def coarse(topo, grid_km=100.0):
     """The same graph with lengths rounded to multiples of grid_km (at least
     one), so that many routes tie."""
@@ -301,14 +318,35 @@ class TestRoutes:
         # with many equal lengths, the k routes are the first k of all simple
         # paths ordered by (length, node names)
         topo = coarse(generate_gabriel(n, seed=seed, extent_km=400.0))
-        g = nx_digraph(topo)
         for a in topo.nodes:
             for b in topo.nodes:
                 if a == b:
                     continue
-                every = sorted((tuple(p) for p in nx.all_simple_paths(g, a, b)),
-                               key=lambda p: (topo.route_length(p), p))
+                every = brute_force_routes(topo, a, b)
                 assert topo.k_shortest_routes(a, b, k) == tuple(every[:k])
+
+    def test_ties_follow_names_not_insertion_or_numeric_order(self):
+        # node names listed out of order, where string order ("10" < "9" <
+        # "B" < "a") differs from numeric order; five routes s -> t tie at
+        # 200 km, so cuts at k = 1..4 fall inside the tie
+        topo = topology_from_dict({
+            "name": "names", "span_length_km": 80,
+            "nodes": ["a", "s", "9", "t", "B", "10"],
+            "edges": [{"a": "s", "b": m, "length_km": 100} for m in ("9", "10", "a")]
+                     + [{"a": m, "b": "t", "length_km": 100} for m in ("9", "10", "a")]
+                     + [{"a": "s", "b": "B", "length_km": 50},
+                        {"a": "B", "b": "t", "length_km": 150},
+                        {"a": "B", "b": "a", "length_km": 50},
+                        {"a": "9", "b": "10", "length_km": 30}]})
+        assert topo.k_shortest_routes("s", "t", 5) == (
+            ("s", "10", "t"), ("s", "9", "t"), ("s", "B", "a", "t"),
+            ("s", "B", "t"), ("s", "a", "t"))
+        for k in range(1, 7):
+            for a in topo.nodes:
+                for b in topo.nodes:
+                    if a != b:
+                        assert topo.k_shortest_routes(a, b, k) == \
+                            tuple(brute_force_routes(topo, a, b)[:k])
 
     def test_pinned_tie_on_n14(self, n14):
         # 4->11->12->14 and 4->11->13->14 are both 3400 km; networkx yields

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppmplan.provisioning import Provisioner, provision
-from ppmplan.topology import TopologyError, topology_from_dict
+from ppmplan.topology import TopologyError, bundled_topology, generate_gabriel, topology_from_dict
 from ppmplan.traffic import (
     ALLOWED_RATES_GBPS,
     Demand,
@@ -76,15 +77,17 @@ class TestLoadSearch:
             if crossing is None and prov.rejected_count / i >= 0.01:
                 crossing = i
         assert crossing == 122
-        assert prov.carried_gbps == 120 * 400
+        assert prov.result().carried_gbps == 120 * 400
 
     def test_first_crossing_contract(self, two_node):
-        ds, carried = find_load_at_rejection(two_node, 0.01, seed=0, step=10)
+        ds, searched = find_load_at_rejection(two_node, 0.01, seed=0, step=10)
         lset = provision(two_node, ds, "transparent")
+        # the search returns the very set that provisioning the demands builds
+        assert searched == lset
+        assert searched.carried_gbps / 1000.0 == lset.carried_gbps / 1000.0 == 92.7
         assert lset.rejection_fraction >= 0.01
         before = provision(two_node, ds.demands[:len(ds) - 10], "transparent")
         assert before.rejection_fraction < 0.01
-        assert carried == pytest.approx(lset.carried_gbps / 1000.0)
         # returned set regenerates from its seed and count
         assert generate_demands(two_node, len(ds), ds.seed) == ds
 
@@ -114,13 +117,42 @@ class TestLoadSearch:
         reported ordering; the absolute levels stay policy-dependent."""
         occ = {}
         for name, topo in (("n14", n14), ("j14", j14)):
-            ds, carried = find_load_at_rejection(topo, 0.01, seed=0, step=10)
+            ds, searched = find_load_at_rejection(topo, 0.01, seed=0, step=10)
             lset = provision(topo, ds, "transparent")
+            assert searched == lset
+            assert searched.carried_gbps == lset.carried_gbps
             occ[name] = lset.spectrum_occupancy(topo)
             assert 0.30 <= occ[name] <= 0.90
             op = provision(topo, ds, "opaque")
             assert op.carried_gbps >= lset.carried_gbps
         assert occ["n14"] > occ["j14"]
+
+
+class TestSearchReuse:
+    """The lightpath set the load search returns is the set a fresh
+    transparent provisioning of its demands builds, so `run` can take it as
+    the seed's transparent result instead of serving the demands again."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(topo_key=st.sampled_from(["n14", "j14", "gabriel12"]),
+           seed=st.integers(0, 10_000),
+           target=st.floats(0.005, 0.05),
+           k=st.integers(1, 4),
+           n_channels=st.sampled_from([6, 60]))
+    def test_search_set_equals_provisioning(self, topo_key, seed, target, k, n_channels):
+        topo = (generate_gabriel(12, seed=seed) if topo_key == "gabriel12"
+                else bundled_topology(topo_key))
+        ds, searched = find_load_at_rejection(topo, target, seed, k=k,
+                                              n_channels=n_channels)
+        fresh = provision(topo, ds, "transparent", k=k, n_channels=n_channels)
+        assert searched.architecture == "transparent"
+        assert searched.lightpaths == fresh.lightpaths
+        assert searched.assignments == fresh.assignments
+        assert searched.accepted == fresh.accepted
+        assert searched.rejected == fresh.rejected
+        assert searched.n_channels == n_channels
+        assert len(searched.accepted) + len(searched.rejected) == len(ds)
+        assert searched.rejection_fraction >= target
 
 
 class TestCsv:
