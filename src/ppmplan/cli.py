@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver budget exceeded,
-4 solver failure (the exact solver's LP relaxation failed).
+4 solver failure (LP relaxation or MIP failed).
 """
 
 from __future__ import annotations

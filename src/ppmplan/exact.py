@@ -1,12 +1,13 @@
-"""Exact placement solver: branch-and-bound over per-group monitor counts.
+"""Exact placement solver: a root-LP screen in front of the HiGHS MIP.
 
-The LP relaxation of the covering model supplies an admissible bound at
-every node (objectives are integral, so bounds are rounded up); branching
-splits the most fractional group count. The default lexicographic mode
-first fixes the minimum achievable unsatisfied total - coverage is monotone
-in p, so that floor is reached at p = counts and needs no search - then
-minimizes monitors subject to reaching it. The weighted mode minimizes
-alpha * unsatisfied + monitors directly.
+The greedy placement is the incumbent. One LP relaxation settles most
+instances: its bound, rounded up since objectives are integral, meets the
+incumbent, or its optimum is integral in the group counts. Only a fractional
+root below the incumbent goes to HiGHS (`scipy.optimize.milp`) on the same
+model. The default lexicographic mode first fixes the minimum achievable
+unsatisfied total - coverage is monotone in p, so that floor is reached at
+p = counts and needs no search - then minimizes monitors subject to
+reaching it. The weighted mode minimizes alpha * unsatisfied + monitors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .placement import (
     CoverInstance,
@@ -26,10 +27,15 @@ from .placement import (
 
 DEFAULT_NODE_BUDGET = 100_000
 _INT_TOL = 1e-6
+# scipy's status table (1.17) has no entry for HiGHS's kSolutionLimit (16),
+# which HiGHS reports when the node limit stops the search, so milp returns it
+# as status 4 ("other"), like a genuine failure; only the message differs
+_NODE_LIMIT = "HiGHS Status 16:"
 
 
 class SolverError(RuntimeError):
-    """The LP relaxation failed for a reason other than infeasibility."""
+    """The LP relaxation or the MIP failed for a reason other than the node
+    budget."""
 
 
 def _greedy_p(instance: CoverInstance) -> np.ndarray:
@@ -39,7 +45,8 @@ def _greedy_p(instance: CoverInstance) -> np.ndarray:
 def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
                 node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementSolution:
     """Provably optimal placement, or the best incumbent with optimal=False
-    when the node budget runs out.
+    when the node budget runs out. The root LP counts as one node; the MIP
+    gets the rest as its node limit.
 
     mode="lexicographic": minimize unsatisfied coverage, then monitors.
     mode="weighted": minimize alpha * unsatisfied + monitors. For any
@@ -57,6 +64,8 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
     delta = instance.delta.astype(np.float64)
     counts = instance.counts
 
+    # one model for the LP and the MIP: integer counts p in [0, counts], plus
+    # in weighted mode continuous capped coverages x in [0, gamma]
     if mode == "lexicographic":
         # phase 2 requirements: reach the coverage floor min(gamma, max coverage)
         req = np.minimum(gamma, instance.max_coverage).astype(np.float64)
@@ -64,61 +73,48 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
         a_ub = -delta[rows]
         b_ub = -req[rows]
         cost = np.ones(n_l)
-        x_bounds = []
+        ub = counts.astype(np.float64)
     else:
         a_ub = np.hstack([-delta, np.eye(n_e)])
         b_ub = np.zeros(n_e)
         cost = np.concatenate([np.ones(n_l), -float(instance.alpha) * np.ones(n_e)])
-        x_bounds = [(0.0, float(gamma))] * n_e
+        ub = np.concatenate([counts, np.full(n_e, gamma)]).astype(np.float64)
+    lb = np.zeros_like(ub)
+    integrality = (np.arange(len(cost)) < n_l).astype(np.int64)
 
     def true_value(p_vec: np.ndarray) -> int:
-        cov = instance.delta @ p_vec
         if mode == "lexicographic":
             return int(p_vec.sum())
+        cov = instance.delta @ p_vec
         return int(p_vec.sum()) - instance.alpha * int(np.minimum(gamma, cov).sum())
 
     best_p = _greedy_p(instance)
     if mode == "lexicographic" and np.any(instance.delta @ best_p < req):
         best_p = counts.copy()  # always feasible for phase 2
     best_val = true_value(best_p)
+    if node_budget < 1:
+        return solution_from_counts(instance, best_p, optimal=False)
 
-    stack = [(np.zeros(n_l, dtype=np.int64), counts.copy())]
-    nodes = 0
-    within_budget = True
-    while stack:
-        if nodes >= node_budget:
-            within_budget = False
-            break
-        lo, hi = stack.pop()
-        if mode == "lexicographic" and np.any(instance.delta @ hi < req):
-            continue
-        nodes += 1
-        res = linprog(cost, A_ub=a_ub if a_ub.size else None,
-                      b_ub=b_ub if a_ub.size else None,
-                      bounds=list(zip(lo.astype(float), hi.astype(float))) + x_bounds,
-                      method="highs")
-        if res.status == 2:  # infeasible under current bounds
-            continue
-        if res.status != 0:
-            raise SolverError(f"LP relaxation failed with status {res.status}: "
-                              f"{res.message}")
-        bound = math.ceil(res.fun - _INT_TOL)
-        if bound >= best_val:
-            continue
-        px = res.x[:n_l]
-        frac = np.abs(px - np.round(px))
-        if np.all(frac <= _INT_TOL):
-            p_int = np.round(px).astype(np.int64)
-            val = true_value(p_int)
-            if val < best_val:
-                best_val, best_p = val, p_int
-            continue  # LP optimum integral in p: subtree solved
-        j = int(np.argmax(frac))
-        vj = px[j]
-        lo_hi = hi.copy()
-        lo_hi[j] = math.floor(vj)
-        up_lo = lo.copy()
-        up_lo[j] = math.ceil(vj)
-        stack.append((lo, lo_hi))       # explored second
-        stack.append((up_lo, hi))       # explored first: push coverage up
-    return solution_from_counts(instance, best_p, optimal=within_budget)
+    res = linprog(cost, A_ub=a_ub if a_ub.size else None,
+                  b_ub=b_ub if a_ub.size else None,
+                  bounds=np.column_stack([lb, ub]), method="highs")
+    if res.status != 0:
+        raise SolverError(f"LP relaxation failed with status {res.status}: "
+                          f"{res.message}")
+    if math.ceil(res.fun - _INT_TOL) >= best_val:
+        return solution_from_counts(instance, best_p, optimal=True)
+    px = res.x[:n_l]
+    if np.all(np.abs(px - np.round(px)) <= _INT_TOL):
+        return solution_from_counts(instance, np.round(px).astype(np.int64), optimal=True)
+
+    res = milp(cost, integrality=integrality, bounds=Bounds(lb, ub),
+               constraints=LinearConstraint(a_ub, -np.inf, b_ub),
+               options={"node_limit": node_budget - 1, "mip_rel_gap": 0})
+    budget_stop = res.status == 4 and _NODE_LIMIT in res.message
+    if res.status != 0 and not budget_stop:
+        raise SolverError(f"MIP failed with status {res.status}: {res.message}")
+    if res.x is not None:
+        p_int = np.round(res.x[:n_l]).astype(np.int64)
+        if true_value(p_int) < best_val:
+            best_p = p_int
+    return solution_from_counts(instance, best_p, optimal=not budget_stop)

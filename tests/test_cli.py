@@ -231,6 +231,34 @@ class TestRunAndAnalyze:
                        "--solver", "exact", "--out", str(tmp_path / "o")) == 4
         assert "LP relaxation failed with status 4" in capsys.readouterr().err
 
+    def test_run_mip_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        from scipy.optimize import OptimizeResult
+
+        from ppmplan import exact
+
+        monkeypatch.setattr(exact, "milp", lambda *a, **k: OptimizeResult(
+            status=4, message="(HiGHS Status 4: model_status is Solve error)",
+            x=None, fun=None))
+        # J14 seed 0 at k=5 has a Tr-O-1 instance with a fractional root LP
+        cfg = {"topology": "j14", "seeds": [0], "k_paths": 5,
+               "scenarios": ["Tr-O-1", "OTDR"], "solver": "exact"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(cfg_path), "--out",
+                       str(tmp_path / "o")) == 4
+        assert "MIP failed with status 4" in capsys.readouterr().err
+
+    def test_run_otdr_only_is_config_error(self, tmp_path, capsys):
+        cfg = {"topology": "n14", "seeds": [0], "scenarios": ["OTDR"],
+               "load_mode": "counts", "counts": [10]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(cfg_path), "--out",
+                       str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "monitored scenario" in err
+        assert "Traceback" not in err
+
     def test_run_all_seeds_failed_is_data_error(self, tmp_path, capsys):
         # 1% rejection is out of reach within 20 demands on J14: every seed
         # saturates and there is no bundle to write

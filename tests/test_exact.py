@@ -4,7 +4,7 @@ from scipy.optimize import OptimizeResult
 
 from conftest import random_instance
 from ppmplan import exact
-from ppmplan.exact import SolverError, solve_exact
+from ppmplan.exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from ppmplan.placement import (
     brute_force_oracle,
     make_instance,
@@ -115,3 +115,78 @@ class TestWarmStartAndFailures:
         with pytest.raises(SolverError, match="status 4: numerical difficulties"):
             solve_exact(inst)
         assert issubclass(SolverError, RuntimeError)
+
+
+def _branching_instance():
+    # root LP 4.5 (1.5 on each two-link group), greedy 6, optimum 5: the
+    # root screen settles neither mode, so the MIP runs
+    return make_instance(
+        ["e0", "e1", "e2"],
+        [(("e0", "e2"), 3), (("e1", "e0"), 3), (("e2",), 2), (("e2", "e1"), 2)],
+        gamma=3)
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Records (options, result) of every real milp call solve_exact makes."""
+    calls = []
+    real_milp = exact.milp
+
+    def spy(*args, **kwargs):
+        options = dict(kwargs["options"])  # milp pops node_limit from its options
+        res = real_milp(*args, **kwargs)
+        calls.append((options, res))
+        return res
+
+    monkeypatch.setattr(exact, "milp", spy)
+    return calls
+
+
+class TestMipFallback:
+    @pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+    def test_fractional_root_goes_to_the_mip(self, mode, milp_calls):
+        inst = _branching_instance()
+        sol = solve_exact(inst, mode=mode)
+        assert [options for options, _ in milp_calls] == \
+            [{"node_limit": DEFAULT_NODE_BUDGET - 1, "mip_rel_gap": 0}]
+        assert sol.optimal
+        assert (sol.total_monitors, sol.unsatisfied) == (5, 0)
+        assert sol.objective == brute_force_oracle(inst, mode=mode).objective
+
+    def test_matches_oracle_where_the_root_is_fractional(self, milp_calls):
+        # about one solve in 450 of these draws reaches the MIP (21 of the
+        # first 9,780 from seed 0)
+        rng = np.random.default_rng(0)
+        reached = {"lexicographic": 0, "weighted": 0}
+        for _ in range(10_000):
+            if min(reached.values()) >= 10:
+                break
+            inst = random_instance(rng, max_links=8, max_groups=8, max_count=3, max_gamma=3)
+            for mode in reached:
+                before = len(milp_calls)
+                sol = solve_exact(inst, mode=mode)
+                if len(milp_calls) == before:
+                    continue
+                reached[mode] += 1
+                assert sol.optimal
+                assert sol.objective == brute_force_oracle(inst, mode=mode).objective
+                assert verify_solution(inst, sol)
+        assert min(reached.values()) >= 10, reached
+
+    @pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+    def test_node_limit_stop_returns_incumbent(self, mode, milp_calls):
+        inst = _branching_instance()
+        sol = solve_exact(inst, mode=mode, node_budget=1)
+        [(options, res)] = milp_calls
+        assert options["node_limit"] == 0
+        assert res.status == 4 and "HiGHS Status 16:" in res.message
+        assert not sol.optimal
+        assert verify_solution(inst, sol)
+        assert sol.objective >= brute_force_oracle(inst, mode=mode).objective
+
+    def test_other_status_4_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(exact, "milp", lambda *a, **k: OptimizeResult(
+            status=4, message="(HiGHS Status 4: model_status is Solve error)",
+            x=None, fun=None))
+        with pytest.raises(SolverError, match="MIP failed with status 4"):
+            solve_exact(_branching_instance())

@@ -40,6 +40,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"topology": "n14", "frobnicate": 1})
 
+    def test_otdr_needs_a_monitored_scenario(self):
+        with pytest.raises(ConfigError, match="monitored scenario"):
+            ExperimentConfig(topology="n14", scenarios=("OTDR",))
+        with pytest.raises(ConfigError, match="unknown scenario"):
+            ExperimentConfig(topology="n14", scenarios=("Tr-O-1", "Xy"))
+        assert ExperimentConfig(topology="n14", scenarios=("Op", "OTDR")).scenarios
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(topology="n14", seeds=(0,), load_mode="counts",
                              counts=(10,))
@@ -294,7 +301,11 @@ def whole_bundle_sha(out: Path) -> str:
 # opaque lit links and the bundle holds no transparent files; at k=5 the
 # search and provisioning see routes past the default cut.
 OPAQUE_ONLY_N14_BUNDLE = "f7034058e8a2372bda31053554fb34ac506e76697d81aa26a88a496ae67e8064"
-J14_K5_BUNDLE = "68c8b8c213be9338f60c87cd4001612e09e29a22ab9ef4ceffc958ebe6b80690"
+# Recomputed when exact placement moved from the hand-rolled branch-and-bound
+# to the HiGHS MIP: three Tr-O-* instances here have a fractional root LP,
+# and HiGHS returns another optimal p with the same monitors and unsatisfied
+# (seed_0 Tr-O-1 and Tr-O-3 at n1120, seed_1 Tr-O-3 at n1000).
+J14_K5_BUNDLE = "034b937f7d39facf98b21428ac4dce5328b75a5938510bb050afe0465377c389"
 
 
 def test_opaque_only_rejection_bundle_golden(tmp_path):
