@@ -1,13 +1,17 @@
 """Exact placement solver: a root-LP screen in front of the HiGHS MIP.
 
-The greedy placement is the incumbent. One LP relaxation settles most
-instances: its bound, rounded up since objectives are integral, meets the
-incumbent, or its optimum is integral in the group counts. Only a fractional
-root below the incumbent goes to HiGHS (`scipy.optimize.milp`) on the same
-model. The default lexicographic mode first fixes the minimum achievable
-unsatisfied total - coverage is monotone in p, so that floor is reached at
-p = counts and needs no search - then minimizes monitors subject to
-reaching it. The weighted mode minimizes alpha * unsatisfied + monitors.
+The greedy placement is the incumbent; it is the instance's cached greedy
+(`CoverInstance.greedy`), so a greedy solve of the same instance, before or
+after, does not repeat it. An instance of single-hop groups needs no LP: it
+splits per link, and the greedy incumbent is optimal. Otherwise one LP
+relaxation settles most instances: its bound, rounded up since objectives are
+integral, meets the incumbent, or its optimum is integral in the group counts.
+Only a fractional root below the incumbent goes to HiGHS
+(`scipy.optimize.milp`) on the same model. The default lexicographic mode
+first fixes the minimum achievable unsatisfied total - coverage is monotone
+in p, so that floor is reached at p = counts and needs no search - then
+minimizes monitors subject to reaching it. The weighted mode minimizes
+alpha * unsatisfied + monitors.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .placement import (
     CoverInstance,
     InstanceError,
     PlacementSolution,
-    _greedy_counts,
     solution_from_counts,
 )
 
@@ -39,7 +42,7 @@ class SolverError(RuntimeError):
 
 
 def _greedy_p(instance: CoverInstance) -> np.ndarray:
-    return np.array(_greedy_counts(instance)[0], dtype=np.int64)
+    return np.array(instance.greedy[0], dtype=np.int64)
 
 
 def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
@@ -94,6 +97,10 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
     best_val = true_value(best_p)
     if node_budget < 1:
         return solution_from_counts(instance, best_p, optimal=False)
+    if instance.max_hops == 1:
+        # each group covers one link, so the problem splits per link and the
+        # greedy's min(gamma, max coverage) per link is optimal in both modes
+        return solution_from_counts(instance, best_p, optimal=True)
 
     res = linprog(cost, A_ub=a_ub if a_ub.size else None,
                   b_ub=b_ub if a_ub.size else None,

@@ -91,6 +91,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown load_mode {self.load_mode!r}")
         if self.load_mode == "counts" and not self.counts:
             raise ConfigError("counts mode needs a nonempty counts list")
+        if self.load_mode != "counts" and self.counts:
+            raise ConfigError("counts are read only with load_mode 'counts', "
+                              f"not {self.load_mode!r}")
         if self.solver not in ("greedy", "exact", "auto"):
             raise ConfigError(f"unknown solver {self.solver!r}")
 

@@ -119,6 +119,13 @@ class CoverInstance:
             return np.zeros(len(self.links), dtype=np.int64)
         return self.delta @ self.counts
 
+    @cached_property
+    def greedy(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(p, selection) of the deterministic transparent greedy, solved once
+        and shared by `solve_greedy` and the exact solver's warm start."""
+        p, selection = _greedy_counts(self)
+        return tuple(p), tuple(selection)
+
     @property
     def min_unsatisfied(self) -> int:
         """Floor on unsatisfied coverage; reached at p = counts (coverage is monotone)."""
@@ -284,8 +291,10 @@ def solve_greedy(instance: CoverInstance, architecture: str = "transparent",
         raise InstanceError(f"unknown tie_break {tie_break!r}")
     if architecture == "opaque":
         return _solve_greedy_opaque(instance)
-    rng = np.random.default_rng(seed) if tie_break == "seeded_random" else None
-    p, selection = _greedy_counts(instance, rng)
+    if tie_break == "deterministic":
+        p, selection = instance.greedy
+    else:
+        p, selection = _greedy_counts(instance, np.random.default_rng(seed))
     return solution_from_counts(instance, p, optimal=False, selection=tuple(selection))
 
 

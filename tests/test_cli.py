@@ -259,6 +259,16 @@ class TestRunAndAnalyze:
         assert "monitored scenario" in err
         assert "Traceback" not in err
 
+    def test_run_counts_in_rejection_mode_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("run", "--topo", "n14", "--counts", "40", "--seeds", "0",
+                       "--scenarios", "Tr-O-1,OTDR", "--solver", "greedy",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "load_mode 'counts'" in err
+        assert "Traceback" not in err
+        assert not (out / "config.json").exists()
+
     def test_run_all_seeds_failed_is_data_error(self, tmp_path, capsys):
         # 1% rejection is out of reach within 20 demands on J14: every seed
         # saturates and there is no bundle to write

@@ -1,9 +1,12 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
 from conftest import random_instance
-from ppmplan import exact
+from ppmplan import exact, placement
 from ppmplan.exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from ppmplan.placement import (
     brute_force_oracle,
@@ -190,3 +193,115 @@ class TestMipFallback:
             x=None, fun=None))
         with pytest.raises(SolverError, match="MIP failed with status 4"):
             solve_exact(_branching_instance())
+
+
+@pytest.fixture
+def greedy_calls(monkeypatch):
+    """Records (instance, rng) of every run of the transparent greedy."""
+    calls = []
+    real = placement._greedy_counts
+
+    def spy(instance, rng=None):
+        calls.append((instance, rng))
+        return real(instance, rng)
+
+    monkeypatch.setattr(placement, "_greedy_counts", spy)
+    return calls
+
+
+class TestSharedGreedy:
+    @pytest.mark.parametrize("greedy_first", [True, False], ids=["greedy-exact", "exact-greedy"])
+    def test_greedy_runs_once_per_instance(self, greedy_calls, greedy_first):
+        # exact then greedy is the order _run_seed uses under compare_solvers
+        rng = np.random.default_rng(21)
+        instances = [random_instance(rng, max_links=8, max_groups=8, max_count=3, max_gamma=3)
+                     for _ in range(40)]
+        for inst in instances:
+            if greedy_first:
+                solve_greedy(inst)
+            for mode in ("lexicographic", "weighted"):
+                solve_exact(inst, mode=mode)
+            solve_greedy(inst)
+        assert Counter(id(inst) for inst, _ in greedy_calls) == \
+            {id(inst): 1 for inst in instances}
+        assert all(rng is None for _, rng in greedy_calls)
+
+    def test_seeded_random_is_never_cached(self, greedy_calls):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            inst = random_instance(rng, max_links=8, max_groups=8, max_count=3, max_gamma=3)
+            before = len(greedy_calls)
+            seeded = [solve_greedy(inst, tie_break="seeded_random", seed=s) for s in (0, 1, 0)]
+            assert len(greedy_calls) == before + 3
+            assert all(isinstance(r, np.random.Generator) for _, r in greedy_calls[before:])
+            assert "greedy" not in vars(inst)
+            assert seeded[0] == seeded[2]
+            fresh = replace(inst)
+            assert "greedy" not in vars(fresh)
+            assert solve_greedy(inst) == solve_greedy(fresh)
+
+    @pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+    def test_reused_instance_solves_like_a_fresh_one(self, mode):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            inst = random_instance(rng, max_links=8, max_groups=8, max_count=3, max_gamma=3)
+            reused = (solve_greedy(inst), solve_exact(inst, mode=mode), solve_greedy(inst),
+                      solve_exact(inst, mode=mode))
+            assert reused[0] == reused[2] and reused[1] == reused[3]
+            assert reused[:2] == (solve_greedy(replace(inst)),
+                                  solve_exact(replace(inst), mode=mode))
+
+    def test_cached_value_is_tuples(self):
+        inst = make_instance(
+            ["e1", "e2", "e3"],
+            [(("e1", "e2"), 2), (("e2", "e3"), 1), (("e3",), 2)], gamma=2)
+        p, selection = inst.greedy
+        assert type(inst.greedy) is tuple
+        assert type(p) is tuple and type(selection) is tuple
+        assert all(type(v) is int for v in p + selection)
+        assert inst.greedy is inst.greedy
+        assert solve_greedy(inst).selection == selection
+        assert tuple(exact._greedy_p(inst)) == p
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the linprog and milp calls solve_exact makes."""
+    calls = {"linprog": 0, "milp": 0}
+    for name in calls:
+        real = getattr(exact, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(exact, name, spy)
+    return calls
+
+
+class TestSingleHop:
+    @pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+    def test_settled_without_an_lp(self, mode, lp_calls):
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            inst = random_instance(rng, max_links=8, max_groups=8, max_count=4,
+                                   max_gamma=3, single_hop=True)
+            sol = solve_exact(inst, mode=mode)
+            assert sol.optimal
+            assert sol.objective == brute_force_oracle(inst, mode=mode).objective
+            assert verify_solution(inst, sol)
+        assert lp_calls == {"linprog": 0, "milp": 0}
+
+    def test_zero_budget_is_still_not_optimal(self, lp_calls):
+        inst = make_instance(["e1", "e2"], [(("e1",), 2), (("e2",), 1)], gamma=2)
+        sol = solve_exact(inst, node_budget=0)
+        assert not sol.optimal
+        assert verify_solution(inst, sol)
+        assert lp_calls == {"linprog": 0, "milp": 0}
+
+    def test_multi_hop_still_solves_the_root_lp(self, lp_calls):
+        inst = make_instance(
+            ["e1", "e2"],
+            [(("e1", "e2"), 1), (("e1",), 3), (("e2",), 3)], gamma=1)
+        assert solve_exact(inst).optimal
+        assert lp_calls == {"linprog": 1, "milp": 0}

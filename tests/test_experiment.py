@@ -47,6 +47,16 @@ class TestConfig:
             ExperimentConfig(topology="n14", scenarios=("Tr-O-1", "Xy"))
         assert ExperimentConfig(topology="n14", scenarios=("Op", "OTDR")).scenarios
 
+    def test_counts_need_counts_mode(self):
+        # rejection mode never reads counts: taking them silently would write
+        # them into config.json for a run they did not shape
+        with pytest.raises(ConfigError, match="load_mode 'counts'"):
+            ExperimentConfig(topology="n14", counts=(40,))
+        with pytest.raises(ConfigError, match="load_mode 'counts'"):
+            ExperimentConfig.from_dict({"topology": "n14", "load_mode": "rejection",
+                                        "counts": [40]})
+        assert ExperimentConfig(topology="n14", counts=()).load_mode == "rejection"
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(topology="n14", seeds=(0,), load_mode="counts",
                              counts=(10,))

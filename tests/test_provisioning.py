@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ppmplan
+from ppmplan.exact import solve_exact
+from ppmplan.placement import build_cover_instance, solve_greedy, verify_solution
 from ppmplan.provisioning import (
     CHANNELS_PER_FIBER,
     DEFAULT_REACH_TABLE,
@@ -267,6 +269,58 @@ class TestInvariants:
         whole = provision(n14, demands, "transparent")
         assert len(prov.result().lightpaths) == len(whole.lightpaths)
         assert mid <= len(whole.lightpaths)
+
+
+@st.composite
+def random_networks(draw):
+    """A provisioned Gabriel network: (topology, demands, n_channels, k)."""
+    topo = generate_gabriel(draw(st.integers(6, 30)), seed=draw(st.integers(0, 2**16)))
+    demands = generate_demands(topo, draw(st.integers(1, 120)),
+                               seed=draw(st.integers(0, 2**16))).demands
+    return topo, demands, draw(st.sampled_from([2, 6, 60])), draw(st.integers(1, 4))
+
+
+class TestInvariantsOnRandomTopologies:
+    @settings(max_examples=20, deadline=None)
+    @given(random_networks())
+    def test_lightpath_and_placement_invariants(self, network):
+        topo, demands, n_channels, k = network
+        for arch in ("opaque", "transparent"):
+            lset = provision(topo, demands, arch, k=k, n_channels=n_channels)
+            by_id = {lp.lp_id: lp for lp in lset.lightpaths}
+            assert len(by_id) == len(lset.lightpaths)
+            used, cov = set(), dict.fromkeys(topo.link_labels, 0)
+            for lp in lset.lightpaths:
+                # continuity: one channel along a route of topology links
+                assert 0 <= lp.channel < n_channels
+                assert lp.hops >= 1 and (arch == "transparent" or lp.hops == 1)
+                for a, b in zip(lp.nodes, lp.nodes[1:]):
+                    label = topo.link(a, b).label
+                    assert (label, lp.channel) not in used, "channel reused on a link"
+                    used.add((label, lp.channel))
+                    cov[label] += 1
+                assert lp.length_km == pytest.approx(topo.route_length(lp.nodes))
+                assert lp.length_km <= DEFAULT_REACH_TABLE.max_length_for(lp.rate_gbps)
+            carried = dict.fromkeys(by_id, 0)
+            assert len(lset.assignments) == len(lset.accepted)
+            for demand, chain in lset.assignments:
+                hops = [by_id[i] for i in chain]
+                assert hops[0].add_node == demand.src and hops[-1].drop_node == demand.dst
+                assert all(x.drop_node == y.add_node for x, y in zip(hops, hops[1:]))
+                for i in chain:
+                    carried[i] += demand.rate_gbps
+            for lp in lset.lightpaths:
+                assert lp.carried_gbps == carried[lp.lp_id] <= lp.rate_gbps
+            assert lset.coverage(topo) == cov
+            assert lset.lit_links(topo) == {e for e, n in cov.items() if n > 0}
+            for gamma in (1, 3):
+                inst = build_cover_instance(lset, topo, gamma)
+                greedy = solve_greedy(inst, architecture=arch)
+                exact = solve_exact(inst)
+                assert verify_solution(inst, greedy) and verify_solution(inst, exact)
+                assert exact.optimal
+                assert (exact.unsatisfied, exact.total_monitors) <= \
+                    (greedy.unsatisfied, greedy.total_monitors)
 
 
 def nx_digraph(topo):
