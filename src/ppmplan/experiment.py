@@ -56,6 +56,11 @@ def parse_scenario(name: str) -> tuple[str | None, int | None]:
     return arch, gamma
 
 
+def _is_number(value, types) -> bool:
+    """An instance of `types` that is not a bool (JSON true/false)."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     topology: str | None = None              # file path or bundled name
@@ -96,6 +101,20 @@ class ExperimentConfig:
                               f"not {self.load_mode!r}")
         if self.solver not in ("greedy", "exact", "auto"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        for key, least in (("k_paths", 1), ("n_channels", 1), ("step", 1),
+                           ("max_demands", 1), ("node_budget", 0)):
+            value = getattr(self, key)
+            if not _is_number(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+        target = self.rejection_target
+        if not _is_number(target, (int, float)):
+            raise ConfigError(f"rejection_target must be a number, got {target!r}")
+        if not 0 < target < 1:
+            raise ConfigError(f"rejection_target must lie in (0, 1), got {target}")
+        if not self.ppm_fractions:
+            raise ConfigError("ppm_fractions must be nonempty")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -134,6 +153,9 @@ class ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run all seeds and write the result bundle; returns the summary dict."""
+    # a file or bundled topology is resolved once, before anything is written;
+    # every seed shares it and its routes
+    shared = None if config.gabriel is not None else config.resolve_topology(config.seeds[0])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash
@@ -143,8 +165,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     per_seed: dict[int, dict] = {}
     errors: dict[int, str] = {}
-    # a file or bundled topology is resolved once; every seed shares it and its routes
-    shared = None if config.gabriel is not None else config.resolve_topology(config.seeds[0])
     for seed in config.seeds:
         try:
             topo = shared or config.resolve_topology(seed)

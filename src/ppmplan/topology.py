@@ -154,7 +154,8 @@ class Topology:
         names); fewer when fewer exist. Lengths are summed link by link in
         path order, and equal lengths are ordered by the tuple of node names,
         compared as strings. Computed once per (src, dst, k) and kept on this
-        object."""
+        object: by a best-first search over loopless paths, or by Yen's
+        algorithm for the pairs where that search gives up."""
         key = (src, dst, k)
         routes = self._route_table.get(key)
         if routes is None:
@@ -162,7 +163,10 @@ class Topology:
                 raise ValueError(f"k must be >= 1, got {k}")
             for node in (src, dst):
                 self.neighbors(node)  # raises TopologyError for an unknown node
-            routes = self._route_table[key] = _yen(self, src, dst, k)
+            routes = _best_first(self, src, dst, k)
+            if routes is None:
+                routes = _yen(self, src, dst, k)
+            self._route_table[key] = routes
         return routes
 
     def _distances_to(self, dst: int) -> list[float]:
@@ -186,6 +190,65 @@ class Topology:
                         dist[u] = d + w
                         heapq.heappush(heap, (d + w, u))
         return dist
+
+
+# Relative to the k-th route length: the best-first search keeps every path
+# that ties with it although its sums with the distances to dst round
+# differently from the route's own length.
+_BOUND_SLACK = 1e-9
+
+
+def _best_first(topology: Topology, src: str, dst: str,
+                k: int) -> tuple[tuple[str, ...], ...] | None:
+    """The k shortest loopless routes, found by a best-first search over
+    loopless paths from src, or None once it has popped 2k paths per node.
+
+    Paths pop in order of their length plus the distance from their end to
+    dst in the whole graph, a lower bound on any route that extends them; a
+    path popped at dst is a route. Once k routes are found, a path longer
+    than the k-th of them can neither make the cut nor tie with it, so the
+    search drops such paths and stops when the next pop is one. Every route
+    up to the k-th length is thus found, and the routes are sorted by
+    (length, id tuple) and cut to k, as Yen's are. Lengths are summed link
+    by link from src, as `route_length` sums them.
+
+    The distances ignore the path's own nodes. Where fewer than k routes
+    exist, or a path has cut itself off from dst, the search can pop a great
+    many paths that never reach dst; the pop limit hands those pairs to Yen.
+    """
+    adj = topology._id_lengths
+    s, t = topology._ids[src], topology._ids[dst]
+    to_dst = topology._distances_to(t)
+    if to_dst[s] == math.inf:
+        return ()
+    pops_left = 2 * k * len(adj)
+    heap = [(to_dst[s], (s,), 0)]
+    found: list[tuple[float, tuple[int, ...]]] = []
+    bound = math.inf
+    while heap:
+        f, path, length = heapq.heappop(heap)
+        if f > bound:
+            break
+        pops_left -= 1
+        if pops_left < 0:
+            return None
+        u = path[-1]
+        if u == t:
+            found.append((length, path))
+            if len(found) >= k:
+                found.sort()
+                bound = found[k - 1][0] * (1 + _BOUND_SLACK)
+            continue
+        for v, w in adj[u].items():
+            if v in path:
+                continue
+            reached = length + w
+            estimate = reached + to_dst[v]
+            if estimate <= bound:
+                heapq.heappush(heap, (estimate, path + (v,), reached))
+    found.sort()
+    names = topology._id_names
+    return tuple(tuple(names[i] for i in p) for _, p in found[:k])
 
 
 def _spur(adj: list[dict[int, float]], to_dst: list[float], src: int, dst: int,

@@ -284,8 +284,28 @@ class TestRunAndAnalyze:
         assert "Traceback" not in err
 
     def test_run_missing_topology_is_data_error(self, tmp_path):
+        out = tmp_path / "o"
         assert run_cli("run", "--topo", str(tmp_path / "nowhere.json"), "--mode", "counts",
-                       "--counts", "5", "--seeds", "0", "--out", str(tmp_path / "o")) == 2
+                       "--counts", "5", "--seeds", "0", "--out", str(out)) == 2
+        assert not out.exists()  # the topology is resolved before anything is written
+
+    @pytest.mark.parametrize("bad", [{"k_paths": 0}, {"n_channels": 0}, {"step": 0},
+                                     {"max_demands": 0}, {"rejection_target": 0},
+                                     {"node_budget": -1}, {"ppm_fractions": []},
+                                     {"k_paths": None}, {"k_paths": "3"},
+                                     {"node_budget": None}, {"rejection_target": "0.01"},
+                                     {"rejection_target": None, "load_mode": "counts",
+                                      "counts": [10]}])
+    def test_run_bad_numeric_field_is_config_error(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"topology": "n14", "seeds": [0],
+                                        "scenarios": ["Tr-O-1", "OTDR"], **bad}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(bad))} must")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_run_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

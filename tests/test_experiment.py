@@ -57,6 +57,40 @@ class TestConfig:
                                         "counts": [40]})
         assert ExperimentConfig(topology="n14", counts=()).load_mode == "rejection"
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"k_paths": 0}, "k_paths must be >= 1"),
+        ({"n_channels": 0}, "n_channels must be >= 1"),
+        ({"step": 0}, "step must be >= 1"),
+        ({"max_demands": 0}, "max_demands must be >= 1"),
+        ({"rejection_target": 0}, "rejection_target must lie in"),
+        ({"rejection_target": 1}, "rejection_target must lie in"),
+        ({"rejection_target": -0.5}, "rejection_target must lie in"),
+        ({"node_budget": -1}, "node_budget must be >= 0"),
+        ({"ppm_fractions": []}, "ppm_fractions must be nonempty"),
+        ({"k_paths": None}, "k_paths must be an integer, got None"),
+        ({"k_paths": "3"}, "k_paths must be an integer, got '3'"),
+        ({"k_paths": 2.5}, "k_paths must be an integer"),
+        ({"k_paths": True}, "k_paths must be an integer, got True"),
+        ({"n_channels": 80.0}, "n_channels must be an integer"),
+        ({"step": None}, "step must be an integer"),
+        ({"max_demands": "3"}, "max_demands must be an integer"),
+        ({"node_budget": None}, "node_budget must be an integer"),
+        ({"node_budget": "3"}, "node_budget must be an integer"),
+        ({"rejection_target": None}, "rejection_target must be a number, got None"),
+        ({"rejection_target": "0.01"}, "rejection_target must be a number"),
+        ({"rejection_target": False}, "rejection_target must be a number"),
+        ({"rejection_target": float("nan")}, "rejection_target must lie in"),
+    ])
+    def test_numeric_fields_checked(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"topology": "n14", **bad})
+
+    def test_numeric_field_edges_accepted(self):
+        cfg = ExperimentConfig(topology="n14", k_paths=1, n_channels=1, step=1,
+                               max_demands=1, rejection_target=0.5, node_budget=0,
+                               ppm_fractions=(50,))
+        assert cfg.node_budget == 0
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(topology="n14", seeds=(0,), load_mode="counts",
                              counts=(10,))
@@ -262,13 +296,13 @@ def test_fixed_topology_resolved_once_per_run(tmp_path, monkeypatch):
     from ppmplan import topology
 
     calls = []
-    yen = topology._yen
+    search = topology._best_first
 
-    def counting_yen(topo, src, dst, k):
+    def counting_search(topo, src, dst, k):
         calls.append((id(topo), src, dst, k))
-        return yen(topo, src, dst, k)
+        return search(topo, src, dst, k)
 
-    monkeypatch.setattr(topology, "_yen", counting_yen)
+    monkeypatch.setattr(topology, "_best_first", counting_search)
     cfg = ExperimentConfig.from_dict({
         "topology": "n14",
         "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],

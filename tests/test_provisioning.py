@@ -3,12 +3,14 @@ import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ppmplan
+from ppmplan import topology
 from ppmplan.exact import solve_exact
 from ppmplan.placement import build_cover_instance, solve_greedy, verify_solution
 from ppmplan.provisioning import (
@@ -402,6 +404,55 @@ class TestRoutes:
                         assert topo.k_shortest_routes(a, b, k) == \
                             tuple(brute_force_routes(topo, a, b)[:k])
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(6, 30), seed=st.integers(0, 10_000), k=st.integers(1, 6),
+           grid=st.sampled_from([None, 100.0, 300.0]))
+    def test_best_first_finds_yens_routes(self, n, seed, k, grid):
+        topo = generate_gabriel(n, seed=seed)
+        if grid is not None:
+            topo = coarse(topo, grid)
+        for a in topo.nodes[:5]:
+            for b in topo.nodes:
+                routes = topology._best_first(topo, a, b, k)
+                assert routes is None or routes == topology._yen(topo, a, b, k)
+
+    def test_pop_limit_hands_over_to_yen(self):
+        # s-t is the only route; s also opens onto a clique of five, whose
+        # hundreds of loopless paths from s all end cut off from t
+        clique = ["a", "b", "c", "d", "e"]
+        topo = topology_from_dict({
+            "name": "pocket", "span_length_km": 80, "nodes": ["s", "t"] + clique,
+            "edges": [{"a": "s", "b": "t", "length_km": 100}]
+                     + [{"a": "s", "b": m, "length_km": 10} for m in clique]
+                     + [{"a": m, "b": o, "length_km": 10}
+                        for i, m in enumerate(clique) for o in clique[i + 1:]]})
+        assert topology._best_first(topo, "s", "t", 1) == (("s", "t"),)
+        assert topology._best_first(topo, "s", "t", 3) is None
+        assert topo.k_shortest_routes("s", "t", 3) == (("s", "t"),)
+
+    def test_tie_kept_where_an_estimate_rounds_up(self):
+        # s-a-b-t sums to 0.6 from s, as s-t does, and wins the tie on names;
+        # but a's distance to t sums to 0.30000000000000004, so the estimate
+        # for s-a comes out above 0.6
+        topo = topology_from_dict({
+            "name": "rounding", "span_length_km": 80, "nodes": ["s", "a", "b", "t"],
+            "edges": [{"a": "s", "b": "a", "length_km": 0.3},
+                      {"a": "a", "b": "b", "length_km": 0.2},
+                      {"a": "b", "b": "t", "length_km": 0.1},
+                      {"a": "s", "b": "t", "length_km": 0.6}]})
+        assert topo.route_length(("s", "a", "b", "t")) == topo.route_length(("s", "t"))
+        assert topology._best_first(topo, "s", "t", 1) == (("s", "a", "b", "t"),)
+        assert topo.k_shortest_routes("s", "t", 2) == (("s", "a", "b", "t"), ("s", "t"))
+
+    def test_n14_routes_need_no_yen(self):
+        # the pop limit is loose enough that every N14 route set at the
+        # default k comes from the best-first search
+        topo = bundled_topology("n14")
+        with mock.patch.object(topology, "_yen", side_effect=AssertionError("Yen ran")):
+            for a in topo.nodes:
+                for b in topo.nodes:
+                    topo.k_shortest_routes(a, b, 3)
+
     def test_pinned_tie_on_n14(self, n14):
         # 4->11->12->14 and 4->11->13->14 are both 3400 km; networkx yields
         # the latter second, the node-name rule the former
@@ -420,6 +471,7 @@ class TestRoutes:
             "name": "split", "span_length_km": 80, "nodes": ["A", "B", "C"],
             "edges": [{"a": "A", "b": "B", "length_km": 100}]})
         assert Provisioner(topo, "transparent").routes("A", "C") == ()
+        assert topo.k_shortest_routes("A", "A", 2) == (("A",),)  # the one-node path
         lset = provision(topo, [Demand("A", "C", 100)], "opaque")
         assert len(lset.rejected) == 1
         with pytest.raises(TopologyError, match="unknown node"):
