@@ -2,11 +2,12 @@
 
 The greedy placement is the incumbent; it is the instance's cached greedy
 (`CoverInstance.greedy`), so a greedy solve of the same instance, before or
-after, does not repeat it. An instance of single-hop groups needs no LP: it
-splits per link, and the greedy incumbent is optimal. Otherwise one LP
-relaxation settles most instances: its bound, rounded up since objectives are
-integral, meets the incumbent, or its optimum is integral in the group counts.
-Only a fractional root below the incumbent goes to HiGHS
+after, does not repeat it. An instance of single-hop groups needs neither
+the greedy nor an LP: it splits per link, and min(counts, gamma), the
+greedy's own p, is optimal. Otherwise one LP relaxation settles most
+instances: its bound, rounded up since objectives are integral, meets the
+incumbent, or its optimum is integral in the group counts. Only a
+fractional root below the incumbent goes to HiGHS
 (`scipy.optimize.milp`) on the same model. The default lexicographic mode
 first fixes the minimum achievable unsatisfied total - coverage is monotone
 in p, so that floor is reached at p = counts and needs no search - then
@@ -64,8 +65,13 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
         return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64), optimal=True)
 
     gamma = instance.gamma
-    delta = instance.delta.astype(np.float64)
     counts = instance.counts
+    if instance.max_hops == 1:
+        # each link has at most one group, so the problem splits per link and
+        # min(counts, gamma), the greedy's own p, is optimal in both modes
+        return solution_from_counts(instance, np.minimum(counts, gamma),
+                                    optimal=node_budget >= 1)
+    delta = instance.delta.astype(np.float64)
 
     # one model for the LP and the MIP: integer counts p in [0, counts], plus
     # in weighted mode continuous capped coverages x in [0, gamma]
@@ -97,10 +103,6 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
     best_val = true_value(best_p)
     if node_budget < 1:
         return solution_from_counts(instance, best_p, optimal=False)
-    if instance.max_hops == 1:
-        # each group covers one link, so the problem splits per link and the
-        # greedy's min(gamma, max coverage) per link is optimal in both modes
-        return solution_from_counts(instance, best_p, optimal=True)
 
     res = linprog(cost, A_ub=a_ub if a_ub.size else None,
                   b_ub=b_ub if a_ub.size else None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -115,6 +116,21 @@ class ExperimentConfig:
             raise ConfigError(f"rejection_target must lie in (0, 1), got {target}")
         if not self.ppm_fractions:
             raise ConfigError("ppm_fractions must be nonempty")
+        for key, least in (("seeds", 0), ("counts", 1)):
+            values = getattr(self, key) or ()
+            for value in values:
+                if not _is_number(value, int) or value < least:
+                    raise ConfigError(f"{key} must be integers >= {least}, got {value!r}")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} must not repeat, got {list(values)}")
+        for value in self.ppm_fractions:
+            if not _is_number(value, (int, float)) or not 0 <= value < math.inf:
+                raise ConfigError(f"ppm_fractions must be finite numbers >= 0, got {value!r}")
+        span = self.span_length_km
+        if span is not None and (not _is_number(span, (int, float))
+                                 or not 0 < span < math.inf):
+            raise ConfigError("span_length_km must be None or a positive finite number, "
+                              f"got {span!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -123,6 +139,8 @@ class ExperimentConfig:
             data["cost_model"] = CostModel(**data["cost_model"])
         for key in ("scenarios", "seeds", "counts", "ppm_fractions"):
             if key in data and data[key] is not None:
+                if not isinstance(data[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:

@@ -12,6 +12,12 @@ whose reach covers its length (maximizing groomable headroom) and the
 first-fit channel free on all traversed links. Demands are never split
 across lightpaths, and a demand either commits fully or is rejected.
 
+Grooming looks only at lightpaths with spare capacity. Spare only falls and
+every rate is positive, so a lightpath that fills up leaves the grooming
+indexes for good; a link keeps its place among its node's successors, with a
+largest spare of 0, so that equal-length opaque chains still resolve by link
+creation order.
+
 Candidate routes are the k shortest loopless routes by length, ties broken
 by the sequence of node names (`Topology.k_shortest_routes`). They are kept
 on the Topology object, so every Provisioner on one object shares them.
@@ -108,7 +114,8 @@ class Lightpath:
 
     @cached_property
     def links(self) -> tuple[str, ...]:
-        """Directed link labels along the route, computed on first access."""
+        """Directed link labels along the route; a Provisioner sets them at
+        creation, otherwise they are computed on first access."""
         return tuple(link_label(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
 
     @property
@@ -202,12 +209,16 @@ class Provisioner:
         # per link, a bitmask of the channels in use: bit c set <=> channel c taken
         self._channel_used: dict[str, int] = dict.fromkeys(topology.link_labels, 0)
         self._lps: list[Lightpath] = []
-        # single-hop lightpath ids per link, and per node the largest spare
-        # capacity on each outgoing link that has any; both in the order the
-        # links got their first single-hop lightpath
+        # spare capacity per lightpath id; the grooming indexes below hold
+        # only live ids (spare > 0): spare only falls and every rate is
+        # positive, so a spent lightpath is never groomed again
+        self._spare: list[int] = []
+        # live single-hop lightpath ids per link, and per node the largest
+        # spare capacity on each outgoing link (0 once spent); both in the
+        # order the links got their first single-hop lightpath
         self._single_hop: dict[tuple[str, str], list[int]] = {}
         self._max_spare: dict[str, dict[str, int]] = {n: {} for n in topology.nodes}
-        # lightpath ids per (add, drop) node pair, in creation order
+        # live lightpath ids per (add, drop) node pair, in creation order
         self._by_ends: dict[tuple[str, str], list[int]] = {}
         self._accepted: list[Demand] = []
         self._rejected: list[Demand] = []
@@ -256,15 +267,27 @@ class Provisioner:
             chain = self._groom_transparent(demand)
         if chain is None:
             return None
+        rate = demand.rate_gbps
+        spare = self._spare
         for lp_id in chain:
             lp = self._lps[lp_id]
-            lp.carried_gbps += demand.rate_gbps
+            lp.carried_gbps += rate
+            before = spare[lp_id]
+            spare[lp_id] = left = before - rate
+            if not left:
+                ends = (lp.nodes[0], lp.nodes[-1])
+                ids = self._by_ends[ends]
+                ids.remove(lp_id)
+                if not ids:
+                    del self._by_ends[ends]
             if lp.hops == 1:
                 u, v = lp.nodes
-                if lp.spare_gbps + demand.rate_gbps == self._max_spare[u][v]:
+                ids = self._single_hop[(u, v)]
+                if not left:
+                    ids.remove(lp_id)
+                if before == self._max_spare[u][v]:
                     # the link's largest spare falls only if this lightpath held it
-                    self._max_spare[u][v] = max(self._lps[i].spare_gbps
-                                                for i in self._single_hop[(u, v)])
+                    self._max_spare[u][v] = max((spare[i] for i in ids), default=0)
         return chain
 
     def _groom_opaque(self, demand: Demand) -> tuple[int, ...] | None:
@@ -274,7 +297,13 @@ class Provisioner:
         distance, so equal-length chains resolve by link creation order."""
         rate = demand.rate_gbps
         src, dst = demand.src, demand.dst
+        max_spare = self._max_spare
         adj = self.topology.link_lengths
+        # no chain unless a link leaving src and a link entering dst can carry
+        # it; links come in both directions, so dst's successors feed it
+        if (all(spare < rate for spare in max_spare[src].values())
+                or all(max_spare[u].get(dst, 0) < rate for u in adj[dst])):
+            return None
         pushes = count(1)
         seen = {src: 0.0}
         pred: dict[str, str] = {}
@@ -287,7 +316,7 @@ class Provisioner:
             if u == dst:
                 break
             done.add(u)
-            for v, spare in self._max_spare.get(u, {}).items():
+            for v, spare in max_spare[u].items():
                 if spare < rate or v in done:
                     continue
                 nd = d + adj[u][v]
@@ -301,16 +330,13 @@ class Provisioner:
         while path[-1] != src:
             path.append(pred[path[-1]])
         path.reverse()
-        chain = []
-        for u, v in zip(path, path[1:]):
-            lp_id = next(i for i in self._single_hop[(u, v)]
-                         if self._lps[i].spare_gbps >= rate)
-            chain.append(lp_id)
-        return tuple(chain)
+        spare = self._spare
+        return tuple(next(i for i in self._single_hop[(u, v)] if spare[i] >= rate)
+                     for u, v in zip(path, path[1:]))
 
     def _groom_transparent(self, demand: Demand) -> tuple[int, ...] | None:
         rate = demand.rate_gbps
-        by_ends, lps = self._by_ends, self._lps
+        by_ends, spare = self._by_ends, self._spare
         for route in self.routes(demand.src, demand.dst):
             i = 0
             chain: list[int] = []
@@ -322,7 +348,10 @@ class Provisioner:
                     ids = by_ends.get((route[i], route[j]))
                     if ids is None:
                         continue
-                    best = next((lp_id for lp_id in ids if lps[lp_id].spare_gbps >= rate), None)
+                    for lp_id in ids:
+                        if spare[lp_id] >= rate:
+                            best = lp_id
+                            break
                     if best is not None:
                         break
                 if best is None:
@@ -345,25 +374,19 @@ class Provisioner:
 
     def _establish_opaque(self, demand: Demand, rmax: float) -> tuple[int, ...] | None:
         for route in self.routes(demand.src, demand.dst):
-            hops = list(zip(route, route[1:]))
-            feasible = True
-            channels = []
-            for u, v in hops:
+            plan = []
+            for u, v in zip(route, route[1:]):
                 link = self.topology.link(u, v)
-                ch = self._first_fit([link.label])
+                label = link.label
+                ch = self._first_fit((label,))
                 if link.length_km > rmax or ch is None:
-                    feasible = False
                     break
-                channels.append(ch)
-            if not feasible:
-                continue
-            chain = []
-            for (u, v), ch in zip(hops, channels):
-                link = self.topology.link(u, v)
-                rate = self.reach_table.best_rate(link.length_km)
-                chain.append(self._create((u, v), link.length_km, rate, ch,
-                                          demand.rate_gbps))
-            return tuple(chain)
+                plan.append(((u, v), (label,), link.length_km, ch))
+            else:
+                return tuple(self._create(nodes, labels, length,
+                                          self.reach_table.best_rate(length), ch,
+                                          demand.rate_gbps)
+                             for nodes, labels, length, ch in plan)
         return None
 
     def _establish_transparent(self, demand: Demand, rmax: float) -> tuple[int, ...] | None:
@@ -371,24 +394,21 @@ class Provisioner:
             segments = self._segment(route, rmax)
             if segments is None:
                 continue
-            channels = []
-            ok = True
+            plan = []
             for seg in segments:
-                labels = [link_label(a, b) for a, b in zip(seg, seg[1:])]
+                labels = tuple(link_label(a, b) for a, b in zip(seg, seg[1:]))
                 ch = self._first_fit(labels)
                 if ch is None:
-                    ok = False
                     break
-                channels.append(ch)
-            if not ok:
-                continue
-            chain = []
-            for seg, ch in zip(segments, channels):
-                length = self.topology.route_length(seg)
-                rate = self.reach_table.best_rate(length)
-                chain.append(self._create(tuple(seg), length, rate, ch,
-                                          demand.rate_gbps))
-            return tuple(chain)
+                plan.append((seg, labels, ch))
+            else:
+                chain = []
+                for seg, labels, ch in plan:
+                    length = self.topology.route_length(seg)
+                    rate = self.reach_table.best_rate(length)
+                    chain.append(self._create(seg, labels, length, rate, ch,
+                                              demand.rate_gbps))
+                return tuple(chain)
         return None
 
     def _segment(self, route, rmax: float) -> list[tuple[str, ...]] | None:
@@ -420,19 +440,26 @@ class Provisioner:
         ch = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
         return ch if ch < self.n_channels else None
 
-    def _create(self, nodes: tuple[str, ...], length: float, rate: int,
-                channel: int, carried: int) -> int:
-        lp = Lightpath(lp_id=len(self._lps), nodes=nodes, length_km=length,
+    def _create(self, nodes: tuple[str, ...], links: tuple[str, ...], length: float,
+                rate: int, channel: int, carried: int) -> int:
+        lp_id = len(self._lps)
+        lp = Lightpath(lp_id=lp_id, nodes=nodes, length_km=length,
                        rate_gbps=rate, channel=channel, carried_gbps=carried)
+        lp.__dict__["links"] = links  # fills the cached property with first-fit's labels
         self._lps.append(lp)
-        for e in lp.links:
+        spare = rate - carried
+        self._spare.append(spare)
+        for e in links:
             self._channel_used[e] |= 1 << channel
-        if lp.hops == 1:
+        if len(nodes) == 2:
             u, v = nodes
-            self._single_hop.setdefault((u, v), []).append(lp.lp_id)
-            self._max_spare[u][v] = max(self._max_spare[u].get(v, 0), lp.spare_gbps)
-        self._by_ends.setdefault((nodes[0], nodes[-1]), []).append(lp.lp_id)
-        return lp.lp_id
+            ids = self._single_hop.setdefault((u, v), [])
+            self._max_spare[u][v] = max(self._max_spare[u].get(v, 0), spare)
+            if spare:
+                ids.append(lp_id)
+        if spare:
+            self._by_ends.setdefault((nodes[0], nodes[-1]), []).append(lp_id)
+        return lp_id
 
 
 def provision(topology: Topology, demands, architecture: str,

@@ -45,20 +45,27 @@ class DemandSet:
         return len(self.demands)
 
 
-def _draw(rng: np.random.Generator, nodes: tuple[str, ...]) -> Demand:
+def _draw(rng: np.random.Generator, nodes: tuple[str, ...], m: int) -> list[Demand]:
+    """m demands from one `integers` call over the bounds (n, n - 1, rates)
+    repeated m times. numpy bounds each element on its own, so the stream is
+    that of three scalar calls per demand: source, destination among the
+    other nodes, rate index."""
     n = len(nodes)
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    rate = ALLOWED_RATES_GBPS[int(rng.integers(len(ALLOWED_RATES_GBPS)))]
-    return Demand(nodes[i], nodes[j], rate)
+    draws = rng.integers([n, n - 1, len(ALLOWED_RATES_GBPS)] * m).tolist()
+    demands = []
+    for t in range(0, 3 * m, 3):
+        i, j, r = draws[t:t + 3]
+        if j >= i:
+            j += 1
+        demands.append(Demand(nodes[i], nodes[j], ALLOWED_RATES_GBPS[r]))
+    return demands
 
 
 def generate_demands(topology: Topology, count: int, seed: int) -> DemandSet:
     """count i.i.d. demands: uniform ordered node pair, uniform allowed rate.
 
-    Draws are sequential per demand, so generate_demands(n + k, seed) extends
+    All draws come from one numpy call whose stream is that of three draws
+    per demand in sequence, so generate_demands(n + k, seed) extends
     generate_demands(n, seed) demand-for-demand.
     """
     if count < 1:
@@ -66,8 +73,7 @@ def generate_demands(topology: Topology, count: int, seed: int) -> DemandSet:
     if len(topology.nodes) < 2:
         raise TopologyError("need at least 2 nodes to generate demands")
     rng = np.random.default_rng(seed)
-    demands = tuple(_draw(rng, topology.nodes) for _ in range(count))
-    return DemandSet(demands=demands, seed=seed)
+    return DemandSet(demands=tuple(_draw(rng, topology.nodes, count)), seed=seed)
 
 
 def find_load_at_rejection(topology: Topology, target_rejection: float, seed: int,
@@ -76,12 +82,15 @@ def find_load_at_rejection(topology: Topology, target_rejection: float, seed: in
     """Grow the demand set by `step` until the transparent-architecture
     rejection fraction reaches `target_rejection`.
 
-    Returns the offered demand set and the transparent lightpath set the
-    search built while serving it. That set equals `provision(topology,
-    demand_set, "transparent", **provision_kwargs)`, so it need not be
-    provisioned again; its carried traffic in Tb/s is
-    `lset.carried_gbps / 1000`. The same demand set is meant to be reused for
-    the opaque run. Raises SaturationError if the cap is hit first.
+    Each step's demands come from one numpy call on the stream
+    `generate_demands` draws from, so the offered set equals
+    `generate_demands(topology, len(demand_set), seed)`. Returns that set and
+    the transparent lightpath set the search built while serving it. That set
+    equals `provision(topology, demand_set, "transparent",
+    **provision_kwargs)`, so it need not be provisioned again; its carried
+    traffic in Tb/s is `lset.carried_gbps / 1000`. The same demand set is
+    meant to be reused for the opaque run. Raises SaturationError if the cap
+    is hit first.
     """
     if not (0.0 < target_rejection < 1.0):
         raise ValueError(f"target_rejection must be in (0, 1), got {target_rejection}")
@@ -91,8 +100,7 @@ def find_load_at_rejection(topology: Topology, target_rejection: float, seed: in
     rng = np.random.default_rng(seed)
     demands: list[Demand] = []
     while len(demands) < max_demands:
-        for _ in range(min(step, max_demands - len(demands))):
-            d = _draw(rng, topology.nodes)
+        for d in _draw(rng, topology.nodes, min(step, max_demands - len(demands))):
             demands.append(d)
             prov.serve(d)
         if prov.rejected_count / len(demands) >= target_rejection:

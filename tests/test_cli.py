@@ -307,6 +307,32 @@ class TestRunAndAnalyze:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [{"seeds": ["a"]}, {"seeds": [0, 0]},
+                                     {"load_mode": "counts", "counts": [10.5]},
+                                     {"load_mode": "counts", "counts": [10, 10]},
+                                     {"ppm_fractions": ["x"]},
+                                     {"ppm_fractions": [True]},
+                                     {"span_length_km": "80"},
+                                     {"span_length_km": 0}])
+    def test_run_bad_list_element_or_span_is_config_error(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"topology": "n14", "seeds": [0],
+                                        "scenarios": ["Tr-O-1", "OTDR"], **bad}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        key = next(k for k in bad if k != "load_mode")
+        assert err.startswith(f"error: {key} must")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_repeated_seed_flag_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("run", "--topo", "n14", "--mode", "counts", "--counts", "5",
+                       "--seeds", "1,1", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: seeds must not repeat")
+        assert not out.exists()
+
     def test_run_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"load_mode": "counts"}))

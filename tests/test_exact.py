@@ -292,6 +292,29 @@ class TestSingleHop:
             assert verify_solution(inst, sol)
         assert lp_calls == {"linprog": 0, "milp": 0}
 
+    @pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+    @pytest.mark.parametrize("node_budget", [0, DEFAULT_NODE_BUDGET])
+    def test_incumbent_in_closed_form(self, mode, node_budget, monkeypatch):
+        # min(counts, gamma) is the greedy's own p, so the greedy is not run
+        greedy_calls = []
+        real = placement._greedy_counts
+
+        def spy(*args, **kwargs):
+            greedy_calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(placement, "_greedy_counts", spy)
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            inst = random_instance(rng, max_links=8, max_groups=8, max_count=4,
+                                   max_gamma=3, single_hop=True)
+            sol = solve_exact(inst, mode=mode, node_budget=node_budget)
+            assert greedy_calls == []
+            p = tuple(sol.p.get(g.key, 0) for g in inst.groups)
+            assert p == inst.greedy[0]
+            assert sol.optimal == (node_budget >= 1 or not inst.groups)
+            greedy_calls.clear()
+
     def test_zero_budget_is_still_not_optimal(self, lp_calls):
         inst = make_instance(["e1", "e2"], [(("e1",), 2), (("e2",), 1)], gamma=2)
         sol = solve_exact(inst, node_budget=0)

@@ -85,6 +85,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict({"topology": "n14", **bad})
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"seeds": ["a"]}, "seeds must be integers >= 0, got 'a'"),
+        ({"seeds": [0, True]}, "seeds must be integers >= 0, got True"),
+        ({"seeds": [1.0]}, "seeds must be integers >= 0, got 1.0"),
+        ({"seeds": [-1]}, "seeds must be integers >= 0, got -1"),
+        ({"seeds": [0, 0]}, r"seeds must not repeat, got \[0, 0\]"),
+        ({"seeds": 3}, "seeds must be a list, got 3"),
+        ({"load_mode": "counts", "counts": [10.5]}, "counts must be integers >= 1, got 10.5"),
+        ({"load_mode": "counts", "counts": [0]}, "counts must be integers >= 1, got 0"),
+        ({"load_mode": "counts", "counts": ["10"]}, "counts must be integers >= 1"),
+        ({"load_mode": "counts", "counts": [False]}, "counts must be integers >= 1, got False"),
+        ({"load_mode": "counts", "counts": [10, 20, 10]}, "counts must not repeat"),
+        ({"ppm_fractions": ["x"]}, "ppm_fractions must be finite numbers >= 0, got 'x'"),
+        ({"ppm_fractions": [5, None]}, "ppm_fractions must be finite numbers >= 0, got None"),
+        ({"ppm_fractions": [True]}, "ppm_fractions must be finite numbers >= 0, got True"),
+        ({"ppm_fractions": [-5]}, "ppm_fractions must be finite numbers >= 0, got -5"),
+        ({"ppm_fractions": [float("nan")]}, "ppm_fractions must be finite numbers >= 0"),
+        ({"ppm_fractions": [float("inf")]}, "ppm_fractions must be finite numbers >= 0"),
+        ({"span_length_km": "80"}, "span_length_km must be None or a positive finite number"),
+        ({"span_length_km": 0}, "span_length_km must be None or a positive finite number"),
+        ({"span_length_km": -80.0}, "span_length_km must be None or a positive"),
+        ({"span_length_km": True}, "span_length_km must be None or a positive"),
+        ({"span_length_km": float("inf")}, "span_length_km must be None or a positive"),
+    ])
+    def test_list_elements_and_span_checked(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"topology": "n14", **bad})
+
+    def test_list_element_edges_accepted(self):
+        cfg = ExperimentConfig(topology="n14", seeds=(0, 7), load_mode="counts",
+                               counts=(1, 30), ppm_fractions=(0, 2.5, 150),
+                               span_length_km=80)
+        assert cfg.ppm_fractions == (0, 2.5, 150)
+        assert ExperimentConfig(topology="n14", span_length_km=0.5).span_length_km == 0.5
+
     def test_numeric_field_edges_accepted(self):
         cfg = ExperimentConfig(topology="n14", k_paths=1, n_channels=1, step=1,
                                max_demands=1, rejection_target=0.5, node_budget=0,

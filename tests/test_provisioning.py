@@ -272,6 +272,21 @@ class TestInvariants:
         assert len(prov.result().lightpaths) == len(whole.lightpaths)
         assert mid <= len(whole.lightpaths)
 
+    @pytest.mark.parametrize("arch", ["opaque", "transparent"])
+    def test_lightpath_full_at_creation_is_never_indexed(self, arch):
+        # 2,000 km carries 400G at most, so a 400G demand fills its lightpath
+        prov = Provisioner(single_link(2000), arch)
+        assert prov.serve(Demand("A", "B", 400))
+        assert prov._spare == [0]
+        assert prov._by_ends == {}
+        assert prov._single_hop == {("A", "B"): []}
+        assert prov._max_spare["A"] == {"B": 0}
+        assert prov.serve(Demand("A", "B", 100))
+        assert prov.serve(Demand("A", "B", 100))
+        assert [chain for _, chain in prov.result().assignments] == [(0,), (1,), (1,)]
+        assert prov._by_ends == {("A", "B"): [1]}
+        assert prov._max_spare["A"] == {"B": 200}
+
 
 @st.composite
 def random_networks(draw):
@@ -323,6 +338,37 @@ class TestInvariantsOnRandomTopologies:
                 assert exact.optimal
                 assert (exact.unsatisfied, exact.total_monitors) <= \
                     (greedy.unsatisfied, greedy.total_monitors)
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_networks())
+    def test_grooming_indexes_hold_live_lightpaths(self, network):
+        # spent lightpaths leave the grooming indexes; the rest stay in
+        # creation order, and the spare list mirrors the lightpaths
+        topo, demands, n_channels, k = network
+        for arch in ("opaque", "transparent"):
+            prov = Provisioner(topo, arch, k=k, n_channels=n_channels)
+            for d in demands:
+                prov.serve(d)
+                lps = prov.result().lightpaths
+                assert prov._spare == [lp.spare_gbps for lp in lps]
+                by_ends, single_hop = {}, {}
+                for lp in lps:
+                    if lp.hops == 1:
+                        single_hop.setdefault(lp.nodes, [])
+                    if lp.spare_gbps > 0:
+                        by_ends.setdefault((lp.add_node, lp.drop_node), []).append(lp.lp_id)
+                        if lp.hops == 1:
+                            single_hop[lp.nodes].append(lp.lp_id)
+                assert prov._by_ends == by_ends
+                assert prov._single_hop == single_hop
+                # a spent link keeps its place among a node's successors
+                assert list(prov._single_hop) == list(single_hop)
+                for u, succ in prov._max_spare.items():
+                    assert list(succ) == [b for a, b in single_hop if a == u]
+                for (u, v), ids in single_hop.items():
+                    assert prov._max_spare[u][v] == max(
+                        (lps[i].spare_gbps for i in ids), default=0)
 
 
 def nx_digraph(topo):

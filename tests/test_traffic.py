@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +63,53 @@ class TestGeneration:
                                      "nodes": ["A"], "edges": []})
         with pytest.raises(TopologyError):
             generate_demands(lonely, 5, seed=0)
+
+
+def scalar_draws(topology, count, seed):
+    """The demand stream as three scalar draws per demand: source,
+    destination among the other nodes, rate index."""
+    rng = np.random.default_rng(seed)
+    nodes = topology.nodes
+    demands = []
+    for _ in range(count):
+        i = int(rng.integers(len(nodes)))
+        j = int(rng.integers(len(nodes) - 1))
+        if j >= i:
+            j += 1
+        rate = ALLOWED_RATES_GBPS[int(rng.integers(len(ALLOWED_RATES_GBPS)))]
+        demands.append(Demand(nodes[i], nodes[j], rate))
+    return tuple(demands)
+
+
+class TestDrawStream:
+    """Each batch comes from one `integers` call; its stream must stay that of
+    the scalar draws, which every bundle was generated from."""
+
+    @pytest.fixture(params=[2, 3, 14, 30])
+    def topo(self, request, two_node, line3, n14):
+        return {2: two_node, 3: line3, 14: n14,
+                30: generate_gabriel(30, seed=request.param)}[request.param]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12_345])
+    def test_generate_matches_scalar_draws(self, topo, seed):
+        for count in (1, 2, 10, 333):
+            assert generate_demands(topo, count, seed).demands == \
+                scalar_draws(topo, count, seed)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_prefix_property_across_batch_sizes(self, topo, seed):
+        long = generate_demands(topo, 200, seed).demands
+        for count in (1, 9, 10, 11, 199):
+            assert generate_demands(topo, count, seed).demands == long[:count]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("step", [1, 7, 10])
+    def test_load_search_matches_scalar_draws(self, topo, seed, step):
+        # six channels saturate even the two-node network within the cap
+        ds, _ = find_load_at_rejection(topo, 0.02, seed, step=step,
+                                       max_demands=2_000, n_channels=6)
+        assert ds.demands == scalar_draws(topo, len(ds), seed)
+        assert ds == generate_demands(topo, len(ds), seed)
 
 
 class TestLoadSearch:
