@@ -11,6 +11,7 @@ Below that fraction the receiver-side monitors are cheaper network-wide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -25,8 +26,10 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("transponder_cost", "transponder_power", "otdr_cost", "otdr_power"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
     def units(self, dimension: str) -> tuple[float, float]:
         """(transponder_unit, otdr_unit) for 'cost' or 'power'."""

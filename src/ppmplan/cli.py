@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--lightpaths", required=True)
     place.add_argument("--solver", choices=["greedy", "exact", "oracle"], default="greedy")
     place.add_argument("--gamma", type=int, required=True)
-    place.add_argument("--arch", choices=["opaque", "transparent"], default="transparent")
     place.add_argument("--alpha-policy", choices=["hop_plus_one", "strict_dominance"],
                        default="hop_plus_one")
     place.add_argument("--mode", choices=["lexicographic", "weighted"],
@@ -187,8 +186,7 @@ def _cmd_place(args) -> int:
     lps = read_lightpaths_csv(args.lightpaths, topo)
     instance = build_cover_instance(lps, topo, args.gamma, alpha_policy=args.alpha_policy)
     if args.solver == "greedy":
-        sol = solve_greedy(instance, architecture=args.arch,
-                           tie_break=args.tie_break, seed=args.seed)
+        sol = solve_greedy(instance, tie_break=args.tie_break, seed=args.seed)
     elif args.solver == "exact":
         sol = solve_exact(instance, mode=args.mode, node_budget=args.node_budget)
     else:

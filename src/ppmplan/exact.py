@@ -2,9 +2,9 @@
 
 The greedy placement is the incumbent; it is the instance's cached greedy
 (`CoverInstance.greedy`), so a greedy solve of the same instance, before or
-after, does not repeat it. An instance of single-hop groups needs neither
-the greedy nor an LP: it splits per link, and min(counts, gamma), the
-greedy's own p, is optimal. Otherwise one LP relaxation settles most
+after, does not repeat it. An instance of single-hop groups needs no LP: it
+splits per link, and the greedy's p, min(counts, gamma), is optimal.
+Otherwise one LP relaxation settles most
 instances: its bound, rounded up since objectives are integral, meets the
 incumbent, or its optimum is integral in the group counts. Only a
 fractional root below the incumbent goes to HiGHS
@@ -64,13 +64,13 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
     if n_l == 0 or n_e == 0:
         return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64), optimal=True)
 
-    gamma = instance.gamma
-    counts = instance.counts
     if instance.max_hops == 1:
         # each link has at most one group, so the problem splits per link and
-        # min(counts, gamma), the greedy's own p, is optimal in both modes
-        return solution_from_counts(instance, np.minimum(counts, gamma),
+        # the greedy's p, min(counts, gamma), is optimal in both modes
+        return solution_from_counts(instance, _greedy_p(instance),
                                     optimal=node_budget >= 1)
+    gamma = instance.gamma
+    counts = instance.counts
     delta = instance.delta.astype(np.float64)
 
     # one model for the LP and the MIP: integer counts p in [0, counts], plus

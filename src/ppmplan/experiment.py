@@ -93,6 +93,19 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if (self.topology is None) == (self.gabriel is None):
             raise ConfigError("exactly one of topology / gabriel must be given")
+        gab = self.gabriel
+        if gab is not None and not (
+                isinstance(gab, dict) and set(gab) <= {"nodes", "extent_km"}
+                and _is_number(gab.get("nodes"), int) and gab["nodes"] >= 2
+                and _is_number(gab.get("extent_km", 1), (int, float))
+                and 0 < gab.get("extent_km", 1) < math.inf):
+            raise ConfigError('gabriel must be {"nodes": an integer >= 2, optionally '
+                              f'"extent_km": a positive finite number}}, got {gab!r}')
+        if not isinstance(self.cost_model, CostModel):
+            raise ConfigError(f"cost_model must be an object, got {self.cost_model!r}")
+        if not isinstance(self.compare_solvers, bool):
+            raise ConfigError("compare_solvers must be true or false, "
+                              f"got {self.compare_solvers!r}")
         if self.load_mode not in ("rejection", "counts"):
             raise ConfigError(f"unknown load_mode {self.load_mode!r}")
         if self.load_mode == "counts" and not self.counts:
@@ -135,8 +148,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        if "cost_model" in data and not isinstance(data["cost_model"], CostModel):
-            data["cost_model"] = CostModel(**data["cost_model"])
+        cost = data.get("cost_model")
+        if isinstance(cost, dict):
+            unknown = set(cost) - set(CostModel.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown cost_model keys: {sorted(unknown)}")
+            try:
+                data["cost_model"] = CostModel(**cost)
+            except ValueError as exc:
+                raise ConfigError(f"cost_model: {exc}") from None
         for key in ("scenarios", "seeds", "counts", "ppm_fractions"):
             if key in data and data[key] is not None:
                 if not isinstance(data[key], (list, tuple)):
@@ -195,30 +215,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         raise AllSeedsFailedError(f"all seeds failed: {errors}")
 
     seeds_ok = sorted(per_seed)
-    n_points = len(per_seed[seeds_ok[0]]["points"])
-
-    def mean(values):
-        return sum(values) / len(values)
-
     # per-load-point aggregation over seeds
-    agg_points = []
-    for i in range(n_points):
-        point = {"offered_tbps": mean([per_seed[s]["points"][i]["offered_tbps"]
-                                       for s in seeds_ok])}
-        rows = {}
-        for name in config.scenarios:
-            rows[name] = {
-                "monitors": mean([per_seed[s]["points"][i]["scenarios"][name]["monitors"]
-                                  for s in seeds_ok]),
-                "unsatisfied_npl_avg": _mean_or_none(
-                    [per_seed[s]["points"][i]["scenarios"][name]["unsatisfied_npl_avg"]
-                     for s in seeds_ok]),
-                "carried_tbps": _mean_or_none(
-                    [per_seed[s]["points"][i]["scenarios"][name]["carried_tbps"]
-                     for s in seeds_ok]),
-            }
-        point["scenarios"] = rows
-        agg_points.append(point)
+    agg_points = [_mean_fields([per_seed[s]["points"][i] for s in seeds_ok])
+                  for i in range(len(per_seed[seeds_ok[0]]["points"]))]
 
     # summary at the final load point, with crossing values
     final = agg_points[-1]["scenarios"]
@@ -255,6 +254,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
 def _mean_or_none(values):
     vals = [v for v in values if v is not None]
     return sum(vals) / len(vals) if vals else None
+
+
+def _mean_fields(items: list):
+    """Field-wise mean of same-shaped (nested) dicts; each leaf is the mean of
+    its values that are not None, or None when all are."""
+    if isinstance(items[0], dict):
+        return {key: _mean_fields([item[key] for item in items]) for key in items[0]}
+    return _mean_or_none(items)
 
 
 def crossings(rows: dict, otdr_total: float, cost_model: CostModel) -> dict:
@@ -346,7 +353,7 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
                 if solver == "exact" or config.compare_solvers:
                     exact = solve_exact(inst, node_budget=config.node_budget)
                 if solver == "greedy" or config.compare_solvers:
-                    greedy = solve_greedy(inst, architecture=arch)
+                    greedy = solve_greedy(inst)
                 sol = exact if solver == "exact" else greedy
                 point["scenarios"][name] = {
                     "monitors": sol.total_monitors,

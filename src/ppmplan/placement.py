@@ -16,8 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-ALPHA_POLICIES = ("hop_plus_one", "strict_dominance")
-
 
 class InstanceError(ValueError):
     """Invalid cover-instance data."""
@@ -121,8 +119,17 @@ class CoverInstance:
 
     @cached_property
     def greedy(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(p, selection) of the deterministic transparent greedy, solved once
-        and shared by `solve_greedy` and the exact solver's warm start."""
+        """(p, selection) of the deterministic greedy, solved once and shared
+        by `solve_greedy` and the exact solver.
+
+        A single-hop instance (every opaque one) needs no greedy run: each
+        link has at most one group, so the greedy takes min(count, gamma) of
+        each group, and since a pick only lowers its own group's availability
+        it takes them group by group in (count, group index) order."""
+        if self.max_hops == 1:
+            p = tuple(min(g.count, self.gamma) for g in self.groups)
+            order = sorted(range(len(p)), key=lambda j: (self.groups[j].count, j))
+            return p, tuple(j for j in order for _ in range(p[j]))
         p, selection = _greedy_counts(self)
         return tuple(p), tuple(selection)
 
@@ -254,26 +261,8 @@ def greedy_cost(z_values) -> float:
     return 1.0 / inv
 
 
-def _solve_greedy_opaque(instance: CoverInstance) -> PlacementSolution:
-    for g in instance.groups:
-        if g.hops != 1:
-            raise InstanceError(
-                f"opaque placement requires single-hop groups, got {g.links}")
-    p = np.zeros(len(instance.groups), dtype=np.int64)
-    x = {e: 0 for e in instance.links}
-    selection = []
-    for j, g in enumerate(instance.groups):
-        e = g.links[0]
-        take = min(g.count, instance.gamma - x[e])
-        if take > 0:
-            p[j] = take
-            x[e] += take
-            selection.extend([j] * take)
-    return solution_from_counts(instance, p, optimal=False, selection=tuple(selection))
-
-
-def solve_greedy(instance: CoverInstance, architecture: str = "transparent",
-                 tie_break: str = "deterministic", seed: int = 0) -> PlacementSolution:
+def solve_greedy(instance: CoverInstance, tie_break: str = "deterministic",
+                 seed: int = 0) -> PlacementSolution:
     """Iterative covering heuristic.
 
     Picks, while any link is below the required count, the group covering
@@ -285,12 +274,8 @@ def solve_greedy(instance: CoverInstance, architecture: str = "transparent",
     proportion to the tied groups and to the links and covering groups it
     touches, not to |links| x |groups|.
     """
-    if architecture not in ("opaque", "transparent"):
-        raise InstanceError(f"unknown architecture {architecture!r}")
     if tie_break not in ("deterministic", "seeded_random"):
         raise InstanceError(f"unknown tie_break {tie_break!r}")
-    if architecture == "opaque":
-        return _solve_greedy_opaque(instance)
     if tie_break == "deterministic":
         p, selection = instance.greedy
     else:
@@ -299,7 +284,7 @@ def solve_greedy(instance: CoverInstance, architecture: str = "transparent",
 
 
 def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[int]]:
-    """Per-group monitor counts and pick sequence of the transparent greedy.
+    """Per-group monitor counts and pick sequence of the greedy.
 
     `rng` (a numpy Generator) breaks ties left after the cost comparison;
     without it the lowest group index wins.

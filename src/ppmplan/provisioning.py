@@ -79,10 +79,6 @@ class ReachTable:
     def max_reach_km(self) -> int:
         return self.rows[-1][1]
 
-    @property
-    def max_rate_gbps(self) -> int:
-        return self.rows[0][0]
-
     def best_rate(self, length_km: float) -> int | None:
         """Highest rate whose reach covers `length_km`."""
         for rate, reach in self.rows:
@@ -213,13 +209,12 @@ class Provisioner:
         # only live ids (spare > 0): spare only falls and every rate is
         # positive, so a spent lightpath is never groomed again
         self._spare: list[int] = []
-        # live single-hop lightpath ids per link, and per node the largest
-        # spare capacity on each outgoing link (0 once spent); both in the
-        # order the links got their first single-hop lightpath
-        self._single_hop: dict[tuple[str, str], list[int]] = {}
-        self._max_spare: dict[str, dict[str, int]] = {n: {} for n in topology.nodes}
-        # live lightpath ids per (add, drop) node pair, in creation order
+        # live lightpath ids per (add, drop) node pair, in creation order;
+        # opaque lightpaths span one link, so there the pair is the link
         self._by_ends: dict[tuple[str, str], list[int]] = {}
+        # opaque only: per node the largest spare capacity on each outgoing
+        # link (0 once spent), in the order the links got their first lightpath
+        self._max_spare: dict[str, dict[str, int]] = {n: {} for n in topology.nodes}
         self._accepted: list[Demand] = []
         self._rejected: list[Demand] = []
         self._assignments: list[tuple[Demand, tuple[int, ...]]] = []
@@ -268,26 +263,25 @@ class Provisioner:
         if chain is None:
             return None
         rate = demand.rate_gbps
-        spare = self._spare
+        spare, by_ends = self._spare, self._by_ends
+        opaque = self.architecture == "opaque"
         for lp_id in chain:
             lp = self._lps[lp_id]
             lp.carried_gbps += rate
             before = spare[lp_id]
             spare[lp_id] = left = before - rate
+            ends = (lp.nodes[0], lp.nodes[-1])
             if not left:
-                ends = (lp.nodes[0], lp.nodes[-1])
-                ids = self._by_ends[ends]
+                ids = by_ends[ends]
                 ids.remove(lp_id)
                 if not ids:
-                    del self._by_ends[ends]
-            if lp.hops == 1:
-                u, v = lp.nodes
-                ids = self._single_hop[(u, v)]
-                if not left:
-                    ids.remove(lp_id)
+                    del by_ends[ends]
+            if opaque:
+                u, v = ends
                 if before == self._max_spare[u][v]:
                     # the link's largest spare falls only if this lightpath held it
-                    self._max_spare[u][v] = max((spare[i] for i in ids), default=0)
+                    self._max_spare[u][v] = max((spare[i] for i in by_ends.get(ends, ())),
+                                                default=0)
         return chain
 
     def _groom_opaque(self, demand: Demand) -> tuple[int, ...] | None:
@@ -331,7 +325,7 @@ class Provisioner:
             path.append(pred[path[-1]])
         path.reverse()
         spare = self._spare
-        return tuple(next(i for i in self._single_hop[(u, v)] if spare[i] >= rate)
+        return tuple(next(i for i in self._by_ends[(u, v)] if spare[i] >= rate)
                      for u, v in zip(path, path[1:]))
 
     def _groom_transparent(self, demand: Demand) -> tuple[int, ...] | None:
@@ -368,28 +362,6 @@ class Provisioner:
         rmax = self.reach_table.max_length_for(demand.rate_gbps)
         if rmax is None:
             return None
-        if self.architecture == "opaque":
-            return self._establish_opaque(demand, rmax)
-        return self._establish_transparent(demand, rmax)
-
-    def _establish_opaque(self, demand: Demand, rmax: float) -> tuple[int, ...] | None:
-        for route in self.routes(demand.src, demand.dst):
-            plan = []
-            for u, v in zip(route, route[1:]):
-                link = self.topology.link(u, v)
-                label = link.label
-                ch = self._first_fit((label,))
-                if link.length_km > rmax or ch is None:
-                    break
-                plan.append(((u, v), (label,), link.length_km, ch))
-            else:
-                return tuple(self._create(nodes, labels, length,
-                                          self.reach_table.best_rate(length), ch,
-                                          demand.rate_gbps)
-                             for nodes, labels, length, ch in plan)
-        return None
-
-    def _establish_transparent(self, demand: Demand, rmax: float) -> tuple[int, ...] | None:
         for route in self.routes(demand.src, demand.dst):
             segments = self._segment(route, rmax)
             if segments is None:
@@ -412,15 +384,17 @@ class Provisioner:
         return None
 
     def _segment(self, route, rmax: float) -> list[tuple[str, ...]] | None:
-        """Fewest-segment cover of the route with per-segment length <= rmax:
-        extend each segment as far as reach allows before cutting."""
+        """Cut the route into lightpaths of length <= rmax: one per link when
+        opaque; when transparent the fewest, each extended as far as reach
+        allows before cutting."""
+        max_links = 1 if self.architecture == "opaque" else len(route)
         segments = []
         i = 0
         n = len(route)
         while i < n - 1:
             acc = 0.0
             j = i
-            while j < n - 1:
+            while j < n - 1 and j - i < max_links:
                 step = self.topology.link(route[j], route[j + 1]).length_km
                 if acc + step > rmax:
                     break
@@ -451,12 +425,9 @@ class Provisioner:
         self._spare.append(spare)
         for e in links:
             self._channel_used[e] |= 1 << channel
-        if len(nodes) == 2:
+        if self.architecture == "opaque":
             u, v = nodes
-            ids = self._single_hop.setdefault((u, v), [])
             self._max_spare[u][v] = max(self._max_spare[u].get(v, 0), spare)
-            if spare:
-                ids.append(lp_id)
         if spare:
             self._by_ends.setdefault((nodes[0], nodes[-1]), []).append(lp_id)
         return lp_id

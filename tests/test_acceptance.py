@@ -102,7 +102,7 @@ def test_structural_identity(capsys):
             inst = build_cover_instance(lset, topo, gamma)
             want = gamma * len(topo.links)
             exact = solve_exact(inst)
-            greedy = solve_greedy(inst, architecture="opaque")
+            greedy = solve_greedy(inst)
             assert exact.total_monitors == want, (topo.name, gamma)
             assert greedy.total_monitors == want, (topo.name, gamma)
             assert exact.unsatisfied == 0
@@ -149,9 +149,10 @@ def test_opaque_greedy_optimality(capsys):
     for n in range(500):
         inst = random_instance(rng, max_links=8, max_groups=8, max_count=4,
                                max_gamma=3, single_hop=True)
-        greedy = solve_greedy(inst, architecture="opaque")
+        greedy = solve_greedy(inst)
         exact = solve_exact(inst)
-        assert greedy.objective == exact.objective, f"instance #{n}"
+        oracle = brute_force_oracle(inst)
+        assert greedy.objective == exact.objective == oracle.objective, f"instance #{n}"
     elapsed = time.time() - t0
     return f"500/500 optimal ({elapsed:.1f} s)"
 
@@ -166,7 +167,7 @@ def test_heuristic_gap_n100(capsys):
         lset = provision(topo, generate_demands(topo, 1500, seed), "transparent")
         inst = build_cover_instance(lset, topo, 1)
         t0 = time.time()
-        greedy = solve_greedy(inst, architecture="transparent")
+        greedy = solve_greedy(inst)
         greedy_time = time.time() - t0
         assert greedy_time <= 5.0, f"greedy took {greedy_time:.2f} s"
         exact = solve_exact(inst, node_budget=20_000)

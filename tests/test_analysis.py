@@ -21,6 +21,14 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(otdr_cost=0)
 
+    @pytest.mark.parametrize("bad", ["a", None, True, -1.0, float("nan"), float("inf")])
+    def test_type_checked_before_value(self, bad):
+        with pytest.raises(ValueError, match="transponder_cost must be a positive finite"):
+            CostModel(transponder_cost=bad)
+
+    def test_integers_accepted(self):
+        assert CostModel(transponder_cost=4, otdr_power=1).transponder_cost == 4
+
     def test_units_dimension(self):
         cm = CostModel()
         assert cm.units("cost") == (4.0, 0.2)

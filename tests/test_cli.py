@@ -49,6 +49,14 @@ class TestUsageErrors:
             run_cli("demands", "--count", "5")
         assert exc.value.code == 1
 
+    def test_place_has_no_arch_flag(self, capsys):
+        # the lightpath file fixes the architecture: opaque dumps are single-hop
+        with pytest.raises(SystemExit) as exc:
+            run_cli("place", "--topo", "n14", "--lightpaths", "lps.csv", "--arch", "opaque",
+                    "--gamma", "1")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --arch opaque" in capsys.readouterr().err
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -323,6 +331,26 @@ class TestRunAndAnalyze:
         err = capsys.readouterr().err
         key = next(k for k in bad if k != "load_mode")
         assert err.startswith(f"error: {key} must")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, prefix", [
+        ({"cost_model": {"transponder_cost": "a"}}, "cost_model: transponder_cost must"),
+        ({"cost_model": "cheap"}, "cost_model must"),
+        ({"cost_model": {"otdr_cost": 0.2, "laser_cost": 1}}, "unknown cost_model keys"),
+        ({"compare_solvers": "yes"}, "compare_solvers must"),
+        ({"topology": None, "gabriel": {"nodes": "x"}}, "gabriel must"),
+        ({"topology": None, "gabriel": {"nodes": 20, "extent": 5}}, "gabriel must"),
+    ])
+    def test_run_bad_cost_model_gabriel_or_flag_is_config_error(self, tmp_path, capsys,
+                                                                bad, prefix):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"topology": "n14", "seeds": [0],
+                                        "scenarios": ["Tr-O-1", "OTDR"], **bad}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -113,6 +113,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict({"topology": "n14", **bad})
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"cost_model": {"transponder_cost": "a"}},
+         "cost_model: transponder_cost must be a positive finite number, got 'a'"),
+        ({"cost_model": {"otdr_cost": True}}, "cost_model: otdr_cost must be"),
+        ({"cost_model": {"otdr_power": 0}}, "cost_model: otdr_power must be"),
+        ({"cost_model": {"otdr_power": float("nan")}}, "cost_model: otdr_power must be"),
+        ({"cost_model": {"otdr_power": None}}, "cost_model: otdr_power must be"),
+        ({"cost_model": 4}, "cost_model must be an object, got 4"),
+        ({"cost_model": None}, "cost_model must be an object, got None"),
+        ({"cost_model": [4.0]}, "cost_model must be an object"),
+        ({"cost_model": {"otdr_cost": 0.2, "laser_cost": 1}},
+         r"unknown cost_model keys: \['laser_cost'\]"),
+        ({"compare_solvers": "yes"}, "compare_solvers must be true or false, got 'yes'"),
+        ({"compare_solvers": 1}, "compare_solvers must be true or false, got 1"),
+        ({"compare_solvers": None}, "compare_solvers must be true or false"),
+    ])
+    def test_cost_model_and_compare_solvers_checked(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"topology": "n14", **bad})
+
+    @pytest.mark.parametrize("gabriel", [
+        {"nodes": "x"}, {"nodes": 20, "extent": 5}, {"nodes": 1}, {"nodes": 20.0},
+        {"nodes": True}, {}, {"extent_km": 500}, {"nodes": 20, "extent_km": 0},
+        {"nodes": 20, "extent_km": "500"}, {"nodes": 20, "extent_km": float("inf")},
+        {"nodes": 20, "extent_km": False}, {"nodes": 20, "span_length_km": 60}, [20], 20,
+    ])
+    def test_gabriel_entry_checked(self, gabriel):
+        with pytest.raises(ConfigError, match="gabriel must be"):
+            ExperimentConfig.from_dict({"gabriel": gabriel})
+
+    def test_cost_model_and_gabriel_edges_accepted(self):
+        cfg = ExperimentConfig.from_dict({
+            "gabriel": {"nodes": 2, "extent_km": 0.5}, "compare_solvers": False,
+            "cost_model": {"transponder_cost": 1, "otdr_power": 0.5}})
+        assert cfg.cost_model.transponder_cost == 1
+        assert cfg.cost_model.otdr_cost == 0.2
+        assert ExperimentConfig(gabriel={"nodes": 30}).gabriel == {"nodes": 30}
+        assert ExperimentConfig.from_dict({"topology": "n14", "cost_model": {}}).cost_model \
+            == ExperimentConfig(topology="n14").cost_model
+
     def test_list_element_edges_accepted(self):
         cfg = ExperimentConfig(topology="n14", seeds=(0, 7), load_mode="counts",
                                counts=(1, 30), ppm_fractions=(0, 2.5, 150),

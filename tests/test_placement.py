@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
+from ppmplan import placement
 from ppmplan.experiment import ExperimentConfig, run_experiment
 from ppmplan.placement import (
     CoverInstance,
@@ -79,22 +80,36 @@ class TestInstanceBuild:
 class TestGreedyOpaque:
     def test_min_count_gamma(self):
         inst = make_instance(["e"], [(("e",), 5)], gamma=3)
-        sol = solve_greedy(inst, architecture="opaque")
+        sol = solve_greedy(inst)
         assert sol.total_monitors == 3
         assert sol.x["e"] == 3
         assert verify_solution(inst, sol)
 
     def test_count_below_gamma(self):
         inst = make_instance(["e"], [(("e",), 1)], gamma=2)
-        sol = solve_greedy(inst, architecture="opaque")
+        sol = solve_greedy(inst)
         assert sol.x["e"] == 1
         assert sol.unsatisfied == 1
         assert sol.objective == inst.alpha + 1
 
-    def test_rejects_multi_hop(self):
-        inst = make_instance(["e1", "e2"], [(("e1", "e2"), 1)], gamma=1)
-        with pytest.raises(InstanceError, match="single-hop"):
-            solve_greedy(inst, architecture="opaque")
+    def test_selection_in_count_then_index_order(self):
+        inst = make_instance(["e0", "e1", "e2", "e3"],
+                             [(("e0",), 3), (("e1",), 1), (("e2",), 2), (("e3",), 2)],
+                             gamma=2)
+        sol = solve_greedy(inst)
+        assert sol.p == {"e0": 2, "e1": 1, "e2": 2, "e3": 2}
+        assert sol.selection == (1, 2, 2, 3, 3, 0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closed_form_is_the_greedy(self, data):
+        # each link has at most one group; groups come in drawn link order
+        n_e = data.draw(st.integers(1, 30))
+        used = data.draw(st.lists(st.integers(0, n_e - 1), min_size=1, unique=True))
+        groups = [((f"e{i}",), data.draw(st.integers(1, 6))) for i in used]
+        inst = make_instance([f"e{i}" for i in range(n_e)], groups, data.draw(st.integers(1, 4)))
+        p, selection = placement._greedy_counts(inst)
+        assert inst.greedy == (tuple(p), tuple(selection))
 
 
 class TestGreedyTransparent:

@@ -277,15 +277,15 @@ class TestInvariants:
         # 2,000 km carries 400G at most, so a 400G demand fills its lightpath
         prov = Provisioner(single_link(2000), arch)
         assert prov.serve(Demand("A", "B", 400))
+        opaque = arch == "opaque"
         assert prov._spare == [0]
         assert prov._by_ends == {}
-        assert prov._single_hop == {("A", "B"): []}
-        assert prov._max_spare["A"] == {"B": 0}
+        assert prov._max_spare["A"] == ({"B": 0} if opaque else {})
         assert prov.serve(Demand("A", "B", 100))
         assert prov.serve(Demand("A", "B", 100))
         assert [chain for _, chain in prov.result().assignments] == [(0,), (1,), (1,)]
         assert prov._by_ends == {("A", "B"): [1]}
-        assert prov._max_spare["A"] == {"B": 200}
+        assert prov._max_spare["A"] == ({"B": 200} if opaque else {})
 
 
 @st.composite
@@ -332,7 +332,7 @@ class TestInvariantsOnRandomTopologies:
             assert lset.lit_links(topo) == {e for e, n in cov.items() if n > 0}
             for gamma in (1, 3):
                 inst = build_cover_instance(lset, topo, gamma)
-                greedy = solve_greedy(inst, architecture=arch)
+                greedy = solve_greedy(inst)
                 exact = solve_exact(inst)
                 assert verify_solution(inst, greedy) and verify_solution(inst, exact)
                 assert exact.optimal
@@ -352,21 +352,20 @@ class TestInvariantsOnRandomTopologies:
                 prov.serve(d)
                 lps = prov.result().lightpaths
                 assert prov._spare == [lp.spare_gbps for lp in lps]
-                by_ends, single_hop = {}, {}
+                by_ends, links = {}, {}
                 for lp in lps:
-                    if lp.hops == 1:
-                        single_hop.setdefault(lp.nodes, [])
+                    links.setdefault(lp.nodes, [])
                     if lp.spare_gbps > 0:
                         by_ends.setdefault((lp.add_node, lp.drop_node), []).append(lp.lp_id)
-                        if lp.hops == 1:
-                            single_hop[lp.nodes].append(lp.lp_id)
+                        links[lp.nodes].append(lp.lp_id)
                 assert prov._by_ends == by_ends
-                assert prov._single_hop == single_hop
+                if arch == "transparent":
+                    assert all(succ == {} for succ in prov._max_spare.values())
+                    continue
                 # a spent link keeps its place among a node's successors
-                assert list(prov._single_hop) == list(single_hop)
                 for u, succ in prov._max_spare.items():
-                    assert list(succ) == [b for a, b in single_hop if a == u]
-                for (u, v), ids in single_hop.items():
+                    assert list(succ) == [b for a, b in links if a == u]
+                for (u, v), ids in links.items():
                     assert prov._max_spare[u][v] == max(
                         (lps[i].spare_gbps for i in ids), default=0)
 
@@ -533,17 +532,21 @@ class ReferenceProvisioner(Provisioner):
 
     def _groom_opaque(self, demand):
         rate = demand.rate_gbps
+        # every lightpath spans one link; links enter the graph in the order
+        # they got their first lightpath
+        links = {}
+        for lp in self._lps:
+            links.setdefault(lp.nodes, []).append(lp)
         spare = nx.DiGraph()
         spare.add_nodes_from(self.topology.nodes)
-        for (u, v), ids in self._single_hop.items():
-            if any(self._lps[i].spare_gbps >= rate for i in ids):
+        for (u, v), lps in links.items():
+            if any(lp.spare_gbps >= rate for lp in lps):
                 spare.add_edge(u, v, length_km=self.topology.link(u, v).length_km)
         try:
             path = nx.dijkstra_path(spare, demand.src, demand.dst, weight="length_km")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
-        return tuple(next(i for i in self._single_hop[(u, v)]
-                          if self._lps[i].spare_gbps >= rate)
+        return tuple(next(lp.lp_id for lp in links[(u, v)] if lp.spare_gbps >= rate)
                      for u, v in zip(path, path[1:]))
 
     def _groom_transparent(self, demand):
