@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 solver budget exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -229,15 +230,15 @@ def _cmd_analyze(args) -> int:
     # the bundle's config gives the cost model, fractions and scenario order
     bundle = json.loads(summary_path.with_name("config.json").read_text(encoding="utf-8"))
     config = ExperimentConfig.from_dict(bundle["config"])
-    fractions = config.ppm_fractions
-    if args.fractions is not None:
-        fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+    if args.fractions is not None:  # the config's own check applies to the flag
+        config = dataclasses.replace(config, ppm_fractions=tuple(
+            float(f) for f in args.fractions.split(",") if f.strip() != ""))
     rows = {name: summary["scenarios"][name] for name in config.scenarios}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "crossing.json", {"otdr_total": otdr_total,
                                        "crossings": crossings(rows, otdr_total, config.cost_model)})
-    write_curves(out, summary["config_hash"], rows, config.cost_model, fractions)
+    write_curves(out, summary["config_hash"], rows, config.cost_model, config.ppm_fractions)
     print(f"wrote {out}/crossing.json and curves")
     return EXIT_OK
 

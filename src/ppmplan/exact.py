@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .placement import (
@@ -71,20 +72,20 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
                                     optimal=node_budget >= 1)
     gamma = instance.gamma
     counts = instance.counts
-    delta = instance.delta.astype(np.float64)
 
-    # one model for the LP and the MIP: integer counts p in [0, counts], plus
-    # in weighted mode continuous capped coverages x in [0, gamma]
+    # one sparse model for the LP and the MIP: integer counts p in [0, counts],
+    # plus in weighted mode continuous capped coverages x in [0, gamma]
     if mode == "lexicographic":
-        # phase 2 requirements: reach the coverage floor min(gamma, max coverage)
+        # phase 2: reach min(gamma, max coverage), positive exactly on delta's non-empty rows
         req = np.minimum(gamma, instance.max_coverage).astype(np.float64)
-        rows = req > 0
-        a_ub = -delta[rows]
+        rows, by_link = np.flatnonzero(req), instance.delta_rows
+        a_ub = sparse.csr_array((np.full(by_link.nnz, -1.0), by_link.indices,
+                                 np.append(0, by_link.indptr[rows + 1])), shape=(len(rows), n_l))
         b_ub = -req[rows]
         cost = np.ones(n_l)
         ub = counts.astype(np.float64)
     else:
-        a_ub = np.hstack([-delta, np.eye(n_e)])
+        a_ub = sparse.hstack([-instance.delta, sparse.identity(n_e)], format="csc")
         b_ub = np.zeros(n_e)
         cost = np.concatenate([np.ones(n_l), -float(instance.alpha) * np.ones(n_e)])
         ub = np.concatenate([counts, np.full(n_e, gamma)]).astype(np.float64)
@@ -104,9 +105,7 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
     if node_budget < 1:
         return solution_from_counts(instance, best_p, optimal=False)
 
-    res = linprog(cost, A_ub=a_ub if a_ub.size else None,
-                  b_ub=b_ub if a_ub.size else None,
-                  bounds=np.column_stack([lb, ub]), method="highs")
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=np.column_stack([lb, ub]), method="highs")
     if res.status != 0:
         raise SolverError(f"LP relaxation failed with status {res.status}: "
                           f"{res.message}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .placement import CoverInstance
+from .placement import CoverInstance, index_lists
 
 
 def export_lp(instance: CoverInstance, path: str | Path) -> None:
@@ -35,8 +35,7 @@ def export_lp(instance: CoverInstance, path: str | Path) -> None:
         obj += f" - {alpha} x{i}"
     lines.append(" obj: " + obj.lstrip())
     lines.append("Subject To")
-    for i, e in enumerate(instance.links):
-        covering = [j for j, g in enumerate(instance.groups) if e in g.links]
+    for i, covering in enumerate(index_lists(instance.delta_rows)):
         lhs = f"x{i}" + "".join(f" - p{j}" for j in covering)
         lines.append(f" cover_{i}: {lhs} <= 0")
     lines.append("Bounds")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 
 class InstanceError(ValueError):
@@ -98,13 +99,20 @@ class CoverInstance:
         return {e: i for i, e in enumerate(self.links)}
 
     @cached_property
-    def delta(self) -> np.ndarray:
-        """Coverage indicator matrix, shape (|links|, |groups|)."""
-        d = np.zeros((len(self.links), len(self.groups)), dtype=np.int64)
-        for j, g in enumerate(self.groups):
-            for e in g.links:
-                d[self.link_index[e], j] = 1
+    def delta(self) -> sparse.csc_array:
+        """Coverage indicator (|links| x |groups|): column j lists group j's links, ascending."""
+        index = self.link_index
+        rows = np.array([index[e] for g in self.groups for e in g.links], dtype=np.int32)
+        ends = np.cumsum([0] + [g.hops for g in self.groups], dtype=np.int32)
+        d = sparse.csc_array((np.ones(len(rows), dtype=np.int64), rows, ends),
+                             shape=(len(self.links), len(self.groups)))
+        d.sort_indices()
         return d
+
+    @cached_property
+    def delta_rows(self) -> sparse.csr_array:
+        """`delta` by rows: row e lists the groups covering link e, ascending."""
+        return self.delta.tocsr()
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -113,8 +121,6 @@ class CoverInstance:
     @cached_property
     def max_coverage(self) -> np.ndarray:
         """Per-link coverage when every lightpath gets a monitor."""
-        if not self.groups:
-            return np.zeros(len(self.links), dtype=np.int64)
         return self.delta @ self.counts
 
     @cached_property
@@ -213,9 +219,7 @@ def solution_from_counts(instance: CoverInstance, p_vec, optimal: bool,
         raise InstanceError("p vector length mismatch")
     if np.any(p < 0) or np.any(p > instance.counts):
         raise InstanceError("p out of bounds")
-    coverage = instance.delta @ p if len(instance.groups) else np.zeros(
-        len(instance.links), dtype=np.int64)
-    x = np.minimum(instance.gamma, coverage)
+    x = np.minimum(instance.gamma, instance.delta @ p)
     unsatisfied = int((instance.gamma - x).sum())
     monitors = int(p.sum())
     return PlacementSolution(
@@ -234,15 +238,19 @@ def verify_solution(instance: CoverInstance, sol: PlacementSolution) -> bool:
     p = np.array([sol.p.get(g.key, 0) for g in instance.groups], dtype=np.int64)
     if np.any(p < 0) or np.any(p > instance.counts):
         return False
-    coverage = instance.delta @ p if len(instance.groups) else np.zeros(
-        len(instance.links), dtype=np.int64)
     x = np.array([sol.x[e] for e in instance.links], dtype=np.int64)
-    if np.any(x != np.minimum(instance.gamma, coverage)):
+    if np.any(x != np.minimum(instance.gamma, instance.delta @ p)):
         return False
     unsat = int((instance.gamma - x).sum())
     return (sol.unsatisfied == unsat
             and sol.total_monitors == int(p.sum())
             and sol.objective == instance.alpha * unsat + int(p.sum()))
+
+
+def index_lists(m: sparse.csc_array | sparse.csr_array) -> list[list[int]]:
+    """Per column of a CSC matrix, or per row of a CSR one, its index list."""
+    inner, starts = m.indices.tolist(), m.indptr.tolist()
+    return [inner[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def greedy_cost(z_values) -> float:
@@ -290,15 +298,9 @@ def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[i
     without it the lowest group index wins.
     """
     gamma = instance.gamma
-    index = instance.link_index
-    rows = [sorted(index[e] for e in g.links) for g in instance.groups]
-    counts = [g.count for g in instance.groups]
-    covering: list[list[int]] = [[] for _ in instance.links]
-    z = [0] * len(instance.links)  # availability: lightpaths left on a needy link
-    for j, row in enumerate(rows):
-        for e in row:
-            covering[e].append(j)
-            z[e] += counts[j]
+    rows, covering = index_lists(instance.delta), index_lists(instance.delta_rows)
+    counts = instance.counts.tolist()
+    z = instance.max_coverage.tolist()  # availability: lightpaths left on a needy link
     need = [gamma] * len(instance.links)
     n_needy = len(need)
     v = [len(row) for row in rows]  # still-needy links per group; 0 once used up

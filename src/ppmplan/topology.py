@@ -37,10 +37,10 @@ def ceil_div(a: int, b: int) -> int:
 
 def span_count(length_km: float, span_length_km: float) -> int:
     """Number of amplifier spans on a link: ceil(length / span length)."""
-    if length_km <= 0:
-        raise TopologyError(f"link length must be positive, got {length_km}")
-    if span_length_km <= 0:
-        raise TopologyError(f"span length must be positive, got {span_length_km}")
+    if not 0 < length_km < math.inf:
+        raise TopologyError(f"link length must be positive and finite, got {length_km}")
+    if not 0 < span_length_km < math.inf:
+        raise TopologyError(f"span length must be positive and finite, got {span_length_km}")
     return max(1, math.ceil(length_km / span_length_km))
 
 
@@ -344,8 +344,8 @@ def node_degree(topology: Topology, node: str) -> int:
 
 def _build(name: str, span_length_km: float,
            nodes: list[str], edges: list[tuple[str, str, float]]) -> Topology:
-    if span_length_km <= 0:
-        raise TopologyError(f"span_length_km must be positive, got {span_length_km}")
+    if not 0 < span_length_km < math.inf:
+        raise TopologyError(f"span_length_km must be positive and finite, got {span_length_km}")
     if len(set(nodes)) != len(nodes):
         raise TopologyError("duplicate node ids")
     node_set = set(nodes)
@@ -360,8 +360,8 @@ def _build(name: str, span_length_km: float,
         if key in seen:
             raise TopologyError(f"duplicate or asymmetric edge {a}-{b}")
         seen.add(key)
-        if not (length > 0):
-            raise TopologyError(f"edge {a}-{b} has non-positive length {length}")
+        if not 0 < length < math.inf:
+            raise TopologyError(f"edge {a}-{b} length must be positive and finite, got {length}")
         spans = span_count(length, span_length_km)
         links.append(DirectedLink(a, b, float(length), spans))
         links.append(DirectedLink(b, a, float(length), spans))
@@ -473,8 +473,8 @@ def generate_gabriel(n: int, seed: int, extent_km: float = DEFAULT_EXTENT_KM,
     """Random Gabriel-graph topology over `n` uniform points in a square."""
     if n < 2:
         raise TopologyError(f"need at least 2 nodes, got {n}")
-    if extent_km <= 0:
-        raise TopologyError(f"extent_km must be positive, got {extent_km}")
+    if not 0 < extent_km < math.inf:
+        raise TopologyError(f"extent_km must be positive and finite, got {extent_km}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, extent_km, size=(n, 2))
     nodes = [str(i) for i in range(n)]

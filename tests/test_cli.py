@@ -32,6 +32,29 @@ class TestTopoCommands:
     def test_missing_file_is_data_error(self):
         assert run_cli("topo", "validate", "no_such_file.json") == 2
 
+    @pytest.mark.parametrize("span, length", [
+        ('"span_length_km": 80', '"length_km": 1e400'),
+        ('"span_length_km": NaN', '"length_km": 100'),
+        ('"span_length_km": 1e400', '"length_km": 100')])
+    def test_validate_non_finite_numbers_is_data_error(self, tmp_path, capsys, span, length):
+        path = tmp_path / "topo.json"
+        path.write_text('{"name": "t", %s, "nodes": ["A", "B"], '
+                        '"edges": [{"a": "A", "b": "B", %s}]}' % (span, length))
+        assert run_cli("topo", "validate", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive and finite" in err
+        assert "Traceback" not in err
+        assert run_cli("baseline", "--topo", str(path)) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--extent-km", "nan"), ("--extent-km", "inf"),
+                                             ("--span-km", "nan"), ("--span-km", "inf")])
+    def test_gen_non_finite_number_is_data_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "g.json"
+        assert run_cli("topo", "gen", "--nodes", "6", "--seed", "2", flag, value,
+                       "--out", str(out)) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -226,6 +249,18 @@ class TestRunAndAnalyze:
         assert run_cli("analyze", "--summary", str(lone / "summary.json"),
                        "--out", str(tmp_path / "analysis")) == 2
         assert "config.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fractions", ["nan", "inf", "-5,10", ","])
+    def test_analyze_bad_fractions_is_config_error(self, tmp_path, capsys, fractions):
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                       "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "greedy", "--out", str(out)) == 0
+        ana = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(out / "summary.json"),
+                       f"--fractions={fractions}", "--out", str(ana)) == 2
+        assert capsys.readouterr().err.startswith("error: ppm_fractions must")
+        assert not ana.exists()
 
     def test_run_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         from scipy.optimize import OptimizeResult

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import OptimizeResult
 
 from conftest import random_instance
@@ -143,6 +144,34 @@ def milp_calls(monkeypatch):
 
     monkeypatch.setattr(exact, "milp", spy)
     return calls
+
+
+@pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+def test_lp_and_mip_get_sparse_constraint_matrices(mode, monkeypatch):
+    inst = _branching_instance()
+    seen = {}
+    real_linprog, real_milp = exact.linprog, exact.milp
+
+    def linprog_spy(*args, **kwargs):
+        seen["linprog"] = kwargs["A_ub"]
+        return real_linprog(*args, **kwargs)
+
+    def milp_spy(*args, **kwargs):
+        seen["milp"] = kwargs["constraints"].A
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "linprog", linprog_spy)
+    monkeypatch.setattr(exact, "milp", milp_spy)
+    solve_exact(inst, mode=mode)
+    delta = inst.delta.toarray()
+    if mode == "lexicographic":
+        expected = -delta[inst.max_coverage > 0]
+    else:
+        expected = np.hstack([-delta, np.eye(len(inst.links))])
+    assert set(seen) == {"linprog", "milp"}
+    for a in seen.values():
+        assert sparse.issparse(a)
+        assert np.array_equal(a.toarray(), expected)
 
 
 class TestMipFallback:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from ppmplan.placement import (
     brute_force_oracle,
     build_cover_instance,
     greedy_cost,
+    index_lists,
     make_instance,
     solution_from_counts,
     solve_greedy,
@@ -33,7 +35,7 @@ class TestInstanceBuild:
         by_key = {g.key: g for g in inst.groups}
         assert by_key["A->B"].count == 2
         assert by_key["A->B->C"].count == 1
-        d = inst.delta
+        d = inst.delta.toarray()
         j = [i for i, g in enumerate(inst.groups) if g.key == "A->B->C"][0]
         assert d[inst.link_index["A->B"], j] == 1
         assert d[inst.link_index["B->C"], j] == 1
@@ -225,7 +227,7 @@ def reference_greedy(instance, tie_break="deterministic", seed=0):
     reproduce its picks exactly."""
     n_e, n_l = len(instance.links), len(instance.groups)
     gamma = instance.gamma
-    delta = instance.delta
+    delta = instance.delta.toarray()
     c = instance.counts.copy()
     if n_l == 0 or n_e == 0:
         return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64),
@@ -312,6 +314,31 @@ class TestGreedyMatchesReference:
             for seed in range(3):
                 assert (solve_greedy(inst, tie_break="seeded_random", seed=seed)
                         == reference_greedy(inst, "seeded_random", seed))
+
+
+
+class TestIncidence:
+    @settings(max_examples=200, deadline=None)
+    @given(cover_instances())
+    def test_sparse_views_match_the_definition(self, inst):
+        n_e, n_l = len(inst.links), len(inst.groups)
+        expected = np.zeros((n_e, n_l), dtype=np.int64)
+        for j, g in enumerate(inst.groups):
+            for e in g.links:
+                expected[inst.link_index[e], j] = 1
+        cols, rows = inst.delta, inst.delta_rows
+        assert isinstance(cols, sparse.csc_array) and isinstance(rows, sparse.csr_array)
+        assert cols.shape == rows.shape == (n_e, n_l)
+        assert np.array_equal(cols.toarray(), expected)
+        assert np.array_equal(rows.toarray(), expected)
+        for m in (cols, rows):
+            assert all(np.all(np.diff(m.indices[a:b]) > 0)
+                       for a, b in zip(m.indptr[:-1], m.indptr[1:]))
+        assert index_lists(cols) == [sorted(inst.link_index[e] for e in g.links)
+                                     for g in inst.groups]
+        assert index_lists(rows) == [[j for j, g in enumerate(inst.groups) if e in g.links]
+                                     for e in inst.links]
+        assert np.array_equal(inst.max_coverage, expected @ inst.counts)
 
 
 # sha256 of the placement outputs of the README N14 config with

@@ -114,6 +114,50 @@ class TestLoading:
             bundled_topology("x99")
 
 
+# JSON reads 1e400 as inf and NaN as nan; neither is a length
+NON_FINITE_TOPOLOGIES = [
+    ('"span_length_km": 80', '"length_km": 1e400', "length must be positive and finite"),
+    ('"span_length_km": NaN', '"length_km": 100', "span_length_km must be positive and finite"),
+    ('"span_length_km": 1e400', '"length_km": 100', "span_length_km must be positive and finite"),
+]
+
+
+def write_raw_topo(tmp_path, span, length):
+    path = tmp_path / "topo.json"
+    path.write_text('{"name": "t", %s, "nodes": ["A", "B"], '
+                    '"edges": [{"a": "A", "b": "B", %s}]}' % (span, length))
+    return path
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("span, length, message", NON_FINITE_TOPOLOGIES)
+    def test_non_finite_file_values_rejected(self, tmp_path, span, length, message):
+        with pytest.raises(TopologyError, match=message):
+            load_topology(write_raw_topo(tmp_path, span, length))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_span_override_rejected(self, tmp_path, value):
+        path = write_raw_topo(tmp_path, '"span_length_km": 80', '"length_km": 100')
+        with pytest.raises(TopologyError, match="span_length_km"):
+            load_topology(path, span_length_km=value)
+
+    @pytest.mark.parametrize("length, span", [(math.inf, 80.0), (math.nan, 80.0),
+                                              (100.0, math.inf), (100.0, math.nan)])
+    def test_span_count_needs_finite_positive_values(self, length, span):
+        with pytest.raises(TopologyError, match="positive and finite"):
+            span_count(length, span)
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf])
+    def test_gabriel_extent_must_be_finite(self, extent):
+        with pytest.raises(TopologyError, match="extent_km must be positive and finite"):
+            generate_gabriel(10, seed=0, extent_km=extent)
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf])
+    def test_gabriel_span_must_be_finite(self, span):
+        with pytest.raises(TopologyError, match="span_length_km must be positive and finite"):
+            generate_gabriel(10, seed=0, span_length_km=span)
+
+
 class TestDegrees:
     def test_path_graph_middle(self, line3):
         assert node_degree(line3, "B") == 2
