@@ -61,6 +61,8 @@ def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
     """
     if mode not in ("lexicographic", "weighted"):
         raise InstanceError(f"unknown solver mode {mode!r}")
+    if node_budget < 0:
+        raise InstanceError(f"node_budget must be >= 0, got {node_budget}")
     n_l, n_e = len(instance.groups), len(instance.links)
     if n_l == 0 or n_e == 0:
         return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64), optimal=True)

@@ -11,7 +11,8 @@ first and monitor count second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,7 +49,6 @@ class PathGroup:
 
     links: tuple[str, ...]
     count: int
-    key: str = ""
 
     def __post_init__(self):
         if not self.links:
@@ -57,8 +57,11 @@ class PathGroup:
             raise InstanceError(f"route repeats a link: {self.links}")
         if self.count < 1:
             raise InstanceError(f"path group multiplicity must be >= 1, got {self.count}")
-        if not self.key:
-            object.__setattr__(self, "key", route_key(self.links))
+
+    @cached_property
+    def key(self) -> str:
+        """`route_key` of the route, computed when first read."""
+        return route_key(self.links)
 
     @property
     def hops(self) -> int:
@@ -71,28 +74,44 @@ class CoverInstance:
     groups: tuple[PathGroup, ...]
     gamma: int
     alpha: int
+    max_hops: int = field(init=False, repr=False, compare=False)
+    # `delta`'s row indices and column starts; `delta` holds and sorts them
+    _route_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma < 1:
             raise InstanceError(f"gamma must be >= 1, got {self.gamma}")
-        if len(set(self.links)) != len(self.links):
+        if len(self.link_index) != len(self.links):
             raise InstanceError("duplicate link labels")
-        link_set = set(self.links)
+        # one pass resolves every route's link indices: it is the unknown-link
+        # check, and it gives `delta` its rows and `max_hops` its value
+        index = self.link_index
+        try:
+            rows = [index[e] for g in self.groups for e in g.links]
+            clean = len({g.links for g in self.groups}) == len(self.groups)
+        except KeyError:
+            clean = False
+        if not clean:
+            self._reject_routes()
+        hops = [len(g.links) for g in self.groups]
+        object.__setattr__(self, "max_hops", max(hops, default=0))
+        object.__setattr__(self, "_route_rows", (np.array(rows, dtype=np.int32),
+                                                 np.cumsum([0] + hops, dtype=np.int32)))
+        if self.alpha <= self.max_hops:
+            raise InstanceError(
+                f"alpha ({self.alpha}) must exceed the maximum hop count ({self.max_hops})")
+
+    def _reject_routes(self) -> None:
+        """Raise for the first route that repeats an earlier one or uses an
+        unknown link."""
         seen_routes: set[tuple[str, ...]] = set()
         for g in self.groups:
             if g.links in seen_routes:
                 raise InstanceError(f"duplicate route {g.links}")
             seen_routes.add(g.links)
-            missing = set(g.links) - link_set
+            missing = set(g.links) - self.link_index.keys()
             if missing:
                 raise InstanceError(f"route uses unknown links {sorted(missing)}")
-        if self.alpha <= self.max_hops:
-            raise InstanceError(
-                f"alpha ({self.alpha}) must exceed the maximum hop count ({self.max_hops})")
-
-    @property
-    def max_hops(self) -> int:
-        return max((g.hops for g in self.groups), default=0)
 
     @cached_property
     def link_index(self) -> dict[str, int]:
@@ -101,9 +120,7 @@ class CoverInstance:
     @cached_property
     def delta(self) -> sparse.csc_array:
         """Coverage indicator (|links| x |groups|): column j lists group j's links, ascending."""
-        index = self.link_index
-        rows = np.array([index[e] for g in self.groups for e in g.links], dtype=np.int32)
-        ends = np.cumsum([0] + [g.hops for g in self.groups], dtype=np.int32)
+        rows, ends = self._route_rows
         d = sparse.csc_array((np.ones(len(rows), dtype=np.int64), rows, ends),
                              shape=(len(self.links), len(self.groups)))
         d.sort_indices()
@@ -165,7 +182,7 @@ def make_instance(links, groups, gamma: int, alpha: int | None = None,
             pg = PathGroup(tuple(route), int(count))
         built.append(pg)
     if alpha is None:
-        max_hops = max((g.hops for g in built), default=0)
+        max_hops = max((len(g.links) for g in built), default=0)
         if alpha_policy == "hop_plus_one":
             alpha = max_hops + 1
         elif alpha_policy == "strict_dominance":
@@ -182,10 +199,8 @@ def build_cover_instance(lightpaths, topology, gamma: int,
     lightpaths (a LightpathSet or an iterable of Lightpath / link-tuple routes)."""
     if hasattr(lightpaths, "lightpaths"):
         lightpaths = lightpaths.lightpaths
-    tally: dict[tuple[str, ...], int] = {}
-    for lp in lightpaths:
-        route = tuple(lp.links) if hasattr(lp, "links") else tuple(lp)
-        tally[route] = tally.get(route, 0) + 1
+    tally = Counter(tuple(lp.links) if hasattr(lp, "links") else tuple(lp)
+                    for lp in lightpaths)
     return make_instance(topology.link_labels, sorted(tally.items()), gamma,
                          alpha_policy=alpha_policy)
 
@@ -223,8 +238,8 @@ def solution_from_counts(instance: CoverInstance, p_vec, optimal: bool,
     unsatisfied = int((instance.gamma - x).sum())
     monitors = int(p.sum())
     return PlacementSolution(
-        p={g.key: int(p[j]) for j, g in enumerate(instance.groups) if p[j] > 0},
-        x={e: int(x[i]) for i, e in enumerate(instance.links)},
+        p={g.key: c for g, c in zip(instance.groups, p.tolist()) if c > 0},
+        x=dict(zip(instance.links, x.tolist())),
         total_monitors=monitors,
         unsatisfied=unsatisfied,
         objective=instance.alpha * unsatisfied + monitors,
@@ -234,9 +249,18 @@ def solution_from_counts(instance: CoverInstance, p_vec, optimal: bool,
 
 
 def verify_solution(instance: CoverInstance, sol: PlacementSolution) -> bool:
-    """Feasibility of a reported solution against the model constraints."""
-    p = np.array([sol.p.get(g.key, 0) for g in instance.groups], dtype=np.int64)
-    if np.any(p < 0) or np.any(p > instance.counts):
+    """Feasibility of a reported solution against the model constraints:
+    every `p` key names a group and holds a positive int count, and the `x`
+    keys are exactly the instance's links."""
+    # route_key, not g.key: reading g.key would keep a key (and a __dict__)
+    # on every group of the instance, where solutions key only the used ones
+    index = {route_key(g.links): j for j, g in enumerate(instance.groups)}
+    p = np.zeros(len(instance.groups), dtype=np.int64)
+    for key, count in sol.p.items():
+        if key not in index or type(count) is not int or count < 1:
+            return False
+        p[index[key]] = count
+    if np.any(p > instance.counts) or sol.x.keys() != set(instance.links):
         return False
     x = np.array([sol.x[e] for e in instance.links], dtype=np.int64)
     if np.any(x != np.minimum(instance.gamma, instance.delta @ p)):
@@ -278,9 +302,11 @@ def solve_greedy(instance: CoverInstance, tie_break: str = "deterministic",
     the group's still-needy links with positive availability, summed in
     link-index order and compared by exact equality; remaining ties go to
     the lowest group index, or to a seeded draw over the tied indices in
-    ascending order when tie_break="seeded_random". A pick costs time in
-    proportion to the tied groups and to the links and covering groups it
-    touches, not to |links| x |groups|.
+    ascending order when tie_break="seeded_random". A group's tie cost is
+    kept until a pick changes the availability or need of one of its links,
+    and only then computed again. A pick costs time in proportion to the
+    tied groups and to the links and covering groups it touches, not to
+    |links| x |groups|.
     """
     if tie_break not in ("deterministic", "seeded_random"):
         raise InstanceError(f"unknown tie_break {tie_break!r}")
@@ -309,6 +335,8 @@ def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[i
     for j, vj in enumerate(v):
         bucket[vj].add(j)
     top = len(bucket) - 1
+    cost = [0.0] * len(rows)  # tie cost, kept until a pick changes one of the group's links
+    stale = set(range(len(rows)))  # groups whose tie cost must be computed again
     p = [0] * len(rows)
     selection: list[int] = []
 
@@ -320,10 +348,12 @@ def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[i
         if len(bucket[top]) == 1:
             (ls,) = bucket[top]
         else:
-            tied = sorted(bucket[top])
-            costs = [greedy_cost([z[e] for e in rows[j] if need[e]]) for j in tied]
-            best = min(costs)
-            tied = [j for j, cost in zip(tied, costs) if cost == best]
+            tied = bucket[top]
+            for j in stale & tied:
+                cost[j] = greedy_cost([z[e] for e in rows[j] if need[e]])
+            stale -= tied
+            best = min(map(cost.__getitem__, tied))
+            tied = sorted([j for j in tied if cost[j] == best])
             if len(tied) > 1 and rng is not None:
                 ls = tied[rng.integers(len(tied))]
             else:
@@ -334,6 +364,7 @@ def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[i
             if need[e]:
                 need[e] -= 1
                 z[e] -= 1
+                stale.update(covering[e])
                 if not need[e]:
                     n_needy -= 1
                     for j in covering[e]:

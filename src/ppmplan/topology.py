@@ -123,7 +123,7 @@ class Topology:
                 edges.append((a, b, l.length_km))
         return tuple(edges)
 
-    @property
+    @cached_property
     def link_labels(self) -> tuple[str, ...]:
         return tuple(l.label for l in self.links)
 

@@ -133,6 +133,18 @@ class TestPipeline:
         assert code == 3
         assert json.loads(out.read_text())["optimal"] is False
 
+    def test_place_negative_budget_is_data_error(self, tmp_path, stage_files, capsys):
+        _, lps = stage_files
+        out = tmp_path / "sol.json"
+        code = run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
+                       "--solver", "exact", "--gamma", "1",
+                       "--node-budget", "-3", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "node_budget must be >= 0, got -3" in err
+        assert "node budget exceeded" not in err
+        assert not out.exists()
+
     def test_place_lp_failure_exit_code(self, tmp_path, stage_files, monkeypatch, capsys):
         from scipy.optimize import OptimizeResult
 

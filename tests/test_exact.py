@@ -10,6 +10,7 @@ from conftest import random_instance
 from ppmplan import exact, placement
 from ppmplan.exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from ppmplan.placement import (
+    InstanceError,
     brute_force_oracle,
     make_instance,
     solve_greedy,
@@ -93,6 +94,12 @@ class TestBudget:
         assert not sol.optimal
         assert verify_solution(inst, sol)
         assert sol.objective >= brute_force_oracle(inst).objective
+
+    @pytest.mark.parametrize("budget", [-1, -3])
+    def test_negative_budget_rejected(self, budget):
+        inst = make_instance(["e1", "e2"], [(("e1", "e2"), 1), (("e1",), 1)], gamma=1)
+        with pytest.raises(InstanceError, match=f"node_budget must be >= 0, got {budget}"):
+            solve_exact(inst, node_budget=budget)
 
     def test_mode_validation(self):
         inst = make_instance(["e1"], [(("e1",), 1)], gamma=1)

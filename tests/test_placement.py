@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -75,8 +76,54 @@ class TestInstanceBuild:
             make_instance(["e1"], [], gamma=0)
 
     def test_unknown_link_in_route(self):
-        with pytest.raises(InstanceError, match="unknown links"):
+        with pytest.raises(InstanceError, match=r"unknown links \['e9'\]"):
             make_instance(["e1"], [(("e1", "e9"), 1)], gamma=1)
+
+    def test_empty_route_rejected(self):
+        with pytest.raises(InstanceError, match="empty route"):
+            PathGroup((), 1)
+        with pytest.raises(InstanceError, match="empty route"):
+            make_instance(["e1"], [((), 1)], gamma=1)
+
+    def test_repeated_link_rejected(self):
+        with pytest.raises(InstanceError, match="route repeats a link"):
+            make_instance(["e1", "e2"], [(("e1", "e2", "e1"), 1)], gamma=1)
+
+    def test_count_below_one_rejected(self):
+        # make_instance drops zero counts; PathGroup itself refuses them too
+        with pytest.raises(InstanceError, match="multiplicity must be >= 1, got -1"):
+            make_instance(["e1"], [(("e1",), -1)], gamma=1)
+        with pytest.raises(InstanceError, match="multiplicity must be >= 1, got 0"):
+            PathGroup(("e1",), 0)
+
+    def test_duplicate_link_labels_rejected(self):
+        with pytest.raises(InstanceError, match="duplicate link labels"):
+            make_instance(["e1", "e2", "e1"], [(("e1",), 1)], gamma=1)
+
+    def test_first_bad_route_named(self):
+        # routes are checked in group order, as one loop over them would
+        groups = [(("e1",), 1), (("e1", "e8"), 1), (("e1",), 2), (("e9",), 1)]
+        with pytest.raises(InstanceError, match=r"unknown links \['e8'\]"):
+            CoverInstance(links=("e1",), groups=tuple(PathGroup(r, c) for r, c in groups),
+                          gamma=1, alpha=9)
+        groups[1] = (("e1",), 3)
+        with pytest.raises(InstanceError, match=r"duplicate route \('e1',\)"):
+            CoverInstance(links=("e1",), groups=tuple(PathGroup(r, c) for r, c in groups),
+                          gamma=1, alpha=9)
+
+    def test_max_hops_set_at_construction(self):
+        inst = make_instance(["e1", "e2", "e3"], [(("e1", "e2", "e3"), 1), (("e2",), 2)], 1)
+        assert inst.max_hops == 3
+        assert make_instance(["e1"], [], gamma=1).max_hops == 0
+
+    def test_route_key_read_on_demand(self):
+        g = PathGroup(("A->B", "B->C"), 2)
+        assert "key" not in vars(g)
+        assert g.key == placement.route_key(g.links) == "A->B->C"
+        assert vars(g)["key"] == "A->B->C"
+        assert PathGroup(("x", "y"), 1).key == "x|y"
+        with pytest.raises(TypeError):
+            PathGroup(("A->B",), 1, "A->B")
 
 
 class TestGreedyOpaque:
@@ -214,11 +261,58 @@ class TestSolutionPlumbing:
         with pytest.raises(InstanceError):
             solution_from_counts(inst, [1, 1], optimal=False)
 
+    def test_from_counts_keys_only_used_groups(self):
+        inst = make_instance(["A->B", "B->C"], [(("A->B",), 2), (("A->B", "B->C"), 1)], gamma=1)
+        sol = solution_from_counts(inst, [0, 1], optimal=False)
+        assert sol.p == {"A->B->C": 1}
+        assert sol.x == {"A->B": 1, "B->C": 1}
+        assert all(type(v) is int for v in [*sol.p.values(), *sol.x.values()])
+        assert "key" not in vars(inst.groups[0])
+
     def test_json_dict_schema(self):
         inst = make_instance(["e1"], [(("e1",), 2)], gamma=1)
         sol = solve_greedy(inst)
         d = sol.to_json_dict()
         assert set(d) == {"p", "x", "unsatisfied", "monitors", "objective", "optimal"}
+
+
+class TestVerifySolution:
+    @pytest.fixture
+    def solved(self):
+        inst = make_instance(["A->B", "B->C", "C->D"],
+                             [(("A->B", "B->C"), 2), (("B->C", "C->D"), 1)], gamma=1)
+        return inst, solve_greedy(inst)
+
+    def test_valid_solution(self, solved):
+        assert verify_solution(*solved)
+
+    @pytest.mark.parametrize("extra", [{"a->b": 1.5}, {"a->b": 1}, {"A->B->C->D": 1}])
+    def test_unknown_route_key(self, solved, extra):
+        inst, sol = solved
+        assert not verify_solution(inst, dataclasses.replace(sol, p={**sol.p, **extra}))
+
+    @pytest.mark.parametrize("count", [0, -1, 1.0, True, "1"])
+    def test_count_not_a_positive_int(self, solved, count):
+        inst, sol = solved
+        p = dict.fromkeys(sol.p, count)
+        assert not verify_solution(inst, dataclasses.replace(sol, p=p))
+
+    def test_extra_x_link(self, solved):
+        inst, sol = solved
+        assert not verify_solution(inst, dataclasses.replace(sol, x={**sol.x, "D->E": 0}))
+
+    def test_missing_x_link(self, solved):
+        inst, sol = solved
+        x = dict(sol.x)
+        del x["C->D"]
+        assert not verify_solution(inst, dataclasses.replace(sol, x=x))
+
+    def test_count_above_multiplicity(self, solved):
+        inst, sol = solved
+        p = {"A->B->C": 3}
+        x = {"A->B": 1, "B->C": 1, "C->D": 0}
+        assert not verify_solution(inst, dataclasses.replace(
+            sol, p=p, x=x, total_monitors=3, unsatisfied=1, objective=inst.alpha + 3))
 
 
 def reference_greedy(instance, tie_break="deterministic", seed=0):
@@ -312,6 +406,25 @@ class TestGreedyMatchesReference:
             inst = build_cover_instance(prov.result(), n14, gamma)
             assert solve_greedy(inst) == reference_greedy(inst)
             for seed in range(3):
+                assert (solve_greedy(inst, tie_break="seeded_random", seed=seed)
+                        == reference_greedy(inst, "seeded_random", seed))
+
+    @pytest.mark.parametrize("topo_seed", [0, 1])
+    def test_same_picks_on_provisioned_gabriel30(self, topo_seed):
+        # about 20 tied groups per pick: the tie costs kept between picks are
+        # read far more often than on the small drawn instances
+        from ppmplan.provisioning import Provisioner
+        from ppmplan.topology import generate_gabriel
+        from ppmplan.traffic import generate_demands
+
+        topo = generate_gabriel(30, seed=topo_seed)
+        prov = Provisioner(topo, "transparent")
+        for d in generate_demands(topo, 300, seed=topo_seed).demands:
+            prov.serve(d)
+        for gamma in (1, 2, 3):
+            inst = build_cover_instance(prov.result(), topo, gamma)
+            assert solve_greedy(inst) == reference_greedy(inst)
+            for seed in range(4):
                 assert (solve_greedy(inst, tie_break="seeded_random", seed=seed)
                         == reference_greedy(inst, "seeded_random", seed))
 

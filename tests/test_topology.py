@@ -55,6 +55,10 @@ class TestLoading:
             assert rev.length_km == link.length_km
             assert rev.spans == link.spans
 
+    def test_link_labels_built_once(self, n14):
+        assert n14.link_labels == tuple(l.label for l in n14.links)
+        assert n14.link_labels is n14.link_labels
+
     def test_n14_shape(self, n14):
         assert len(n14.nodes) == 14
         assert len(n14.links) == 42
