@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import CostModel, ScenarioResult, crossing_value, sweep_cost_curves, unsatisfied_npl_avg
 from .exact import DEFAULT_NODE_BUDGET, solve_exact
 from .otdr import count_otdrs
-from .placement import build_cover_instance, solve_greedy
+from .placement import CoverInstance, build_cover_instance, make_instance, solve_greedy
 from .provisioning import (
     CHANNELS_PER_FIBER,
     DEFAULT_K_PATHS,
@@ -329,6 +329,8 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
         lsets = {a: built[a] if a in built else provisioners[a].result() for a in archs}
         offered = sum(d.rate_gbps for d in demands[:n]) / 1000.0
         point = {"offered_tbps": offered, "scenarios": {}}
+        # each lightpath set is grouped once; its other gammas reuse the groups
+        instances: dict[str, CoverInstance] = {}
         for name in config.scenarios:
             arch, gamma = parse_scenario(name)
             if name == "OTDR":
@@ -348,7 +350,11 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
                     "carried_tbps": carried,
                 }
             else:
-                inst = build_cover_instance(ls, topo, gamma)
+                if arch in instances:
+                    base = instances[arch]
+                    inst = make_instance(base.links, base.groups, gamma)
+                else:
+                    inst = instances[arch] = build_cover_instance(ls, topo, gamma)
                 greedy = exact = None
                 if solver == "exact" or config.compare_solvers:
                     exact = solve_exact(inst, node_budget=config.node_budget)

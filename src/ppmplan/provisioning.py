@@ -20,16 +20,19 @@ creation order.
 
 Candidate routes are the k shortest loopless routes by length, ties broken
 by the sequence of node names (`Topology.k_shortest_routes`). They are kept
-on the Topology object, so every Provisioner on one object shares them.
+on the Topology object with one link record per route (`Topology.route_links`:
+link labels, link lengths and the length summed in path order), so every
+Provisioner on one object shares them, and serving a demand looks up no link
+by its end nodes.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -209,9 +212,10 @@ class Provisioner:
         # only live ids (spare > 0): spare only falls and every rate is
         # positive, so a spent lightpath is never groomed again
         self._spare: list[int] = []
-        # live lightpath ids per (add, drop) node pair, in creation order;
-        # opaque lightpaths span one link, so there the pair is the link
-        self._by_ends: dict[tuple[str, str], list[int]] = {}
+        # live lightpath ids per add node and drop node, in creation order;
+        # opaque lightpaths span one link, so there the pair is the link. A
+        # node without live lightpaths has no entry
+        self._by_ends: dict[str, dict[str, list[int]]] = {}
         # opaque only: per node the largest spare capacity on each outgoing
         # link (0 once spent), in the order the links got their first lightpath
         self._max_spare: dict[str, dict[str, int]] = {n: {} for n in topology.nodes}
@@ -256,32 +260,30 @@ class Provisioner:
     # -- grooming -----------------------------------------------------------
 
     def _groom(self, demand: Demand) -> tuple[int, ...] | None:
-        if self.architecture == "opaque":
-            chain = self._groom_opaque(demand)
-        else:
-            chain = self._groom_transparent(demand)
+        opaque = self.architecture == "opaque"
+        chain = self._groom_opaque(demand) if opaque else self._groom_transparent(demand)
         if chain is None:
             return None
         rate = demand.rate_gbps
-        spare, by_ends = self._spare, self._by_ends
-        opaque = self.architecture == "opaque"
+        lps, spare, by_ends, max_spare = self._lps, self._spare, self._by_ends, self._max_spare
         for lp_id in chain:
-            lp = self._lps[lp_id]
+            lp = lps[lp_id]
             lp.carried_gbps += rate
             before = spare[lp_id]
             spare[lp_id] = left = before - rate
-            ends = (lp.nodes[0], lp.nodes[-1])
+            u, v = lp.nodes[0], lp.nodes[-1]
             if not left:
-                ids = by_ends[ends]
+                drops = by_ends[u]
+                ids = drops[v]
                 ids.remove(lp_id)
                 if not ids:
-                    del by_ends[ends]
-            if opaque:
-                u, v = ends
-                if before == self._max_spare[u][v]:
-                    # the link's largest spare falls only if this lightpath held it
-                    self._max_spare[u][v] = max((spare[i] for i in by_ends.get(ends, ())),
-                                                default=0)
+                    del drops[v]
+                    if not drops:
+                        del by_ends[u]
+            if opaque and before == max_spare[u][v]:
+                # the link's largest spare falls only if this lightpath held it
+                ids = by_ends.get(u, {}).get(v, ())
+                max_spare[u][v] = max([spare[i] for i in ids], default=0)
         return chain
 
     def _groom_opaque(self, demand: Demand) -> tuple[int, ...] | None:
@@ -295,51 +297,60 @@ class Provisioner:
         adj = self.topology.link_lengths
         # no chain unless a link leaving src and a link entering dst can carry
         # it; links come in both directions, so dst's successors feed it
-        if (all(spare < rate for spare in max_spare[src].values())
-                or all(max_spare[u].get(dst, 0) < rate for u in adj[dst])):
+        if (max(max_spare[src].values(), default=0) < rate
+                or max([max_spare[u].get(dst, 0) for u in adj[dst]], default=0) < rate):
             return None
-        pushes = count(1)
-        seen = {src: 0.0}
+        heappush, heappop = heapq.heappush, heapq.heappop
+        inf = math.inf
+        pushes = 0
+        dist = {src: 0.0}
         pred: dict[str, str] = {}
-        done: set[str] = set()
         heap = [(0.0, 0, src)]
         while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in done:
+            d, _, u = heappop(heap)
+            if d > dist[u]:  # a node pops at its distance once; lengths are positive
                 continue
             if u == dst:
                 break
-            done.add(u)
+            lengths = adj[u]
             for v, spare in max_spare[u].items():
-                if spare < rate or v in done:
-                    continue
-                nd = d + adj[u][v]
-                if v not in seen or nd < seen[v]:
-                    seen[v] = nd
-                    pred[v] = u
-                    heapq.heappush(heap, (nd, next(pushes), v))
+                if spare >= rate:
+                    nd = d + lengths[v]
+                    if nd < dist.get(v, inf):
+                        dist[v] = nd
+                        pred[v] = u
+                        pushes += 1
+                        heappush(heap, (nd, pushes, v))
         else:
             return None
-        path = [dst]
-        while path[-1] != src:
-            path.append(pred[path[-1]])
-        path.reverse()
-        spare = self._spare
-        return tuple(next(i for i in self._by_ends[(u, v)] if spare[i] >= rate)
-                     for u, v in zip(path, path[1:]))
+        spare, by_ends = self._spare, self._by_ends
+        chain = []
+        while dst != src:
+            u = pred[dst]
+            for i in by_ends[u][dst]:
+                if spare[i] >= rate:
+                    chain.append(i)
+                    break
+            dst = u
+        chain.reverse()
+        return tuple(chain)
 
     def _groom_transparent(self, demand: Demand) -> tuple[int, ...] | None:
         rate = demand.rate_gbps
         by_ends, spare = self._by_ends, self._spare
         for route in self.routes(demand.src, demand.dst):
+            last = len(route) - 1
             i = 0
             chain: list[int] = []
-            while i < len(route) - 1:
+            while i < last:
+                drops = by_ends.get(route[i])
+                if drops is None:  # no live lightpath starts here
+                    break
                 # the lightpath reaching furthest along the route; among
                 # those, the first created
                 best = None
-                for j in range(len(route) - 1, i, -1):
-                    ids = by_ends.get((route[i], route[j]))
+                for j in range(last, i, -1):
+                    ids = drops.get(route[j])
                     if ids is None:
                         continue
                     for lp_id in ids:
@@ -362,47 +373,51 @@ class Provisioner:
         rmax = self.reach_table.max_length_for(demand.rate_gbps)
         if rmax is None:
             return None
+        route_links = self.topology.route_links
         for route in self.routes(demand.src, demand.dst):
-            segments = self._segment(route, rmax)
+            labels, lengths, total = route_links[route]
+            segments = self._segment(lengths, total, rmax)
             if segments is None:
                 continue
             plan = []
-            for seg in segments:
-                labels = tuple(link_label(a, b) for a, b in zip(seg, seg[1:]))
-                ch = self._first_fit(labels)
+            for i, j, length in segments:
+                seg_labels = labels[i:j]
+                ch = self._first_fit(seg_labels)
                 if ch is None:
                     break
-                plan.append((seg, labels, ch))
+                plan.append((route[i:j + 1], seg_labels, length, ch))
             else:
-                chain = []
-                for seg, labels, ch in plan:
-                    length = self.topology.route_length(seg)
-                    rate = self.reach_table.best_rate(length)
-                    chain.append(self._create(seg, labels, length, rate, ch,
-                                              demand.rate_gbps))
-                return tuple(chain)
+                best_rate = self.reach_table.best_rate
+                return tuple([self._create(nodes, seg_labels, length, best_rate(length),
+                                           ch, demand.rate_gbps)
+                              for nodes, seg_labels, length, ch in plan])
         return None
 
-    def _segment(self, route, rmax: float) -> list[tuple[str, ...]] | None:
-        """Cut the route into lightpaths of length <= rmax: one per link when
-        opaque; when transparent the fewest, each extended as far as reach
-        allows before cutting."""
-        max_links = 1 if self.architecture == "opaque" else len(route)
+    def _segment(self, lengths: tuple[float, ...], total: float,
+                 rmax: float) -> list[tuple[int, int, float]] | None:
+        """Cut a route, given its link lengths and their sum in path order,
+        into lightpaths of length <= rmax: one per link when opaque; when
+        transparent the fewest, each extended as far as reach allows before
+        cutting. Each lightpath is (first link, end link, length summed in
+        path order)."""
+        if self.architecture == "opaque":
+            if max(lengths) > rmax:  # a link beyond reach at this rate
+                return None
+            return [(i, i + 1, w) for i, w in enumerate(lengths)]
+        if total <= rmax:  # every partial sum is at most the whole
+            return [(0, len(lengths), total)]
         segments = []
         i = 0
-        n = len(route)
-        while i < n - 1:
+        n = len(lengths)
+        while i < n:
             acc = 0.0
             j = i
-            while j < n - 1 and j - i < max_links:
-                step = self.topology.link(route[j], route[j + 1]).length_km
-                if acc + step > rmax:
-                    break
-                acc += step
+            while j < n and acc + lengths[j] <= rmax:
+                acc += lengths[j]
                 j += 1
             if j == i:  # single link beyond reach at this rate
                 return None
-            segments.append(tuple(route[i:j + 1]))
+            segments.append((i, j, acc))
             i = j
         return segments
 
@@ -417,19 +432,20 @@ class Provisioner:
     def _create(self, nodes: tuple[str, ...], links: tuple[str, ...], length: float,
                 rate: int, channel: int, carried: int) -> int:
         lp_id = len(self._lps)
-        lp = Lightpath(lp_id=lp_id, nodes=nodes, length_km=length,
-                       rate_gbps=rate, channel=channel, carried_gbps=carried)
+        lp = Lightpath(lp_id, nodes, length, rate, channel, carried)
         lp.__dict__["links"] = links  # fills the cached property with first-fit's labels
         self._lps.append(lp)
         spare = rate - carried
         self._spare.append(spare)
+        used, bit = self._channel_used, 1 << channel
         for e in links:
-            self._channel_used[e] |= 1 << channel
+            used[e] |= bit
+        u, v = nodes[0], nodes[-1]
         if self.architecture == "opaque":
-            u, v = nodes
-            self._max_spare[u][v] = max(self._max_spare[u].get(v, 0), spare)
+            succ = self._max_spare[u]
+            succ[v] = max(succ.get(v, 0), spare)
         if spare:
-            self._by_ends.setdefault((nodes[0], nodes[-1]), []).append(lp_id)
+            self._by_ends.setdefault(u, {}).setdefault(v, []).append(lp_id)
         return lp_id
 
 
@@ -472,8 +488,7 @@ def read_lightpaths_csv(path: str | Path, topology: Topology | None = None) -> l
             nodes = tuple(row["route"].split("->"))
             length = 0.0
             if topology is not None:
-                length = sum(topology.link(a, b).length_km
-                             for a, b in zip(nodes, nodes[1:]))
+                length = topology.route_length(nodes)
             lps.append(Lightpath(lp_id=int(row["lp_id"]), nodes=nodes,
                                  length_km=length, rate_gbps=int(row["rate_gbps"]),
                                  channel=int(row["channel"]),

@@ -4,10 +4,12 @@ Topologies are loaded from JSON files listing undirected edges (both link
 directions are materialized), or generated as random Gabriel graphs. Link
 span counts and node degrees drive the monitoring baseline. Each Topology
 object also keeps the table of candidate routes (k shortest loopless paths)
-that provisioning asks it for, so every user of one object shares it.
-Routes are ordered by length, summed link by link in path order, then by the
-tuple of node names. They are searched on integer node ids numbered in
-sorted-name order, so a tuple of ids orders as its tuple of names does.
+that provisioning asks it for, and beside it one link record per route: the
+route's link labels and link lengths, resolved once. Every user of one object
+shares both. Routes are ordered by length, summed link by link in path order,
+then by the tuple of node names. They are searched on integer node ids
+numbered in sorted-name order, so a tuple of ids orders as its tuple of names
+does.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +61,45 @@ class DirectedLink:
 
 def link_label(src: str, dst: str) -> str:
     return f"{src}->{dst}"
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum. Python 3.12's sum() compensates float
+    rounding, so on 3.12 it can differ from the sums the route search adds
+    up link by link."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class RouteLinks(NamedTuple):
+    """A route's directed link labels and link lengths in path order, and
+    its length summed in that order."""
+    labels: tuple[str, ...]
+    lengths: tuple[float, ...]
+    length_km: float
+
+
+class RouteLinkTable(dict):
+    """RouteLinks per route of one topology, each resolved on its first
+    lookup `table[route]`; a route along a missing link raises
+    TopologyError."""
+
+    def __init__(self, link_lengths: dict[str, dict[str, float]], name: str):
+        super().__init__()
+        self.link_lengths = link_lengths
+        self.name = name
+
+    def __missing__(self, route: tuple[str, ...]) -> RouteLinks:
+        hops = tuple(zip(route, route[1:]))
+        try:
+            lengths = tuple(self.link_lengths[a][b] for a, b in hops)
+        except KeyError:
+            raise TopologyError(f"route {route} leaves topology {self.name!r}") from None
+        record = self[route] = RouteLinks(tuple(link_label(a, b) for a, b in hops),
+                                          lengths, _sum_in_order(lengths))
+        return record
 
 
 @dataclass(frozen=True)
@@ -107,8 +149,25 @@ class Topology:
         return {}
 
     @cached_property
+    def route_links(self) -> RouteLinkTable:
+        """Per route (a node tuple), its link labels and link lengths, and
+        its length summed in path order. A route is resolved on its first
+        lookup and kept on this object, beside the route table."""
+        return RouteLinkTable(self.link_lengths, self.name)
+
+    @cached_property
     def _distance_table(self) -> dict[int, list[float]]:
         return {}
+
+    @cached_property
+    def _id_into(self) -> list[list[tuple[int, float]]]:
+        """Per node id, each predecessor id and the length of the link from
+        it, in link order: the reverse graph the distance tables search."""
+        into: list[list[tuple[int, float]]] = [[] for _ in self._id_names]
+        for u, succ in enumerate(self._id_lengths):
+            for v, w in succ.items():
+                into[v].append((u, w))
+        return into
 
     @cached_property
     def undirected_edges(self) -> tuple[tuple[str, str, float], ...]:
@@ -147,7 +206,7 @@ class Topology:
     def route_length(self, nodes) -> float:
         """Length of a node chain, summed link by link in path order."""
         adj = self.link_lengths
-        return sum(adj[a][b] for a, b in zip(nodes, nodes[1:]))
+        return _sum_in_order(adj[a][b] for a, b in zip(nodes, nodes[1:]))
 
     def k_shortest_routes(self, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
         """The k shortest loopless routes src -> dst, ordered by (length, node
@@ -174,10 +233,7 @@ class Topology:
         dst cannot be reached)."""
         dist = self._distance_table.get(dst)
         if dist is None:
-            into: list[list[tuple[int, float]]] = [[] for _ in self._id_names]
-            for u, succ in enumerate(self._id_lengths):
-                for v, w in succ.items():
-                    into[v].append((u, w))
+            into = self._id_into
             dist = self._distance_table[dst] = [math.inf] * len(into)
             dist[dst] = 0.0
             heap = [(0.0, dst)]
@@ -221,12 +277,13 @@ def _best_first(topology: Topology, src: str, dst: str,
     to_dst = topology._distances_to(t)
     if to_dst[s] == math.inf:
         return ()
+    heappush, heappop = heapq.heappush, heapq.heappop
     pops_left = 2 * k * len(adj)
     heap = [(to_dst[s], (s,), 0)]
     found: list[tuple[float, tuple[int, ...]]] = []
     bound = math.inf
     while heap:
-        f, path, length = heapq.heappop(heap)
+        f, path, length = heappop(heap)
         if f > bound:
             break
         pops_left -= 1
@@ -245,7 +302,7 @@ def _best_first(topology: Topology, src: str, dst: str,
             reached = length + w
             estimate = reached + to_dst[v]
             if estimate <= bound:
-                heapq.heappush(heap, (estimate, path + (v,), reached))
+                heappush(heap, (estimate, path + (v,), reached))
     found.sort()
     names = topology._id_names
     return tuple(tuple(names[i] for i in p) for _, p in found[:k])
@@ -308,7 +365,7 @@ def _yen(topology: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...
     to_dst = topology._distances_to(t)
 
     def length(path):
-        return sum(adj[a][b] for a, b in zip(path, path[1:]))
+        return _sum_in_order(adj[a][b] for a, b in zip(path, path[1:]))
 
     first = _spur(adj, to_dst, s, t, bytearray(n), set())
     if first is None:

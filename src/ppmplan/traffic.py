@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +46,21 @@ class DemandSet:
         return len(self.demands)
 
 
-def _draw(rng: np.random.Generator, nodes: tuple[str, ...], m: int) -> list[Demand]:
-    """m demands from one `integers` call over the bounds (n, n - 1, rates)
-    repeated m times. numpy bounds each element on its own, so the stream is
-    that of three scalar calls per demand: source, destination among the
-    other nodes, rate index."""
+def _draw(rng: np.random.Generator, nodes: tuple[str, ...], batch: int):
+    """Demands without end, drawn `batch` at a time from one `integers` call
+    over the bounds (n, n - 1, rates) repeated `batch` times. numpy bounds
+    each element on its own, so the stream is that of three scalar calls per
+    demand: source, destination among the other nodes, rate index. A Demand
+    is built only when it is taken."""
     n = len(nodes)
-    draws = rng.integers([n, n - 1, len(ALLOWED_RATES_GBPS)] * m).tolist()
-    demands = []
-    for t in range(0, 3 * m, 3):
-        i, j, r = draws[t:t + 3]
-        if j >= i:
-            j += 1
-        demands.append(Demand(nodes[i], nodes[j], ALLOWED_RATES_GBPS[r]))
-    return demands
+    bounds = [n, n - 1, len(ALLOWED_RATES_GBPS)] * batch
+    while True:
+        draws = rng.integers(bounds).tolist()
+        for t in range(0, 3 * batch, 3):
+            i, j, r = draws[t:t + 3]
+            if j >= i:
+                j += 1
+            yield Demand(nodes[i], nodes[j], ALLOWED_RATES_GBPS[r])
 
 
 def generate_demands(topology: Topology, count: int, seed: int) -> DemandSet:
@@ -73,7 +75,12 @@ def generate_demands(topology: Topology, count: int, seed: int) -> DemandSet:
     if len(topology.nodes) < 2:
         raise TopologyError("need at least 2 nodes to generate demands")
     rng = np.random.default_rng(seed)
-    return DemandSet(demands=tuple(_draw(rng, topology.nodes, count)), seed=seed)
+    return DemandSet(demands=tuple(islice(_draw(rng, topology.nodes, count), count)),
+                     seed=seed)
+
+
+# steps of demands the load search draws per numpy call
+_STEPS_PER_DRAW = 50
 
 
 def find_load_at_rejection(topology: Topology, target_rejection: float, seed: int,
@@ -82,7 +89,7 @@ def find_load_at_rejection(topology: Topology, target_rejection: float, seed: in
     """Grow the demand set by `step` until the transparent-architecture
     rejection fraction reaches `target_rejection`.
 
-    Each step's demands come from one numpy call on the stream
+    The demands come 50 steps at a time from one numpy call on the stream
     `generate_demands` draws from, so the offered set equals
     `generate_demands(topology, len(demand_set), seed)`. Returns that set and
     the transparent lightpath set the search built while serving it. That set
@@ -98,9 +105,10 @@ def find_load_at_rejection(topology: Topology, target_rejection: float, seed: in
         raise ValueError(f"step must be >= 1, got {step}")
     prov = Provisioner(topology, "transparent", **provision_kwargs)
     rng = np.random.default_rng(seed)
+    stream = _draw(rng, topology.nodes, min(_STEPS_PER_DRAW * step, max_demands))
     demands: list[Demand] = []
     while len(demands) < max_demands:
-        for d in _draw(rng, topology.nodes, min(step, max_demands - len(demands))):
+        for d in islice(stream, min(step, max_demands - len(demands))):
             demands.append(d)
             prov.serve(d)
         if prov.rejected_count / len(demands) >= target_rejection:

@@ -24,6 +24,7 @@ from ppmplan.provisioning import (
     write_lightpaths_csv,
 )
 from ppmplan.topology import (
+    Topology,
     TopologyError,
     bundled_topology,
     generate_gabriel,
@@ -31,6 +32,14 @@ from ppmplan.topology import (
     topology_to_dict,
 )
 from ppmplan.traffic import Demand, generate_demands
+
+
+def sum_in_order(values):
+    """Left-to-right float sum, as the route search adds lengths up."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def single_link(length):
@@ -284,7 +293,7 @@ class TestInvariants:
         assert prov.serve(Demand("A", "B", 100))
         assert prov.serve(Demand("A", "B", 100))
         assert [chain for _, chain in prov.result().assignments] == [(0,), (1,), (1,)]
-        assert prov._by_ends == {("A", "B"): [1]}
+        assert prov._by_ends == {"A": {"B": [1]}}
         assert prov._max_spare["A"] == ({"B": 200} if opaque else {})
 
 
@@ -316,7 +325,8 @@ class TestInvariantsOnRandomTopologies:
                     assert (label, lp.channel) not in used, "channel reused on a link"
                     used.add((label, lp.channel))
                     cov[label] += 1
-                assert lp.length_km == pytest.approx(topo.route_length(lp.nodes))
+                assert lp.length_km == sum_in_order(
+                    topo.link(a, b).length_km for a, b in zip(lp.nodes, lp.nodes[1:]))
                 assert lp.length_km <= DEFAULT_REACH_TABLE.max_length_for(lp.rate_gbps)
             carried = dict.fromkeys(by_id, 0)
             assert len(lset.assignments) == len(lset.accepted)
@@ -356,7 +366,8 @@ class TestInvariantsOnRandomTopologies:
                 for lp in lps:
                     links.setdefault(lp.nodes, [])
                     if lp.spare_gbps > 0:
-                        by_ends.setdefault((lp.add_node, lp.drop_node), []).append(lp.lp_id)
+                        by_ends.setdefault(lp.add_node, {}).setdefault(
+                            lp.drop_node, []).append(lp.lp_id)
                         links[lp.nodes].append(lp.lp_id)
                 assert prov._by_ends == by_ends
                 if arch == "transparent":
@@ -368,6 +379,41 @@ class TestInvariantsOnRandomTopologies:
                 for (u, v), ids in links.items():
                     assert prov._max_spare[u][v] == max(
                         (lps[i].spare_gbps for i in ids), default=0)
+
+
+class TestRouteLinkRecords:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(6, 30), seed=st.integers(0, 2**16),
+           demand_seed=st.integers(0, 2**16), count=st.integers(1, 150),
+           k=st.sampled_from([1, 3, 5]))
+    def test_lightpaths_and_records_match_their_routes(self, n, seed, demand_seed, count, k):
+        topo = generate_gabriel(n, seed=seed)
+        demands = generate_demands(topo, count, seed=demand_seed).demands
+        for arch in ("opaque", "transparent"):
+            for lp in provision(topo, demands, arch, k=k).lightpaths:
+                hops = list(zip(lp.nodes, lp.nodes[1:]))
+                assert lp.links == tuple(topo.link(a, b).label for a, b in hops)
+                assert lp.length_km == sum_in_order(topo.link(a, b).length_km for a, b in hops)
+                assert lp.rate_gbps == DEFAULT_REACH_TABLE.best_rate(lp.length_km)
+        assert topo.route_links  # every established lightpath resolved its route
+        for route, record in topo.route_links.items():
+            hops = list(zip(route, route[1:]))
+            assert record.labels == tuple(topo.link(a, b).label for a, b in hops)
+            assert record.lengths == tuple(topo.link(a, b).length_km for a, b in hops)
+            assert record.length_km == sum_in_order(record.lengths)
+
+    def test_serving_looks_up_no_link(self):
+        # links are resolved once per route record; serving a demand set
+        # names no link by its end nodes and sums no route
+        topo = bundled_topology("n14")
+        demands = generate_demands(topo, 700, seed=4).demands
+        fail = AssertionError("resolved per demand")
+        with mock.patch.object(Topology, "link", side_effect=fail), \
+                mock.patch.object(Topology, "route_length", side_effect=fail), \
+                mock.patch.object(topology, "link_label", wraps=topology.link_label) as label:
+            for arch in ("opaque", "transparent"):
+                assert len(provision(topo, demands, arch).accepted) > 600
+        assert label.call_count == sum(len(r.labels) for r in topo.route_links.values())
 
 
 def nx_digraph(topo):

@@ -1,12 +1,17 @@
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ppmplan import topology
+from ppmplan.provisioning import read_lightpaths_csv
 from ppmplan.topology import (
+    RouteLinks,
+    Topology,
     TopologyError,
     bundled_topology,
     gabriel_edges,
@@ -15,6 +20,8 @@ from ppmplan.topology import (
     node_degree,
     save_topology,
     span_count,
+    topology_from_dict,
+    topology_to_dict,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -267,3 +274,98 @@ def test_spans_monotone_in_length(length, bump):
 @given(length=st.floats(min_value=0.001, max_value=1e5))
 def test_spans_match_ceiling(length):
     assert span_count(length, 80.0) == max(1, math.ceil(length / 80.0))
+
+
+def sum_in_order(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@pytest.fixture
+def uneven3():
+    # three links whose left-to-right float sum differs from the correctly
+    # rounded one: (100.1 + 200.2) + 300.3 is 600.5999999999999, while
+    # Python 3.12's compensated sum() gives 600.6
+    return topology_from_dict({
+        "name": "uneven", "span_length_km": 80, "nodes": ["A", "B", "C", "D"],
+        "edges": [{"a": "A", "b": "B", "length_km": 100.1},
+                  {"a": "B", "b": "C", "length_km": 200.2},
+                  {"a": "C", "b": "D", "length_km": 300.3}]})
+
+
+class TestLengthsInPathOrder:
+    def test_route_length_sums_left_to_right(self, uneven3):
+        route = ("A", "B", "C", "D")
+        assert uneven3.route_length(route) == (100.1 + 200.2) + 300.3
+        assert uneven3.route_length(route[::-1]) == (300.3 + 200.2) + 100.1
+        assert uneven3.route_links[route].length_km == (100.1 + 200.2) + 300.3
+
+    def test_read_lightpaths_sums_left_to_right(self, uneven3, tmp_path):
+        path = tmp_path / "lps.csv"
+        path.write_text("lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\n"
+                        "0,A,D,A->B->C->D,600,0,100\n")
+        (lp,) = read_lightpaths_csv(path, uneven3)
+        assert lp.length_km == (100.1 + 200.2) + 300.3
+
+    def test_yen_orders_by_left_to_right_sums(self):
+        # s-x-y-t sums to 600.5999999999999 left to right and s-t is 600.6,
+        # so the three-link route comes first; a compensated sum ties them,
+        # and then the names put s-t first
+        topo = topology_from_dict({
+            "name": "ulp", "span_length_km": 80, "nodes": ["s", "x", "y", "t"],
+            "edges": [{"a": "s", "b": "x", "length_km": 100.1},
+                      {"a": "x", "b": "y", "length_km": 200.2},
+                      {"a": "y", "b": "t", "length_km": 300.3},
+                      {"a": "s", "b": "t", "length_km": 600.6}]})
+        expected = (("s", "x", "y", "t"), ("s", "t"))
+        assert topology._yen(topo, "s", "t", 2) == expected
+        assert topology._best_first(topo, "s", "t", 2) == expected
+
+
+class TestRouteLinks:
+    def test_record_of_a_route(self, uneven3):
+        record = uneven3.route_links[("A", "B", "C")]
+        assert record == RouteLinks(("A->B", "B->C"), (100.1, 200.2), 100.1 + 200.2)
+        assert uneven3.route_links[("A", "B", "C")] is record
+        assert uneven3.route_links[("D",)] == RouteLinks((), (), 0.0)
+
+    def test_route_off_the_topology(self, uneven3):
+        with pytest.raises(TopologyError, match="leaves topology"):
+            uneven3.route_links[("A", "C")]
+        with pytest.raises(TopologyError, match="leaves topology"):
+            uneven3.route_links[("A", "Z")]
+        assert ("A", "C") not in uneven3.route_links
+
+    def test_kept_per_topology_object(self, uneven3):
+        again = topology_from_dict(topology_to_dict(uneven3))
+        route = ("A", "B")
+        assert uneven3.route_links[route] is uneven3.route_links[route]
+        assert again.route_links[route] is not uneven3.route_links[route]
+        assert again.route_links[route] == uneven3.route_links[route]
+
+
+def test_reverse_adjacency_built_once(monkeypatch):
+    topo = generate_gabriel(30, seed=1)
+    builds = []
+    build = Topology._id_into.func
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    spy = cached_property(counted)
+    spy.__set_name__(Topology, "_id_into")
+    monkeypatch.setattr(Topology, "_id_into", spy)
+    adj = topo._id_lengths
+    for dst in range(len(topo.nodes)):
+        dist = topo._distances_to(dst)
+        # each table is the shortest distance to dst: no link shortens it
+        assert dist[dst] == 0.0
+        assert all(dist[u] <= w + dist[v] for u, succ in enumerate(adj)
+                   for v, w in succ.items())
+        assert all(dist[u] == min(w + dist[v] for v, w in adj[u].items())
+                   for u in range(len(adj)) if u != dst)
+    assert len(topo._distance_table) == len(topo.nodes)
+    assert builds == [topo]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,37 @@ class TestDrawStream:
                                        max_demands=2_000, n_channels=6)
         assert ds.demands == scalar_draws(topo, len(ds), seed)
         assert ds == generate_demands(topo, len(ds), seed)
+
+
+class TestLoadSearchBatches:
+    """The search draws 50 steps of demands per numpy call and serves them a
+    step at a time."""
+
+    @pytest.fixture
+    def served(self):
+        demands = []
+        serve = Provisioner.serve
+
+        def spy(prov, demand):
+            demands.append(demand)
+            return serve(prov, demand)
+
+        with mock.patch.object(Provisioner, "serve", spy):
+            yield demands
+
+    @pytest.mark.parametrize("step", [1, 7, 10])
+    def test_set_spans_draw_batches(self, n14, served, step):
+        ds, _ = find_load_at_rejection(n14, 0.01, seed=2, step=step)
+        assert len(ds) > 50 * step and len(ds) % step == 0
+        assert list(ds.demands) == served
+        assert ds == generate_demands(n14, len(ds), 2)
+
+    @pytest.mark.parametrize("step", [1, 7, 10])
+    def test_cap_inside_a_step_and_a_batch(self, n14, served, step):
+        # 523 is a multiple of neither the step nor the batch
+        with pytest.raises(SaturationError, match="after 523 demands"):
+            find_load_at_rejection(n14, 0.5, seed=2, step=step, max_demands=523)
+        assert tuple(served) == generate_demands(n14, 523, 2).demands
 
 
 class TestLoadSearch:
