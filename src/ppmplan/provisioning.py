@@ -487,8 +487,8 @@ def read_lightpaths_csv(path: str | Path, topology: Topology | None = None) -> l
         for row in csv.DictReader(rows):
             nodes = tuple(row["route"].split("->"))
             length = 0.0
-            if topology is not None:
-                length = topology.route_length(nodes)
+            if topology is not None:  # a route off the topology raises TopologyError
+                length = topology.route_links[nodes].length_km
             lps.append(Lightpath(lp_id=int(row["lp_id"]), nodes=nodes,
                                  length_km=length, rate_gbps=int(row["rate_gbps"]),
                                  channel=int(row["channel"]),

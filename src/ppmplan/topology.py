@@ -3,13 +3,13 @@
 Topologies are loaded from JSON files listing undirected edges (both link
 directions are materialized), or generated as random Gabriel graphs. Link
 span counts and node degrees drive the monitoring baseline. Each Topology
-object also keeps the table of candidate routes (k shortest loopless paths)
-that provisioning asks it for, and beside it one link record per route: the
-route's link labels and link lengths, resolved once. Every user of one object
-shares both. Routes are ordered by length, summed link by link in path order,
-then by the tuple of node names. They are searched on integer node ids
-numbered in sorted-name order, so a tuple of ids orders as its tuple of names
-does.
+object also keeps the table of candidate routes (k shortest loopless paths,
+found by one best-first search) that provisioning asks it for, and beside it
+one link record per route: the route's link labels and link lengths, resolved
+once. Every user of one object shares both. Routes are ordered by length,
+summed link by link in path order, then by the tuple of node names. They are
+searched on integer node ids numbered in sorted-name order, so a tuple of ids
+orders as its tuple of names does.
 """
 
 from __future__ import annotations
@@ -212,9 +212,8 @@ class Topology:
         """The k shortest loopless routes src -> dst, ordered by (length, node
         names); fewer when fewer exist. Lengths are summed link by link in
         path order, and equal lengths are ordered by the tuple of node names,
-        compared as strings. Computed once per (src, dst, k) and kept on this
-        object: by a best-first search over loopless paths, or by Yen's
-        algorithm for the pairs where that search gives up."""
+        compared as strings. Computed once per (src, dst, k) by a best-first
+        search over loopless paths, and kept on this object."""
         key = (src, dst, k)
         routes = self._route_table.get(key)
         if routes is None:
@@ -222,10 +221,7 @@ class Topology:
                 raise ValueError(f"k must be >= 1, got {k}")
             for node in (src, dst):
                 self.neighbors(node)  # raises TopologyError for an unknown node
-            routes = _best_first(self, src, dst, k)
-            if routes is None:
-                routes = _yen(self, src, dst, k)
-            self._route_table[key] = routes
+            routes = self._route_table[key] = _best_first(self, src, dst, k)
         return routes
 
     def _distances_to(self, dst: int) -> list[float]:
@@ -254,10 +250,10 @@ class Topology:
 _BOUND_SLACK = 1e-9
 
 
-def _best_first(topology: Topology, src: str, dst: str,
-                k: int) -> tuple[tuple[str, ...], ...] | None:
+def _best_first(topology: Topology, src: str, dst: str, k: int,
+                prune: bool = False) -> tuple[tuple[str, ...], ...]:
     """The k shortest loopless routes, found by a best-first search over
-    loopless paths from src, or None once it has popped 2k paths per node.
+    loopless paths from src.
 
     Paths pop in order of their length plus the distance from their end to
     dst in the whole graph, a lower bound on any route that extends them; a
@@ -265,12 +261,17 @@ def _best_first(topology: Topology, src: str, dst: str,
     than the k-th of them can neither make the cut nor tie with it, so the
     search drops such paths and stops when the next pop is one. Every route
     up to the k-th length is thus found, and the routes are sorted by
-    (length, id tuple) and cut to k, as Yen's are. Lengths are summed link
-    by link from src, as `route_length` sums them.
+    (length, id tuple) and cut to k. Lengths are summed link by link from
+    src, as `route_length` sums them.
 
     The distances ignore the path's own nodes. Where fewer than k routes
     exist, or a path has cut itself off from dst, the search can pop a great
-    many paths that never reach dst; the pop limit hands those pairs to Yen.
+    many paths that never reach dst. After 2k pops per node it starts again
+    with `prune`, and drops each popped path whose end cannot reach dst
+    without passing through the path's other nodes (`_reaches`). Each path
+    it expands is then the prefix of a route, so that second pass ends with
+    no pop limit. It costs one graph search per pop, on the few pairs that
+    need it.
     """
     adj = topology._id_lengths
     s, t = topology._ids[src], topology._ids[dst]
@@ -278,7 +279,7 @@ def _best_first(topology: Topology, src: str, dst: str,
     if to_dst[s] == math.inf:
         return ()
     heappush, heappop = heapq.heappush, heapq.heappop
-    pops_left = 2 * k * len(adj)
+    pops_left = math.inf if prune else 2 * k * len(adj)
     heap = [(to_dst[s], (s,), 0)]
     found: list[tuple[float, tuple[int, ...]]] = []
     bound = math.inf
@@ -288,13 +289,15 @@ def _best_first(topology: Topology, src: str, dst: str,
             break
         pops_left -= 1
         if pops_left < 0:
-            return None
+            return _best_first(topology, src, dst, k, prune=True)
         u = path[-1]
         if u == t:
             found.append((length, path))
             if len(found) >= k:
                 found.sort()
                 bound = found[k - 1][0] * (1 + _BOUND_SLACK)
+            continue
+        if prune and not _reaches(adj, path, t):
             continue
         for v, w in adj[u].items():
             if v in path:
@@ -308,90 +311,20 @@ def _best_first(topology: Topology, src: str, dst: str,
     return tuple(tuple(names[i] for i in p) for _, p in found[:k])
 
 
-def _spur(adj: list[dict[int, float]], to_dst: list[float], src: int, dst: int,
-          done: bytearray, banned: set[int]) -> tuple[int, ...] | None:
-    """A shortest path src -> dst on node ids: A* guided by the distances to
-    dst in the whole graph, which removing nodes and edges can only lengthen.
-    The path avoids the nodes already marked in `done` (which this call
-    marks further) and the links from src to the ids in `banned`."""
-    if to_dst[src] == math.inf:
-        return None
-    dist = [math.inf] * len(adj)
-    dist[src] = 0.0
-    pred: dict[int, int] = {}
-    heap = [(to_dst[src], 0.0, src)]
-    while heap:
-        _, d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        if u == dst:
-            path = [u]
-            while path[-1] != src:
-                path.append(pred[path[-1]])
-            return tuple(reversed(path))
-        done[u] = 1
-        skip = banned if u == src else ()
-        for v, w in adj[u].items():
-            if done[v] or v in skip:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd + to_dst[v], nd, v))
-    return None
-
-
-def _yen(topology: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
-    """Yen's k shortest loopless paths (Management Science 17(11), 1971).
-
-    Runs on integer node ids that follow the sorted node names, so that
-    ordering id tuples orders the name tuples. Ties are settled by the
-    pinned rule (length, node-name tuple): past the k-th path, candidates
-    keep being accepted while they are as long as the k-th, then the
-    accepted paths are sorted and cut to k. Without that, the order in which
-    equal-length candidates were found would decide which of them is kept.
-
-    A path is spurred only from the index where it left the path it was
-    found from (Lawler, Management Science 18(7), 1972). A skipped spur could
-    find no path shorter than one already queued from the same root, so
-    every path up to the k-th length is still accepted. Heap entries are
-    (length, path, that index); no two share a path, so the index never
-    takes part in the order.
-    """
-    adj = topology._id_lengths
-    n = len(adj)
-    s, t = topology._ids[src], topology._ids[dst]
-    to_dst = topology._distances_to(t)
-
-    def length(path):
-        return _sum_in_order(adj[a][b] for a, b in zip(path, path[1:]))
-
-    first = _spur(adj, to_dst, s, t, bytearray(n), set())
-    if first is None:
-        return ()
-    accepted: list[tuple[float, tuple[int, ...], int]] = []
-    seen = {first}
-    heap = [(length(first), first, 0)]
-    while heap and (len(accepted) < k or heap[0][0] == accepted[k - 1][0]):
-        entry = heapq.heappop(heap)
-        accepted.append(entry)
-        _, path, deviation = entry
-        for i in range(deviation, len(path) - 1):
-            root = path[:i + 1]
-            done = bytearray(n)
-            for node in path[:i]:
-                done[node] = 1
-            banned = {p[i + 1] for _, p, _ in accepted if p[:i + 1] == root}
-            spur = _spur(adj, to_dst, path[i], t, done, banned)
-            if spur is not None:
-                candidate = root[:-1] + spur
-                if candidate not in seen:
-                    seen.add(candidate)
-                    heapq.heappush(heap, (length(candidate), candidate, i))
-    accepted.sort()
-    names = topology._id_names
-    return tuple(tuple(names[i] for i in p) for _, p, _ in accepted[:k])
+def _reaches(adj: list[dict[int, float]], path: tuple[int, ...], t: int) -> bool:
+    """Whether node id t can be reached from the end of `path` without
+    passing through the path's other nodes."""
+    seen = set(path)
+    stack = [path[-1]]
+    while stack:
+        u = stack.pop()
+        if u == t:
+            return True
+        for x in adj[u]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return False
 
 
 def node_degree(topology: Topology, node: str) -> int:

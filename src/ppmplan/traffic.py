@@ -51,8 +51,11 @@ def _draw(rng: np.random.Generator, nodes: tuple[str, ...], batch: int):
     over the bounds (n, n - 1, rates) repeated `batch` times. numpy bounds
     each element on its own, so the stream is that of three scalar calls per
     demand: source, destination among the other nodes, rate index. A Demand
-    is built only when it is taken."""
+    is built only when it is taken. The first draw raises TopologyError on
+    fewer than two nodes."""
     n = len(nodes)
+    if n < 2:
+        raise TopologyError("need at least 2 nodes to generate demands")
     bounds = [n, n - 1, len(ALLOWED_RATES_GBPS)] * batch
     while True:
         draws = rng.integers(bounds).tolist()
@@ -72,8 +75,6 @@ def generate_demands(topology: Topology, count: int, seed: int) -> DemandSet:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if len(topology.nodes) < 2:
-        raise TopologyError("need at least 2 nodes to generate demands")
     rng = np.random.default_rng(seed)
     return DemandSet(demands=tuple(islice(_draw(rng, topology.nodes, count), count)),
                      seed=seed)

@@ -173,6 +173,16 @@ class TestPipeline:
                        "--arch", "transparent", "--out", str(tmp_path / "lps.csv")) == 2
         assert "unknown node '99'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"]],
+                             ids=["place", "baseline"])
+    def test_lightpath_off_the_topology_is_data_error(self, tmp_path, capsys, command):
+        lps = tmp_path / "lps.csv"
+        lps.write_text("lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\n"
+                       "0,1,9,1->9,400,0,100\n")
+        assert run_cli(*command, "--topo", "n14", "--lightpaths", str(lps),
+                       "--out", str(tmp_path / "out.json")) == 2
+        assert capsys.readouterr().err == "error: route ('1', '9') leaves topology 'N14'\n"
+
     def test_baseline_n14(self, tmp_path):
         out = tmp_path / "plan.json"
         assert run_cli("baseline", "--topo", "n14", "--out", str(out)) == 0
@@ -337,6 +347,15 @@ class TestRunAndAnalyze:
         assert err.startswith("error: all seeds failed:")
         assert "SaturationError" in err
         assert "Traceback" not in err
+
+    def test_run_one_node_topology_is_data_error(self, tmp_path, capsys):
+        topo = tmp_path / "one.json"
+        topo.write_text('{"name": "one", "nodes": ["A"], "edges": []}')
+        assert run_cli("run", "--topo", str(topo), "--seeds", "0",
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: all seeds failed:")
+        assert "TopologyError: need at least 2 nodes" in err
 
     def test_run_missing_topology_is_data_error(self, tmp_path):
         out = tmp_path / "o"

@@ -495,19 +495,27 @@ class TestRoutes:
                         assert topo.k_shortest_routes(a, b, k) == \
                             tuple(brute_force_routes(topo, a, b)[:k])
 
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(6, 30), seed=st.integers(0, 10_000), k=st.integers(1, 6),
-           grid=st.sampled_from([None, 100.0, 300.0]))
-    def test_best_first_finds_yens_routes(self, n, seed, k, grid):
-        topo = generate_gabriel(n, seed=seed)
-        if grid is not None:
-            topo = coarse(topo, grid)
-        for a in topo.nodes[:5]:
-            for b in topo.nodes:
-                routes = topology._best_first(topo, a, b, k)
-                assert routes is None or routes == topology._yen(topo, a, b, k)
+    def test_routes_match_brute_force_past_the_pop_limit(self):
+        # coarse Gabriel graphs where some pairs pass the first pass's pop
+        # limit, and others have fewer than k routes
+        second_pass = fewer_than_k = 0
+        for n, seed in ((8, 5), (9, 1), (10, 5)):
+            for grid in (100.0, 300.0):
+                topo = coarse(generate_gabriel(n, seed=seed, extent_km=400.0), grid)
+                for a in topo.nodes:
+                    for b in topo.nodes:
+                        if a == b:
+                            continue
+                        every = brute_force_routes(topo, a, b)
+                        for k in range(1, 9):
+                            with mock.patch.object(topology, "_reaches",
+                                                   wraps=topology._reaches) as reaches:
+                                assert topo.k_shortest_routes(a, b, k) == tuple(every[:k])
+                            second_pass += reaches.called
+                            fewer_than_k += len(every) < k
+        assert second_pass and fewer_than_k
 
-    def test_pop_limit_hands_over_to_yen(self):
+    def test_pop_limit_starts_the_pruned_pass(self):
         # s-t is the only route; s also opens onto a clique of five, whose
         # hundreds of loopless paths from s all end cut off from t
         clique = ["a", "b", "c", "d", "e"]
@@ -517,9 +525,35 @@ class TestRoutes:
                      + [{"a": "s", "b": m, "length_km": 10} for m in clique]
                      + [{"a": m, "b": o, "length_km": 10}
                         for i, m in enumerate(clique) for o in clique[i + 1:]]})
-        assert topology._best_first(topo, "s", "t", 1) == (("s", "t"),)
-        assert topology._best_first(topo, "s", "t", 3) is None
-        assert topo.k_shortest_routes("s", "t", 3) == (("s", "t"),)
+        for k in range(1, 9):
+            with mock.patch.object(topology, "_reaches", wraps=topology._reaches) as reaches:
+                assert topo.k_shortest_routes("s", "t", k) == (("s", "t"),)
+            # at k=1 the first pass finds s-t and stops
+            assert reaches.called == (k > 1)
+        # the pruned pass drops every path into the clique
+        adj, ids = topo._id_lengths, topo._ids
+        assert not topology._reaches(adj, (ids["s"], ids["a"]), ids["t"])
+        assert topology._reaches(adj, (ids["a"], ids["s"]), ids["t"])
+
+    def test_second_pass_has_no_pop_limit(self):
+        # 88 -> 43 is one 51 km link, and the next routes are over 1,150 km:
+        # the pruned pass pops more than 2k paths per node on its way there
+        topo = generate_gabriel(100, seed=0)
+        expected = islice(nx.shortest_simple_paths(nx_digraph(topo), "88", "43",
+                                                   weight="length_km"), 3)
+        assert topo.k_shortest_routes("88", "43", 3) == tuple(map(tuple, expected))
+
+    def test_j14_pairs_with_two_routes(self):
+        # each pair has two loopless routes, so the first pass hits its pop
+        # limit at k >= 3 and the pruned pass finds both
+        topo = bundled_topology("j14")
+        for a, b in (("12", "13"), ("12", "14"), ("13", "14"), ("14", "13")):
+            every = brute_force_routes(topo, a, b)
+            assert len(every) == 2
+            for k in (3, 5, 8):
+                with mock.patch.object(topology, "_reaches", wraps=topology._reaches) as reaches:
+                    assert topo.k_shortest_routes(a, b, k) == tuple(every)
+                assert reaches.called
 
     def test_tie_kept_where_an_estimate_rounds_up(self):
         # s-a-b-t sums to 0.6 from s, as s-t does, and wins the tie on names;
@@ -535,11 +569,11 @@ class TestRoutes:
         assert topology._best_first(topo, "s", "t", 1) == (("s", "a", "b", "t"),)
         assert topo.k_shortest_routes("s", "t", 2) == (("s", "a", "b", "t"), ("s", "t"))
 
-    def test_n14_routes_need_no_yen(self):
+    def test_n14_routes_take_no_second_pass(self):
         # the pop limit is loose enough that every N14 route set at the
-        # default k comes from the best-first search
+        # default k comes from the first pass, which searches no reachability
         topo = bundled_topology("n14")
-        with mock.patch.object(topology, "_yen", side_effect=AssertionError("Yen ran")):
+        with mock.patch.object(topology, "_reaches", side_effect=AssertionError("second pass ran")):
             for a in topo.nodes:
                 for b in topo.nodes:
                     topo.k_shortest_routes(a, b, 3)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ppmplan import topology
 from ppmplan.provisioning import read_lightpaths_csv
 from ppmplan.topology import (
     RouteLinks,
@@ -309,7 +308,7 @@ class TestLengthsInPathOrder:
         (lp,) = read_lightpaths_csv(path, uneven3)
         assert lp.length_km == (100.1 + 200.2) + 300.3
 
-    def test_yen_orders_by_left_to_right_sums(self):
+    def test_routes_order_by_left_to_right_sums(self):
         # s-x-y-t sums to 600.5999999999999 left to right and s-t is 600.6,
         # so the three-link route comes first; a compensated sum ties them,
         # and then the names put s-t first
@@ -319,9 +318,7 @@ class TestLengthsInPathOrder:
                       {"a": "x", "b": "y", "length_km": 200.2},
                       {"a": "y", "b": "t", "length_km": 300.3},
                       {"a": "s", "b": "t", "length_km": 600.6}]})
-        expected = (("s", "x", "y", "t"), ("s", "t"))
-        assert topology._yen(topo, "s", "t", 2) == expected
-        assert topology._best_first(topo, "s", "t", 2) == expected
+        assert topo.k_shortest_routes("s", "t", 2) == (("s", "x", "y", "t"), ("s", "t"))
 
 
 class TestRouteLinks:

@@ -63,8 +63,10 @@ class TestGeneration:
             generate_demands(n14, 0, seed=0)
         lonely = topology_from_dict({"name": "l", "span_length_km": 80,
                                      "nodes": ["A"], "edges": []})
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="need at least 2 nodes"):
             generate_demands(lonely, 5, seed=0)
+        with pytest.raises(TopologyError, match="need at least 2 nodes"):
+            find_load_at_rejection(lonely, 0.01, seed=0)
 
 
 def scalar_draws(topology, count, seed):
