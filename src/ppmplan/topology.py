@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -229,19 +230,27 @@ class Topology:
         dst cannot be reached)."""
         dist = self._distance_table.get(dst)
         if dist is None:
-            into = self._id_into
-            dist = self._distance_table[dst] = [math.inf] * len(into)
-            dist[dst] = 0.0
-            heap = [(0.0, dst)]
-            while heap:
-                d, v = heapq.heappop(heap)
-                if d > dist[v]:
-                    continue
-                for u, w in into[v]:
-                    if d + w < dist[u]:
-                        dist[u] = d + w
-                        heapq.heappush(heap, (d + w, u))
+            dist = self._distance_table[dst] = _distances(self._id_into, dst, set())
         return dist
+
+
+def _distances(into: list[list[tuple[int, float]]], dst: int,
+               avoid: set[int]) -> list[float]:
+    """Shortest distance to node id dst from every node id, over paths that
+    pass through no node id in `avoid` (inf where there is none). `into`
+    lists per node id each predecessor id and the length of the link from it."""
+    dist = [math.inf] * len(into)
+    dist[dst] = 0.0
+    heap = [(0.0, dst)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for u, w in into[v]:
+            if d + w < dist[u] and u not in avoid:
+                dist[u] = d + w
+                heapq.heappush(heap, (d + w, u))
+    return dist
 
 
 # Relative to the k-th route length: the best-first search keeps every path
@@ -255,23 +264,25 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
     """The k shortest loopless routes, found by a best-first search over
     loopless paths from src.
 
-    Paths pop in order of their length plus the distance from their end to
-    dst in the whole graph, a lower bound on any route that extends them; a
-    path popped at dst is a route. Once k routes are found, a path longer
-    than the k-th of them can neither make the cut nor tie with it, so the
-    search drops such paths and stops when the next pop is one. Every route
-    up to the k-th length is thus found, and the routes are sorted by
-    (length, id tuple) and cut to k. Lengths are summed link by link from
-    src, as `route_length` sums them.
+    Paths pop in order of their length plus an estimate of the distance from
+    their end to dst, a lower bound on any route that extends them; a path
+    popped at dst is a route. Once k routes are found, a path longer than the
+    k-th of them can neither make the cut nor tie with it, so the search
+    drops such paths and stops when the next pop is one. Every route up to
+    the k-th length is thus found, and the routes are sorted by (length, id
+    tuple) and cut to k. Lengths are summed link by link from src, as
+    `route_length` sums them.
 
-    The distances ignore the path's own nodes. Where fewer than k routes
-    exist, or a path has cut itself off from dst, the search can pop a great
-    many paths that never reach dst. After 2k pops per node it starts again
-    with `prune`, and drops each popped path whose end cannot reach dst
-    without passing through the path's other nodes (`_reaches`). Each path
-    it expands is then the prefix of a route, so that second pass ends with
-    no pop limit. It costs one graph search per pop, on the few pairs that
-    need it.
+    The estimate is the distance in the whole graph, which ignores the
+    path's own nodes. Where fewer than k routes exist, or a path has cut
+    itself off from dst, the search can pop a great many paths that never
+    reach dst. After 2k pops per node it starts again with `prune`, and
+    estimates each child of a popped path by its distance to dst avoiding
+    the path's nodes: one graph search per pop, on the few pairs that need
+    it. A child that cannot reach dst is dropped, and every other path pops
+    at the length of the shortest route that extends it. Each path that pass
+    expands is thus a prefix of a route no longer than the k-th (or tied
+    with it), so it needs no pop limit.
     """
     adj = topology._id_lengths
     s, t = topology._ids[src], topology._ids[dst]
@@ -282,7 +293,8 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
     pops_left = math.inf if prune else 2 * k * len(adj)
     heap = [(to_dst[s], (s,), 0)]
     found: list[tuple[float, tuple[int, ...]]] = []
-    bound = math.inf
+    # until k routes are found, any path that can still reach dst is kept
+    bound = sys.float_info.max
     while heap:
         f, path, length = heappop(heap)
         if f > bound:
@@ -297,34 +309,17 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
                 found.sort()
                 bound = found[k - 1][0] * (1 + _BOUND_SLACK)
             continue
-        if prune and not _reaches(adj, path, t):
-            continue
+        ahead = _distances(topology._id_into, t, set(path)) if prune else to_dst
         for v, w in adj[u].items():
             if v in path:
                 continue
             reached = length + w
-            estimate = reached + to_dst[v]
+            estimate = reached + ahead[v]
             if estimate <= bound:
                 heappush(heap, (estimate, path + (v,), reached))
     found.sort()
     names = topology._id_names
     return tuple(tuple(names[i] for i in p) for _, p in found[:k])
-
-
-def _reaches(adj: list[dict[int, float]], path: tuple[int, ...], t: int) -> bool:
-    """Whether node id t can be reached from the end of `path` without
-    passing through the path's other nodes."""
-    seen = set(path)
-    stack = [path[-1]]
-    while stack:
-        u = stack.pop()
-        if u == t:
-            return True
-        for x in adj[u]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return False
 
 
 def node_degree(topology: Topology, node: str) -> int:

@@ -439,6 +439,57 @@ def coarse(topo, grid_km=100.0):
     return topology_from_dict(data)
 
 
+def networkx_routes(topo, a, b, k):
+    """The first k of networkx's shortest simple paths a -> b and every path
+    tied with the k-th, ordered by (length, node names) and cut to k."""
+    paths = []
+    for p in nx.shortest_simple_paths(nx_digraph(topo), a, b, weight="length_km"):
+        if len(paths) >= k and topo.route_length(p) > topo.route_length(paths[k - 1]):
+            break
+        paths.append(tuple(p))
+    return sorted(paths, key=lambda p: (topo.route_length(p), p))[:k]
+
+
+def search_passes(topo, a, b, k):
+    """`k_shortest_routes(a, b, k)`, and how many passes its search took."""
+    with mock.patch.object(topology, "_best_first", wraps=topology._best_first) as search:
+        routes = topo.k_shortest_routes(a, b, k)
+    return routes, search.call_count
+
+
+def expanded_by_second_pass(limit):
+    """A spy on the distance searches: its list holds one entry per path the
+    pruned pass expands, and it fails after `limit` of them."""
+    expanded = []
+
+    def spy(into, dst, avoid):
+        if avoid:
+            expanded.append(avoid)
+            assert len(expanded) <= limit, "the pruned pass expanded too many paths"
+        return distances(into, dst, avoid)
+
+    distances = topology._distances
+    return mock.patch.object(topology, "_distances", side_effect=spy), expanded
+
+
+def pocket_grid(side, distinct):
+    """s-t is 1 km; the next routes run from s through x into a side x side
+    grid, and leave its far corner for t by a 1000 km link. Grid links are
+    1 km, or 1 km plus a distinct thousandth each, so that no routes tie."""
+    edges = [{"a": "s", "b": "t", "length_km": 1}, {"a": "s", "b": "x", "length_km": 1},
+             {"a": "x", "b": "0_0", "length_km": 1},
+             {"a": f"{side - 1}_{side - 1}", "b": "t", "length_km": 1000}]
+    for i in range(side):
+        for j in range(side):
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di < side and j + dj < side:
+                    edges.append({"a": f"{i}_{j}", "b": f"{i + di}_{j + dj}",
+                                  "length_km": 1 + distinct * len(edges) / 1000})
+    nodes = sorted({e["a"] for e in edges} | {e["b"] for e in edges})
+    return topology_from_dict({"name": "pocket-grid", "span_length_km": 80,
+                               "nodes": nodes, "edges": edges})
+
+
 class TestRoutes:
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(6, 30), seed=st.integers(0, 10_000), k=st.integers(1, 5))
@@ -495,6 +546,16 @@ class TestRoutes:
                         assert topo.k_shortest_routes(a, b, k) == \
                             tuple(brute_force_routes(topo, a, b)[:k])
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(10, 30), seed=st.integers(0, 10_000), k=st.integers(1, 6),
+           grid=st.sampled_from([100.0, 300.0]))
+    def test_tied_routes_match_networkx(self, n, seed, k, grid):
+        topo = coarse(generate_gabriel(n, seed=seed), grid)
+        for a in topo.nodes[:3]:
+            for b in topo.nodes:
+                if a != b:
+                    assert topo.k_shortest_routes(a, b, k) == tuple(networkx_routes(topo, a, b, k))
+
     def test_routes_match_brute_force_past_the_pop_limit(self):
         # coarse Gabriel graphs where some pairs pass the first pass's pop
         # limit, and others have fewer than k routes
@@ -508,10 +569,9 @@ class TestRoutes:
                             continue
                         every = brute_force_routes(topo, a, b)
                         for k in range(1, 9):
-                            with mock.patch.object(topology, "_reaches",
-                                                   wraps=topology._reaches) as reaches:
-                                assert topo.k_shortest_routes(a, b, k) == tuple(every[:k])
-                            second_pass += reaches.called
+                            routes, passes = search_passes(topo, a, b, k)
+                            assert routes == tuple(every[:k])
+                            second_pass += passes == 2
                             fewer_than_k += len(every) < k
         assert second_pass and fewer_than_k
 
@@ -526,22 +586,46 @@ class TestRoutes:
                      + [{"a": m, "b": o, "length_km": 10}
                         for i, m in enumerate(clique) for o in clique[i + 1:]]})
         for k in range(1, 9):
-            with mock.patch.object(topology, "_reaches", wraps=topology._reaches) as reaches:
-                assert topo.k_shortest_routes("s", "t", k) == (("s", "t"),)
-            # at k=1 the first pass finds s-t and stops
-            assert reaches.called == (k > 1)
-        # the pruned pass drops every path into the clique
-        adj, ids = topo._id_lengths, topo._ids
-        assert not topology._reaches(adj, (ids["s"], ids["a"]), ids["t"])
-        assert topology._reaches(adj, (ids["a"], ids["s"]), ids["t"])
+            spy, expanded = expanded_by_second_pass(limit=1)
+            with spy:
+                routes, passes = search_passes(topo, "s", "t", k)
+            assert routes == (("s", "t"),)
+            # at k=1 the first pass finds s-t and stops; later, the pruned
+            # pass drops every path into the clique and expands s alone
+            assert passes == (1 if k == 1 else 2)
+            assert len(expanded) == passes - 1
+
+    def test_pruned_pass_expands_only_route_prefixes(self):
+        # a search that expanded every walk in the grid that can still reach
+        # its far corner would not end; the pruned pass expands only
+        # prefixes of the k routes, as no two routes tie
+        topo = pocket_grid(10, distinct=True)
+        for k in (2, 3, 8):
+            spy, expanded = expanded_by_second_pass(limit=8 * len(topo.nodes))
+            with spy:
+                routes, passes = search_passes(topo, "s", "t", k)
+            assert passes == 2
+            assert routes == tuple(networkx_routes(topo, "s", "t", k))
+            assert len(expanded) <= sum(len(r) - 1 for r in routes)
 
     def test_second_pass_has_no_pop_limit(self):
+        # in a 5x5 grid of 1 km links, 70 routes tie at the second length,
+        # and the tie rule needs every one of them: the pruned pass pops
+        # more than 2k paths per node to find them
+        topo = pocket_grid(5, distinct=False)
+        routes, passes = search_passes(topo, "s", "t", 2)
+        assert passes == 2
+        assert routes == tuple(networkx_routes(topo, "s", "t", 2))
+        assert routes[1] == ("s", "x", "0_0", "0_1", "0_2", "0_3", "0_4",
+                             "1_4", "2_4", "3_4", "4_4", "t")
+
+    def test_second_route_far_longer_than_the_first(self):
         # 88 -> 43 is one 51 km link, and the next routes are over 1,150 km:
-        # the pruned pass pops more than 2k paths per node on its way there
+        # the first pass passes its pop limit before it finds them
         topo = generate_gabriel(100, seed=0)
-        expected = islice(nx.shortest_simple_paths(nx_digraph(topo), "88", "43",
-                                                   weight="length_km"), 3)
-        assert topo.k_shortest_routes("88", "43", 3) == tuple(map(tuple, expected))
+        routes, passes = search_passes(topo, "88", "43", 3)
+        assert passes == 2
+        assert routes == tuple(networkx_routes(topo, "88", "43", 3))
 
     def test_j14_pairs_with_two_routes(self):
         # each pair has two loopless routes, so the first pass hits its pop
@@ -551,9 +635,7 @@ class TestRoutes:
             every = brute_force_routes(topo, a, b)
             assert len(every) == 2
             for k in (3, 5, 8):
-                with mock.patch.object(topology, "_reaches", wraps=topology._reaches) as reaches:
-                    assert topo.k_shortest_routes(a, b, k) == tuple(every)
-                assert reaches.called
+                assert search_passes(topo, a, b, k) == (tuple(every), 2)
 
     def test_tie_kept_where_an_estimate_rounds_up(self):
         # s-a-b-t sums to 0.6 from s, as s-t does, and wins the tie on names;
@@ -571,12 +653,11 @@ class TestRoutes:
 
     def test_n14_routes_take_no_second_pass(self):
         # the pop limit is loose enough that every N14 route set at the
-        # default k comes from the first pass, which searches no reachability
+        # default k comes from the first pass, with no distance search per pop
         topo = bundled_topology("n14")
-        with mock.patch.object(topology, "_reaches", side_effect=AssertionError("second pass ran")):
-            for a in topo.nodes:
-                for b in topo.nodes:
-                    topo.k_shortest_routes(a, b, 3)
+        for a in topo.nodes:
+            for b in topo.nodes:
+                assert search_passes(topo, a, b, 3)[1] == 1
 
     def test_pinned_tie_on_n14(self, n14):
         # 4->11->12->14 and 4->11->13->14 are both 3400 km; networkx yields
