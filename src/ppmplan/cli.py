@@ -233,7 +233,11 @@ def _cmd_analyze(args) -> int:
     if args.fractions is not None:  # the config's own check applies to the flag
         config = dataclasses.replace(config, ppm_fractions=tuple(
             float(f) for f in args.fractions.split(",") if f.strip() != ""))
-    rows = {name: summary["scenarios"][name] for name in config.scenarios}
+    scenarios = summary.get("scenarios", {})
+    missing = [name for name in config.scenarios if name not in scenarios]
+    if missing:
+        raise ConfigError(f"summary {summary_path} has no scenario {missing[0]!r} of its config")
+    rows = {name: scenarios[name] for name in config.scenarios}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "crossing.json", {"otdr_total": otdr_total,
@@ -241,6 +245,23 @@ def _cmd_analyze(args) -> int:
     write_curves(out, summary["config_hash"], rows, config.cost_model, config.ppm_fractions)
     print(f"wrote {out}/crossing.json and curves")
     return EXIT_OK
+
+
+def _items(value: str, flag: str) -> list[str]:
+    """The items of a comma-separated flag value; an empty value or item is a
+    config error, not a request for the config's default."""
+    items = [item.strip() for item in value.split(",")]
+    if "" in items:
+        raise ConfigError(f"{flag} needs comma-separated values with none empty, got {value!r}")
+    return items
+
+
+def _int_items(value: str, flag: str) -> list[int]:
+    items = _items(value, flag)
+    try:
+        return [int(item) for item in items]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {value!r}") from None
 
 
 def _cmd_run(args) -> int:
@@ -256,14 +277,14 @@ def _cmd_run(args) -> int:
         data["rejection_target"] = args.target
     if args.step is not None:
         data["step"] = args.step
-    if args.counts:
-        data["counts"] = [int(c) for c in args.counts.split(",")]
-    if args.seeds:
-        data["seeds"] = [int(s) for s in args.seeds.split(",")]
+    if args.counts is not None:
+        data["counts"] = _int_items(args.counts, "--counts")
+    if args.seeds is not None:
+        data["seeds"] = _int_items(args.seeds, "--seeds")
     if args.solver:
         data["solver"] = args.solver
-    if args.scenarios:
-        data["scenarios"] = [s.strip() for s in args.scenarios.split(",")]
+    if args.scenarios is not None:
+        data["scenarios"] = _items(args.scenarios, "--scenarios")
     if not data.get("topology") and not data.get("gabriel"):
         raise ConfigError("give --config or --topo (or a gabriel entry in the config)")
     config = ExperimentConfig.from_dict(data)

@@ -272,6 +272,21 @@ class TestRunAndAnalyze:
                        "--out", str(tmp_path / "analysis")) == 2
         assert "config.json" in capsys.readouterr().err
 
+    def test_analyze_missing_scenario_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                       "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "greedy", "--out", str(out)) == 0
+        summary_path = out / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        del summary["scenarios"]["Tr-O-1"]
+        summary_path.write_text(json.dumps(summary))
+        ana = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(summary_path), "--out", str(ana)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: summary {summary_path} has no scenario 'Tr-O-1' of its config\n"
+        assert not ana.exists()
+
     @pytest.mark.parametrize("fractions", ["nan", "inf", "-5,10", ","])
     def test_analyze_bad_fractions_is_config_error(self, tmp_path, capsys, fractions):
         out = tmp_path / "bundle"
@@ -301,9 +316,15 @@ class TestRunAndAnalyze:
 
         from ppmplan import exact
 
-        monkeypatch.setattr(exact, "milp", lambda *a, **k: OptimizeResult(
-            status=4, message="(HiGHS Status 4: model_status is Solve error)",
-            x=None, fun=None))
+        real_milp = exact.milp
+
+        def failing_mip(*args, **kwargs):
+            if kwargs.get("integrality") is None:  # the root LP
+                return real_milp(*args, **kwargs)
+            return OptimizeResult(status=4, message="(HiGHS Status 4: model_status is Solve error)",
+                                  x=None, fun=None)
+
+        monkeypatch.setattr(exact, "milp", failing_mip)
         # J14 seed 0 at k=5 has a Tr-O-1 instance with a fractional root LP
         cfg = {"topology": "j14", "seeds": [0], "k_paths": 5,
                "scenarios": ["Tr-O-1", "OTDR"], "solver": "exact"}
@@ -425,6 +446,21 @@ class TestRunAndAnalyze:
         assert run_cli("run", "--topo", "n14", "--mode", "counts", "--counts", "5",
                        "--seeds", "1,1", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: seeds must not repeat")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--counts", "--scenarios"])
+    def test_run_empty_list_flag_is_config_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert run_cli("run", "--topo", "n14", flag, "", "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {flag} needs comma-separated values with none empty, got ''\n"
+        assert not out.exists()
+
+    def test_run_non_integer_seed_flag_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("run", "--topo", "n14", "--seeds", "0,a", "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "error: --seeds must be comma-separated integers, got '0,a'\n"
         assert not out.exists()
 
     def test_run_bad_config(self, tmp_path):

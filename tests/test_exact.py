@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog as scipy_linprog
 
 from conftest import random_instance
 from ppmplan import exact, placement
@@ -137,13 +138,20 @@ def _branching_instance():
         gamma=3)
 
 
+def _is_mip(milp_kwargs):
+    # exact.linprog calls exact.milp too, for the root LP, with no integrality
+    return milp_kwargs.get("integrality") is not None
+
+
 @pytest.fixture
 def milp_calls(monkeypatch):
-    """Records (options, result) of every real milp call solve_exact makes."""
+    """Records (options, result) of every real MIP solve solve_exact makes."""
     calls = []
     real_milp = exact.milp
 
     def spy(*args, **kwargs):
+        if not _is_mip(kwargs):
+            return real_milp(*args, **kwargs)
         options = dict(kwargs["options"])  # milp pops node_limit from its options
         res = real_milp(*args, **kwargs)
         calls.append((options, res))
@@ -159,12 +167,13 @@ def test_lp_and_mip_get_sparse_constraint_matrices(mode, monkeypatch):
     seen = {}
     real_linprog, real_milp = exact.linprog, exact.milp
 
-    def linprog_spy(*args, **kwargs):
-        seen["linprog"] = kwargs["A_ub"]
-        return real_linprog(*args, **kwargs)
+    def linprog_spy(cost, constraints, bounds):
+        seen["linprog"] = constraints
+        return real_linprog(cost, constraints, bounds)
 
     def milp_spy(*args, **kwargs):
-        seen["milp"] = kwargs["constraints"].A
+        if _is_mip(kwargs):
+            seen["milp"] = kwargs["constraints"]
         return real_milp(*args, **kwargs)
 
     monkeypatch.setattr(exact, "linprog", linprog_spy)
@@ -176,9 +185,10 @@ def test_lp_and_mip_get_sparse_constraint_matrices(mode, monkeypatch):
     else:
         expected = np.hstack([-delta, np.eye(len(inst.links))])
     assert set(seen) == {"linprog", "milp"}
-    for a in seen.values():
-        assert sparse.issparse(a)
-        assert np.array_equal(a.toarray(), expected)
+    assert seen["linprog"] is seen["milp"]
+    for constraints in seen.values():
+        assert sparse.issparse(constraints.A)
+        assert np.array_equal(constraints.A.toarray(), expected)
 
 
 class TestMipFallback:
@@ -224,9 +234,15 @@ class TestMipFallback:
         assert sol.objective >= brute_force_oracle(inst, mode=mode).objective
 
     def test_other_status_4_raises_solver_error(self, monkeypatch):
-        monkeypatch.setattr(exact, "milp", lambda *a, **k: OptimizeResult(
-            status=4, message="(HiGHS Status 4: model_status is Solve error)",
-            x=None, fun=None))
+        real_milp = exact.milp
+
+        def failing_mip(*args, **kwargs):
+            if not _is_mip(kwargs):
+                return real_milp(*args, **kwargs)
+            return OptimizeResult(status=4, message="(HiGHS Status 4: model_status is Solve error)",
+                                  x=None, fun=None)
+
+        monkeypatch.setattr(exact, "milp", failing_mip)
         with pytest.raises(SolverError, match="MIP failed with status 4"):
             solve_exact(_branching_instance())
 
@@ -303,13 +319,15 @@ class TestSharedGreedy:
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts the linprog and milp calls solve_exact makes."""
+    """Counts the root LP (exact.linprog) and MIP (exact.milp with integrality)
+    solves solve_exact makes."""
     calls = {"linprog": 0, "milp": 0}
     for name in calls:
         real = getattr(exact, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
+            if _name == "linprog" or _is_mip(kwargs):
+                calls[_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(exact, name, spy)
@@ -365,3 +383,69 @@ class TestSingleHop:
             [(("e1", "e2"), 1), (("e1",), 3), (("e2",), 3)], gamma=1)
         assert solve_exact(inst).optimal
         assert lp_calls == {"linprog": 1, "milp": 0}
+
+
+@pytest.fixture
+def root_lps(monkeypatch):
+    """Every root LP solve_exact makes, also solved by scipy's own linprog:
+    (ppmplan result, scipy result) pairs."""
+    pairs = []
+    real = exact.linprog
+
+    def spy(cost, constraints, bounds):
+        res = real(cost, constraints, bounds)
+        ref = scipy_linprog(cost, A_ub=constraints.A, b_ub=constraints.ub,
+                            bounds=np.column_stack([bounds.lb, bounds.ub]), method="highs")
+        pairs.append((res, ref))
+        return res
+
+    monkeypatch.setattr(exact, "linprog", spy)
+    return pairs
+
+
+def assert_same_as_scipy_linprog(pairs):
+    assert pairs
+    for res, ref in pairs:
+        assert res.status == ref.status == 0
+        assert res.fun == ref.fun
+        assert np.array_equal(res.x, ref.x)
+
+
+class TestRootLpMatchesScipyLinprog:
+    """The root LP goes through milp; its x and objective stay those of
+    scipy.optimize.linprog(method="highs"), which every golden output was
+    computed with."""
+
+    @pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+    def test_random_instances(self, mode, root_lps):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            solve_exact(random_instance(rng, max_links=8, max_groups=8, max_count=3,
+                                        max_gamma=3), mode=mode)
+        assert_same_as_scipy_linprog(root_lps)
+
+    def test_readme_n14_config(self, root_lps, tmp_path):
+        from ppmplan.experiment import ExperimentConfig, run_experiment
+
+        config = ExperimentConfig.from_dict({
+            "topology": "n14",
+            "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
+            "seeds": [0, 1], "load_mode": "rejection", "rejection_target": 0.01,
+            "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+        run_experiment(config, tmp_path / "bundle")
+        assert_same_as_scipy_linprog(root_lps)
+
+    @pytest.mark.parametrize("mode", ["lexicographic", "weighted"])
+    def test_gabriel30_transparent_set(self, mode, root_lps):
+        from ppmplan.provisioning import Provisioner
+        from ppmplan.topology import generate_gabriel
+        from ppmplan.traffic import generate_demands
+
+        topo = generate_gabriel(30, seed=0)
+        prov = Provisioner(topo, "transparent")
+        for d in generate_demands(topo, 300, seed=0).demands:
+            prov.serve(d)
+        for gamma in (1, 2, 3):
+            solve_exact(placement.build_cover_instance(prov.result(), topo, gamma), mode=mode)
+        assert len(root_lps) == 3
+        assert_same_as_scipy_linprog(root_lps)
