@@ -47,24 +47,16 @@ class ScenarioResult:
     carried_tbps: float = 0.0
 
 
-def unsatisfied_npl_avg(solution_or_counts, gamma: int, mode: str = "optimized") -> float:
-    """Mean unsatisfied monitors-per-link over all links.
-
-    "optimized" averages gamma minus the achieved (capped) count;
-    "unoptimized" counts a link as satisfied once any lightpath monitor
-    covers it, i.e. averages the zero-coverage indicator.
-    """
+def unsatisfied_npl_avg(solution_or_counts, gamma: int) -> float:
+    """Mean unsatisfied monitors-per-link over all links: gamma minus the
+    achieved (capped) count. At gamma = 1 it is the share of unmonitored links."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     counts = getattr(solution_or_counts, "x", solution_or_counts)
     values = list(counts.values())
     if not values:
         raise ValueError("no per-link counts given")
-    if mode == "optimized":
-        return sum(max(0, gamma - min(gamma, v)) for v in values) / len(values)
-    if mode == "unoptimized":
-        return sum(1 for v in values if v == 0) / len(values)
-    raise ValueError(f"unknown mode {mode!r}")
+    return sum(max(0, gamma - min(gamma, v)) for v in values) / len(values)
 
 
 def crossing_value(n_ppm: float, n_otdr: float, cost_model: CostModel,

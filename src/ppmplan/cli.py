@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--lightpaths", required=True)
     place.add_argument("--solver", choices=["greedy", "exact", "oracle"], default="greedy")
     place.add_argument("--gamma", type=int, required=True)
-    place.add_argument("--alpha-policy", choices=["hop_plus_one", "strict_dominance"],
-                       default="hop_plus_one")
     place.add_argument("--mode", choices=["lexicographic", "weighted"],
                        default="lexicographic")
     place.add_argument("--tie-break", choices=["deterministic", "seeded_random"],
@@ -124,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--topo", required=True)
     exp.add_argument("--lightpaths", required=True)
     exp.add_argument("--gamma", type=int, required=True)
-    exp.add_argument("--alpha-policy", choices=["hop_plus_one", "strict_dominance"],
-                     default="hop_plus_one")
     exp.add_argument("--out", required=True)
 
     ana = sub.add_parser("analyze", help="crossing values and cost curves from a summary")
@@ -185,7 +181,7 @@ def _cmd_provision(args) -> int:
 def _cmd_place(args) -> int:
     topo = resolve_topology(args.topo)
     lps = read_lightpaths_csv(args.lightpaths, topo)
-    instance = build_cover_instance(lps, topo, args.gamma, alpha_policy=args.alpha_policy)
+    instance = build_cover_instance(lps, topo, args.gamma)
     if args.solver == "greedy":
         sol = solve_greedy(instance, tie_break=args.tie_break, seed=args.seed)
     elif args.solver == "exact":
@@ -215,7 +211,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_export_lp(args) -> int:
     topo = resolve_topology(args.topo)
     lps = read_lightpaths_csv(args.lightpaths, topo)
-    instance = build_cover_instance(lps, topo, args.gamma, alpha_policy=args.alpha_policy)
+    instance = build_cover_instance(lps, topo, args.gamma)
     export_lp(instance, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -232,7 +228,7 @@ def _cmd_analyze(args) -> int:
     config = ExperimentConfig.from_dict(bundle["config"])
     if args.fractions is not None:  # the config's own check applies to the flag
         config = dataclasses.replace(config, ppm_fractions=tuple(
-            float(f) for f in args.fractions.split(",") if f.strip() != ""))
+            _number_items(args.fractions, "--fractions", float)))
     scenarios = summary.get("scenarios", {})
     missing = [name for name in config.scenarios if name not in scenarios]
     if missing:
@@ -256,19 +252,23 @@ def _items(value: str, flag: str) -> list[str]:
     return items
 
 
-def _int_items(value: str, flag: str) -> list[int]:
+def _number_items(value: str, flag: str, cast) -> list:
     items = _items(value, flag)
     try:
-        return [int(item) for item in items]
+        return [cast(item) for item in items]
     except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated integers, got {value!r}") from None
+        kind = "integers" if cast is int else "numbers"
+        raise ConfigError(f"{flag} must be comma-separated {kind}, got {value!r}") from None
 
 
 def _cmd_run(args) -> int:
+    for flag, value in (("--config", args.config), ("--topo", args.topo)):
+        if value is not None and not value.strip():
+            raise ConfigError(f"{flag} needs a value, got {value!r}")
     data = {}
-    if args.config:
+    if args.config is not None:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.topo:
+    if args.topo is not None:
         data["topology"] = args.topo
         data.pop("gabriel", None)
     if args.load_mode:
@@ -278,9 +278,9 @@ def _cmd_run(args) -> int:
     if args.step is not None:
         data["step"] = args.step
     if args.counts is not None:
-        data["counts"] = _int_items(args.counts, "--counts")
+        data["counts"] = _number_items(args.counts, "--counts", int)
     if args.seeds is not None:
-        data["seeds"] = _int_items(args.seeds, "--seeds")
+        data["seeds"] = _number_items(args.seeds, "--seeds", int)
     if args.solver:
         data["solver"] = args.solver
     if args.scenarios is not None:

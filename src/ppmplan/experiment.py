@@ -346,7 +346,7 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
                 cov = ls.coverage(topo)
                 point["scenarios"][name] = {
                     "monitors": len(ls.lightpaths),
-                    "unsatisfied_npl_avg": unsatisfied_npl_avg(cov, 1, "unoptimized"),
+                    "unsatisfied_npl_avg": unsatisfied_npl_avg(cov, 1),
                     "carried_tbps": carried,
                 }
             else:

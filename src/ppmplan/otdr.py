@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 from .topology import Topology, TopologyError, ceil_div
 
-UNDIRECTED_SEP = "<->"
-
 
 def undirected_label(a: str, b: str) -> str:
-    return f"{a}{UNDIRECTED_SEP}{b}"
+    return f"{a}<->{b}"
 
 
 @dataclass(frozen=True)
@@ -36,33 +34,21 @@ class OtdrPlan:
         }
 
 
-def _normalize_lit(topology: Topology, lit_links) -> set[frozenset[str]]:
-    order = {n: i for i, n in enumerate(topology.nodes)}
-    lit: set[frozenset[str]] = set()
-    for item in lit_links:
-        if isinstance(item, str):
-            if UNDIRECTED_SEP in item:
-                a, b = item.split(UNDIRECTED_SEP, 1)
-            elif "->" in item:
-                a, b = item.split("->", 1)
-            else:
-                raise TopologyError(f"unparseable link label {item!r}")
-        else:
-            a, b = item
-        if a not in order or b not in order or not topology.has_link(a, b):
-            raise TopologyError(f"lit link {a}-{b} not in topology {topology.name!r}")
-        lit.add(frozenset((a, b)))
-    return lit
-
-
 def count_otdrs(topology: Topology, lit_links=None) -> OtdrPlan:
     """OTDR plan for the network; unlit links are skipped when `lit_links` is given.
 
-    `lit_links` accepts directed labels ("a->b"), undirected labels ("a<->b"),
-    or (a, b) pairs; direction is ignored. The degree term also counts only
-    lit links, matching deployment tied to monitored fibers.
+    `lit_links` holds directed labels ("a->b"); an undirected edge is lit when
+    either direction is. The degree term also counts only lit links, matching
+    deployment tied to monitored fibers.
     """
-    lit = None if lit_links is None else _normalize_lit(topology, lit_links)
+    lit = None
+    if lit_links is not None:
+        ends = {l.label: frozenset((l.src, l.dst)) for l in topology.links}
+        lit = set()
+        for label in lit_links:
+            if label not in ends:
+                raise TopologyError(f"lit link {label!r} not in topology {topology.name!r}")
+            lit.add(ends[label])
     degrees: dict[str, int] = {n: 0 for n in topology.nodes}
     inline: dict[str, int] = {}
     for a, b, length in topology.undirected_edges:

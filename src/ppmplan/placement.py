@@ -162,14 +162,11 @@ class CoverInstance:
         return int(np.maximum(0, self.gamma - np.minimum(self.gamma, self.max_coverage)).sum())
 
 
-def make_instance(links, groups, gamma: int, alpha: int | None = None,
-                  alpha_policy: str = "hop_plus_one") -> CoverInstance:
+def make_instance(links, groups, gamma: int, alpha: int | None = None) -> CoverInstance:
     """Validated CoverInstance; drops inert zero-multiplicity groups.
 
     `groups` entries are (links, count) pairs or PathGroup objects. When
-    `alpha` is None it is derived from `alpha_policy`: "hop_plus_one" uses
-    max hops + 1, "strict_dominance" uses 1 + total lightpath count (always
-    above the hop bound).
+    `alpha` is None it is max hops + 1.
     """
     built: list[PathGroup] = []
     for g in groups:
@@ -182,27 +179,19 @@ def make_instance(links, groups, gamma: int, alpha: int | None = None,
             pg = PathGroup(tuple(route), int(count))
         built.append(pg)
     if alpha is None:
-        max_hops = max((len(g.links) for g in built), default=0)
-        if alpha_policy == "hop_plus_one":
-            alpha = max_hops + 1
-        elif alpha_policy == "strict_dominance":
-            alpha = max(max_hops, sum(g.count for g in built)) + 1
-        else:
-            raise InstanceError(f"unknown alpha policy {alpha_policy!r}")
+        alpha = max((len(g.links) for g in built), default=0) + 1
     return CoverInstance(links=tuple(links), groups=tuple(built),
                          gamma=int(gamma), alpha=int(alpha))
 
 
-def build_cover_instance(lightpaths, topology, gamma: int,
-                         alpha_policy: str = "hop_plus_one") -> CoverInstance:
+def build_cover_instance(lightpaths, topology, gamma: int) -> CoverInstance:
     """Cover instance over all directed links of `topology` from established
     lightpaths (a LightpathSet or an iterable of Lightpath / link-tuple routes)."""
     if hasattr(lightpaths, "lightpaths"):
         lightpaths = lightpaths.lightpaths
     tally = Counter(tuple(lp.links) if hasattr(lp, "links") else tuple(lp)
                     for lp in lightpaths)
-    return make_instance(topology.link_labels, sorted(tally.items()), gamma,
-                         alpha_policy=alpha_policy)
+    return make_instance(topology.link_labels, sorted(tally.items()), gamma)
 
 
 @dataclass(frozen=True)

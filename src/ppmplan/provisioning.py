@@ -66,7 +66,6 @@ class ProvisioningError(ValueError):
 @dataclass(frozen=True)
 class ReachTable:
     rows: tuple[tuple[int, int], ...] = RATE_REACH_ROWS
-    spacing_ghz: int = 100
 
     def __post_init__(self):
         rates = [r for r, _ in self.rows]
@@ -480,17 +479,16 @@ def write_lightpaths_csv(lightpaths, path: str | Path,
                              lp.carried_gbps])
 
 
-def read_lightpaths_csv(path: str | Path, topology: Topology | None = None) -> list[Lightpath]:
+def read_lightpaths_csv(path: str | Path, topology: Topology) -> list[Lightpath]:
+    """Lightpaths of a dump; a route off `topology` raises TopologyError."""
     lps = []
     with open(path, newline="", encoding="utf-8") as fh:
         rows = (line for line in fh if not line.startswith("#"))
         for row in csv.DictReader(rows):
             nodes = tuple(row["route"].split("->"))
-            length = 0.0
-            if topology is not None:  # a route off the topology raises TopologyError
-                length = topology.route_links[nodes].length_km
             lps.append(Lightpath(lp_id=int(row["lp_id"]), nodes=nodes,
-                                 length_km=length, rate_gbps=int(row["rate_gbps"]),
+                                 length_km=topology.route_links[nodes].length_km,
+                                 rate_gbps=int(row["rate_gbps"]),
                                  channel=int(row["channel"]),
                                  carried_gbps=int(row["carried_gbps"])))
     return lps

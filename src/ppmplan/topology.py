@@ -193,9 +193,6 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no link {src}->{dst} in topology {self.name!r}") from None
 
-    def has_link(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._link_map
-
     def neighbors(self, node: str) -> tuple[str, ...]:
         if node not in self.link_lengths:
             raise TopologyError(f"unknown node {node!r} in topology {self.name!r}")

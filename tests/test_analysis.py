@@ -45,8 +45,8 @@ class TestUnsatisfiedAvg:
         assert unsatisfied_npl_avg({"a": 3, "b": 1}, gamma=3) == pytest.approx(1.0)
 
     def test_unoptimized_indicator(self):
-        assert unsatisfied_npl_avg({"a": 5, "b": 0, "c": 2}, gamma=1,
-                                   mode="unoptimized") == pytest.approx(1 / 3)
+        # at gamma = 1 the capped shortfall is the zero-coverage indicator
+        assert unsatisfied_npl_avg({"a": 5, "b": 0, "c": 2}, gamma=1) == pytest.approx(1 / 3)
 
     def test_accepts_solution(self):
         inst = make_instance(["e1", "e2"], [(("e1",), 1)], gamma=2)

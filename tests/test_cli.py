@@ -80,6 +80,15 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert "unrecognized arguments: --arch opaque" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["place", "export-lp"])
+    def test_no_alpha_policy_flag(self, capsys, command):
+        # alpha is max hops + 1; any alpha above the hop bound gives the same placement
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--topo", "n14", "--lightpaths", "lps.csv", "--gamma", "1",
+                    "--alpha-policy", "hop_plus_one", "--out", "out")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --alpha-policy hop_plus_one" in capsys.readouterr().err
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -287,8 +296,17 @@ class TestRunAndAnalyze:
         assert err == f"error: summary {summary_path} has no scenario 'Tr-O-1' of its config\n"
         assert not ana.exists()
 
-    @pytest.mark.parametrize("fractions", ["nan", "inf", "-5,10", ","])
-    def test_analyze_bad_fractions_is_config_error(self, tmp_path, capsys, fractions):
+    @pytest.mark.parametrize("fractions,message", [
+        pytest.param("nan", "ppm_fractions must", id="nan"),
+        pytest.param("inf", "ppm_fractions must", id="inf"),
+        pytest.param("-5,10", "ppm_fractions must", id="-5,10"),
+        pytest.param(",", "--fractions needs comma-separated values with none empty", id=","),
+        pytest.param("5,,10", "--fractions needs comma-separated values with none empty",
+                     id="5,,10"),
+        pytest.param("5,abc", "--fractions must be comma-separated numbers, got '5,abc'",
+                     id="5,abc"),
+    ])
+    def test_analyze_bad_fractions_is_config_error(self, tmp_path, capsys, fractions, message):
         out = tmp_path / "bundle"
         assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
                        "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
@@ -296,7 +314,7 @@ class TestRunAndAnalyze:
         ana = tmp_path / "analysis"
         assert run_cli("analyze", "--summary", str(out / "summary.json"),
                        f"--fractions={fractions}", "--out", str(ana)) == 2
-        assert capsys.readouterr().err.startswith("error: ppm_fractions must")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not ana.exists()
 
     def test_run_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -454,6 +472,20 @@ class TestRunAndAnalyze:
         assert run_cli("run", "--topo", "n14", flag, "", "--out", str(out)) == 2
         assert capsys.readouterr().err == \
             f"error: {flag} needs comma-separated values with none empty, got ''\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--topo", "--config"])
+    def test_run_empty_topo_or_config_is_config_error(self, tmp_path, capsys, flag):
+        # an empty value is an error, not a fall-back to the other flag's topology
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"topology": "j14", "load_mode": "counts", "counts": [10],
+                                   "seeds": [0], "solver": "greedy"}))
+        given = {"--topo": ["--config", str(cfg), "--topo", ""],
+                 "--config": ["--config", "", "--topo", "j14", "--mode", "counts",
+                              "--counts", "10", "--seeds", "0"]}[flag]
+        out = tmp_path / "o"
+        assert run_cli("run", *given, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {flag} needs a value, got ''\n"
         assert not out.exists()
 
     def test_run_non_integer_seed_flag_is_config_error(self, tmp_path, capsys):

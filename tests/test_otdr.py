@@ -50,7 +50,7 @@ class TestCalibration:
 
 class TestLitRestriction:
     def test_degree_term_restricted(self, line3):
-        plan = count_otdrs(line3, lit_links=[("A", "B")])
+        plan = count_otdrs(line3, lit_links=["A->B"])
         assert plan.per_node == {"A": 1, "B": 1, "C": 0}
         assert plan.total == 2
 
@@ -60,8 +60,13 @@ class TestLitRestriction:
         assert a == b
 
     def test_unknown_link(self, line3):
-        with pytest.raises(TopologyError, match="lit link"):
-            count_otdrs(line3, lit_links=[("A", "C")])
+        with pytest.raises(TopologyError, match="lit link 'A->C' not in topology"):
+            count_otdrs(line3, lit_links=["A->C"])
+
+    @pytest.mark.parametrize("label", ["A<->B", ("A", "B")], ids=["undirected", "pair"])
+    def test_only_directed_labels(self, line3, label):
+        with pytest.raises(TopologyError, match="lit link .* not in topology"):
+            count_otdrs(line3, lit_links=[label])
 
     def test_json_dump(self, two_node):
         d = count_otdrs(two_node).to_json_dict()

@@ -67,9 +67,7 @@ class TestInstanceBuild:
 
     def test_alpha_policies(self):
         groups = [(("e1", "e2"), 2), (("e1",), 3)]
-        assert make_instance(["e1", "e2"], groups, 1).alpha == 3
-        strict = make_instance(["e1", "e2"], groups, 1, alpha_policy="strict_dominance")
-        assert strict.alpha == 6  # 1 + total lightpaths, above hop bound
+        assert make_instance(["e1", "e2"], groups, 1).alpha == 3  # max hops + 1
 
     def test_gamma_validation(self):
         with pytest.raises(InstanceError):

@@ -53,7 +53,6 @@ class TestReachTable:
         assert DEFAULT_REACH_TABLE.rows == (
             (800, 150), (700, 400), (600, 700), (500, 1300),
             (400, 2500), (300, 4700), (200, 5700))
-        assert DEFAULT_REACH_TABLE.spacing_ghz == 100
         assert CHANNELS_PER_FIBER == 60  # 6 THz / 100 GHz
 
     def test_best_rate(self):
@@ -248,6 +247,13 @@ class TestInvariants:
             assert back.channel == orig.channel
             assert back.carried_gbps == orig.carried_gbps
             assert back.length_km == pytest.approx(orig.length_km)
+
+    def test_csv_read_needs_topology(self, n14, tmp_path):
+        # the topology gives each route its length; there is no zero-length fallback
+        path = tmp_path / "lps.csv"
+        write_lightpaths_csv(provision(n14, generate_demands(n14, 5, seed=8), "transparent"), path)
+        with pytest.raises(TypeError):
+            read_lightpaths_csv(path)
 
     def test_lightpath_links_cached_without_changing_identity(self, tmp_path):
         from dataclasses import fields
