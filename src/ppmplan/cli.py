@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--lightpaths", required=True)
     place.add_argument("--solver", choices=["greedy", "exact", "oracle"], default="greedy")
     place.add_argument("--gamma", type=int, required=True)
-    place.add_argument("--mode", choices=["lexicographic", "weighted"],
-                       default="lexicographic")
     place.add_argument("--tie-break", choices=["deterministic", "seeded_random"],
                        default="deterministic")
     place.add_argument("--seed", type=int, default=0)
@@ -185,9 +183,9 @@ def _cmd_place(args) -> int:
     if args.solver == "greedy":
         sol = solve_greedy(instance, tie_break=args.tie_break, seed=args.seed)
     elif args.solver == "exact":
-        sol = solve_exact(instance, mode=args.mode, node_budget=args.node_budget)
+        sol = solve_exact(instance, node_budget=args.node_budget)
     else:
-        sol = brute_force_oracle(instance, mode=args.mode)
+        sol = brute_force_oracle(instance)
     write_json(args.out, sol.to_json_dict())
     if args.solver == "exact" and not sol.optimal:
         print("node budget exceeded: incumbent only", file=sys.stderr)

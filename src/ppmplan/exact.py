@@ -1,19 +1,21 @@
 """Exact placement solver: a root-LP screen in front of the HiGHS MIP.
 
+The model minimizes monitors subject to every link reaching min(gamma, max
+coverage). Coverage is monotone in p, so p = counts reaches that floor and
+the unsatisfied total of every feasible p is `min_unsatisfied`; the optima
+are those of alpha * unsatisfied + monitors for any alpha >= 2, since below
+the floor one more monitor on a link's spare lightpath lowers unsatisfied
+by at least one.
+
 The greedy placement is the incumbent; it is the instance's cached greedy
 (`CoverInstance.greedy`), so a greedy solve of the same instance, before or
 after, does not repeat it. An instance of single-hop groups needs no LP: it
 splits per link, and the greedy's p, min(counts, gamma), is optimal.
-Otherwise one LP relaxation settles most
-instances: its bound, rounded up since objectives are integral, meets the
-incumbent, or its optimum is integral in the group counts. Only a
-fractional root below the incumbent goes to the HiGHS MIP on the same model.
-Both solves go through `scipy.optimize.milp`, the root LP with no integer
-variables, so HiGHS has one front end here. The default lexicographic mode
-first fixes the minimum achievable unsatisfied total - coverage is monotone
-in p, so that floor is reached at p = counts and needs no search - then
-minimizes monitors subject to reaching it. The weighted mode minimizes
-alpha * unsatisfied + monitors.
+Otherwise one LP relaxation settles most instances: its bound, rounded up
+since objectives are integral, meets the incumbent, or its optimum is
+integral. Only a fractional root below the incumbent goes to the HiGHS MIP
+on the same model. Both solves go through `scipy.optimize.milp`, the root
+LP with no integer variables, so HiGHS has one front end here.
 """
 
 from __future__ import annotations
@@ -60,84 +62,56 @@ def _greedy_p(instance: CoverInstance) -> np.ndarray:
     return np.array(instance.greedy[0], dtype=np.int64)
 
 
-def solve_exact(instance: CoverInstance, mode: str = "lexicographic",
+def solve_exact(instance: CoverInstance,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementSolution:
     """Provably optimal placement, or the best incumbent with optimal=False
     when the node budget runs out. The root LP counts as one node; the MIP
-    gets the rest as its node limit.
-
-    mode="lexicographic": minimize unsatisfied coverage, then monitors.
-    mode="weighted": minimize alpha * unsatisfied + monitors. For any
-    alpha > 1 the two agree (raising a count that covers an undersatisfied
-    link trades one monitor for at least one unit of unsatisfied), which the
-    test suite asserts against the oracle rather than assumes.
-    """
-    if mode not in ("lexicographic", "weighted"):
-        raise InstanceError(f"unknown solver mode {mode!r}")
+    gets the rest as its node limit."""
     if node_budget < 0:
         raise InstanceError(f"node_budget must be >= 0, got {node_budget}")
-    n_l, n_e = len(instance.groups), len(instance.links)
-    if n_l == 0 or n_e == 0:
+    n_l = len(instance.groups)
+    if n_l == 0 or not instance.links:
         return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64), optimal=True)
 
     if instance.max_hops == 1:
         # each link has at most one group, so the problem splits per link and
-        # the greedy's p, min(counts, gamma), is optimal in both modes
+        # the greedy's p, min(counts, gamma), is optimal
         return solution_from_counts(instance, _greedy_p(instance),
                                     optimal=node_budget >= 1)
-    gamma = instance.gamma
     counts = instance.counts
 
-    # one sparse model for the LP and the MIP: integer counts p in [0, counts],
-    # plus in weighted mode continuous capped coverages x in [0, gamma]
-    if mode == "lexicographic":
-        # phase 2: reach min(gamma, max coverage), positive exactly on delta's non-empty rows
-        req = np.minimum(gamma, instance.max_coverage).astype(np.float64)
-        rows, by_link = np.flatnonzero(req), instance.delta_rows
-        a_ub = sparse.csr_array((np.full(by_link.nnz, -1.0), by_link.indices,
-                                 np.append(0, by_link.indptr[rows + 1])), shape=(len(rows), n_l))
-        b_ub = -req[rows]
-        cost = np.ones(n_l)
-        ub = counts.astype(np.float64)
-    else:
-        a_ub = sparse.hstack([-instance.delta, sparse.identity(n_e)], format="csc")
-        b_ub = np.zeros(n_e)
-        cost = np.concatenate([np.ones(n_l), -float(instance.alpha) * np.ones(n_e)])
-        ub = np.concatenate([counts, np.full(n_e, gamma)]).astype(np.float64)
-    integrality = (np.arange(len(cost)) < n_l).astype(np.int64)
-
-    def true_value(p_vec: np.ndarray) -> int:
-        if mode == "lexicographic":
-            return int(p_vec.sum())
-        cov = instance.delta @ p_vec
-        return int(p_vec.sum()) - instance.alpha * int(np.minimum(gamma, cov).sum())
+    # one sparse model for the LP and the MIP: integer counts p in [0, counts]
+    # reaching min(gamma, max coverage), positive exactly on delta's non-empty rows
+    req = np.minimum(instance.gamma, instance.max_coverage)
+    rows, by_link = np.flatnonzero(req), instance.delta_rows
+    a_ub = sparse.csr_array((np.full(by_link.nnz, -1.0), by_link.indices,
+                             np.append(0, by_link.indptr[rows + 1])), shape=(len(rows), n_l))
+    constraints = LinearConstraint(a_ub, -np.inf, -req[rows])
+    bounds = Bounds(np.zeros(n_l), counts.astype(np.float64))
+    cost = np.ones(n_l)
 
     best_p = _greedy_p(instance)
-    if mode == "lexicographic" and np.any(instance.delta @ best_p < req):
-        best_p = counts.copy()  # always feasible for phase 2
-    best_val = true_value(best_p)
+    if np.any(instance.delta @ best_p < req):
+        best_p = counts.copy()  # always feasible
     if node_budget < 1:
         return solution_from_counts(instance, best_p, optimal=False)
 
-    bounds = Bounds(np.zeros_like(ub), ub)
-    constraints = LinearConstraint(a_ub, -np.inf, b_ub)
     res = linprog(cost, constraints, bounds)
     if res.status != 0:
         raise SolverError(f"LP relaxation failed with status {res.status}: "
                           f"{res.message}")
-    if math.ceil(res.fun - _INT_TOL) >= best_val:
+    if math.ceil(res.fun - _INT_TOL) >= best_p.sum():
         return solution_from_counts(instance, best_p, optimal=True)
-    px = res.x[:n_l]
-    if np.all(np.abs(px - np.round(px)) <= _INT_TOL):
-        return solution_from_counts(instance, np.round(px).astype(np.int64), optimal=True)
+    if np.all(np.abs(res.x - np.round(res.x)) <= _INT_TOL):
+        return solution_from_counts(instance, np.round(res.x).astype(np.int64), optimal=True)
 
-    res = milp(cost, integrality=integrality, bounds=bounds, constraints=constraints,
+    res = milp(cost, integrality=1, bounds=bounds, constraints=constraints,
                options={"node_limit": node_budget - 1, "mip_rel_gap": 0})
     budget_stop = res.status == 4 and _NODE_LIMIT in res.message
     if res.status != 0 and not budget_stop:
         raise SolverError(f"MIP failed with status {res.status}: {res.message}")
     if res.x is not None:
-        p_int = np.round(res.x[:n_l]).astype(np.int64)
-        if true_value(p_int) < best_val:
+        p_int = np.round(res.x).astype(np.int64)
+        if p_int.sum() < best_p.sum():
             best_p = p_int
     return solution_from_counts(instance, best_p, optimal=not budget_stop)

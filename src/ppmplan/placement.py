@@ -73,7 +73,6 @@ class CoverInstance:
     links: tuple[str, ...]
     groups: tuple[PathGroup, ...]
     gamma: int
-    alpha: int
     max_hops: int = field(init=False, repr=False, compare=False)
     # `delta`'s row indices and column starts; `delta` holds and sorts them
     _route_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
@@ -97,9 +96,6 @@ class CoverInstance:
         object.__setattr__(self, "max_hops", max(hops, default=0))
         object.__setattr__(self, "_route_rows", (np.array(rows, dtype=np.int32),
                                                  np.cumsum([0] + hops, dtype=np.int32)))
-        if self.alpha <= self.max_hops:
-            raise InstanceError(
-                f"alpha ({self.alpha}) must exceed the maximum hop count ({self.max_hops})")
 
     def _reject_routes(self) -> None:
         """Raise for the first route that repeats an earlier one or uses an
@@ -112,6 +108,13 @@ class CoverInstance:
             missing = set(g.links) - self.link_index.keys()
             if missing:
                 raise InstanceError(f"route uses unknown links {sorted(missing)}")
+
+    @property
+    def alpha(self) -> int:
+        """Weight of an unsatisfied unit in `objective`: max hops + 1. Every
+        weight of at least 2 has the same minimizers: the optima of
+        `solve_exact`'s model."""
+        return self.max_hops + 1
 
     @cached_property
     def link_index(self) -> dict[str, int]:
@@ -162,11 +165,10 @@ class CoverInstance:
         return int(np.maximum(0, self.gamma - np.minimum(self.gamma, self.max_coverage)).sum())
 
 
-def make_instance(links, groups, gamma: int, alpha: int | None = None) -> CoverInstance:
+def make_instance(links, groups, gamma: int) -> CoverInstance:
     """Validated CoverInstance; drops inert zero-multiplicity groups.
 
-    `groups` entries are (links, count) pairs or PathGroup objects. When
-    `alpha` is None it is max hops + 1.
+    `groups` entries are (links, count) pairs or PathGroup objects.
     """
     built: list[PathGroup] = []
     for g in groups:
@@ -178,10 +180,7 @@ def make_instance(links, groups, gamma: int, alpha: int | None = None) -> CoverI
                 continue
             pg = PathGroup(tuple(route), int(count))
         built.append(pg)
-    if alpha is None:
-        alpha = max((len(g.links) for g in built), default=0) + 1
-    return CoverInstance(links=tuple(links), groups=tuple(built),
-                         gamma=int(gamma), alpha=int(alpha))
+    return CoverInstance(links=tuple(links), groups=tuple(built), gamma=int(gamma))
 
 
 def build_cover_instance(lightpaths, topology, gamma: int) -> CoverInstance:
@@ -367,15 +366,12 @@ def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[i
     return p, selection
 
 
-def brute_force_oracle(instance: CoverInstance, mode: str = "weighted",
-                       cap: int = 1_000_000) -> PlacementSolution:
+def brute_force_oracle(instance: CoverInstance, cap: int = 1_000_000) -> PlacementSolution:
     """Exhaustive optimum by enumerating every p vector; testing-scale only.
 
-    mode="weighted" minimizes alpha*unsatisfied + monitors; mode="lexicographic"
-    minimizes (unsatisfied, monitors). Refuses when prod(count+1) exceeds `cap`.
+    Minimizes `objective`, alpha * unsatisfied + monitors, by its own score
+    rather than `solve_exact`'s model. Refuses when prod(count+1) exceeds `cap`.
     """
-    if mode not in ("weighted", "lexicographic"):
-        raise InstanceError(f"unknown oracle mode {mode!r}")
     counts = instance.counts
     space = float(np.prod((counts + 1).astype(np.float64))) if len(counts) else 1.0
     if space > cap:
@@ -388,9 +384,5 @@ def brute_force_oracle(instance: CoverInstance, mode: str = "weighted",
     x = np.minimum(instance.gamma, coverage)
     unsat = (instance.gamma - x).sum(axis=1)
     monitors = all_p.sum(axis=1)
-    if mode == "weighted":
-        score = instance.alpha * unsat + monitors
-    else:
-        score = unsat * (int(counts.sum()) + 1) + monitors
-    best = int(np.argmin(score))  # first minimum: deterministic
+    best = int(np.argmin(instance.alpha * unsat + monitors))  # first minimum: deterministic
     return solution_from_counts(instance, all_p[best], optimal=True)

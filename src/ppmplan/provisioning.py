@@ -296,9 +296,14 @@ class Provisioner:
         adj = self.topology.link_lengths
         # no chain unless a link leaving src and a link entering dst can carry
         # it; links come in both directions, so dst's successors feed it
-        if (max(max_spare[src].values(), default=0) < rate
-                or max([max_spare[u].get(dst, 0) for u in adj[dst]], default=0) < rate):
-            return None
+        try:
+            if (max(max_spare[src].values(), default=0) < rate
+                    or max([max_spare[u].get(dst, 0) for u in adj[dst]], default=0) < rate):
+                return None
+        except KeyError:
+            for node in (src, dst):
+                self.topology.neighbors(node)  # raises TopologyError for an unknown node
+            raise
         heappush, heappop = heapq.heappush, heapq.heappop
         inf = math.inf
         pushes = 0

@@ -121,17 +121,14 @@ class TestPipeline:
         assert sols["exact"]["optimal"] is True
         assert sols["greedy"]["monitors"] >= sols["exact"]["monitors"]
 
-    def test_place_weighted_mode(self, tmp_path, stage_files):
-        _, lps = stage_files
-        lex_out = tmp_path / "lex.json"
-        w_out = tmp_path / "w.json"
-        assert run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
-                       "--solver", "exact", "--gamma", "1", "--out", str(lex_out)) == 0
-        assert run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
-                       "--solver", "exact", "--mode", "weighted", "--gamma", "1",
-                       "--out", str(w_out)) == 0
-        lex, w = json.loads(lex_out.read_text()), json.loads(w_out.read_text())
-        assert (lex["unsatisfied"], lex["monitors"]) == (w["unsatisfied"], w["monitors"])
+    def test_place_weighted_mode(self, tmp_path, capsys):
+        # one placement model: --mode is gone, so passing it is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run_cli("place", "--topo", "n14", "--lightpaths", "lps.csv", "--solver", "exact",
+                    "--mode", "weighted", "--gamma", "1", "--out", str(tmp_path / "w.json"))
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --mode weighted" in capsys.readouterr().err
+        assert not (tmp_path / "w.json").exists()
 
     def test_place_budget_exit_code(self, tmp_path, stage_files):
         _, lps = stage_files
@@ -176,11 +173,15 @@ class TestPipeline:
         assert out.read_text().startswith("\\ monitor-cover integer model")
 
     def test_provision_unknown_node_is_data_error(self, tmp_path, capsys):
+        # the first demand leaves spare on a link leaving node 1, so opaque
+        # grooming looks for a link entering an unknown destination
         d = tmp_path / "bad.csv"
-        d.write_text("src,dst,rate_gbps\n1,99,100\n")
-        assert run_cli("provision", "--topo", "n14", "--demands", str(d),
-                       "--arch", "transparent", "--out", str(tmp_path / "lps.csv")) == 2
-        assert "unknown node '99'" in capsys.readouterr().err
+        for arch in ("opaque", "transparent"):
+            for bad in ("99,2", "1,99"):
+                d.write_text(f"src,dst,rate_gbps\n1,2,100\n{bad},100\n")
+                assert run_cli("provision", "--topo", "n14", "--demands", str(d), "--arch", arch,
+                               "--out", str(tmp_path / "lps.csv")) == 2, (arch, bad)
+                assert capsys.readouterr().err == "error: unknown node '99' in topology 'N14'\n"
 
     @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"]],
                              ids=["place", "baseline"])

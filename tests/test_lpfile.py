@@ -27,12 +27,13 @@ def test_structure_two_links(tmp_path):
 
 
 def test_objective_terms(tmp_path):
-    inst = make_instance(["e1"], [(("e1",), 3)], gamma=2, alpha=7)
+    inst = make_instance(["e1"], [(("e1",), 3)], gamma=2)
+    assert inst.alpha == 2  # max hops + 1
     path = tmp_path / "m.lp"
     export_lp(inst, path)
     lines = path.read_text().splitlines()
     obj = next(l for l in lines if l.startswith(" obj:"))
-    assert obj == " obj: p0 - 7 x0"
+    assert obj == " obj: p0 - 2 x0"
     cover = next(l for l in lines if l.startswith(" cover_0:"))
     assert cover == " cover_0: x0 - p0 <= 0"
 

@@ -60,14 +60,14 @@ class TestInstanceBuild:
         with pytest.raises(InstanceError, match="duplicate route"):
             make_instance(["e1"], [(("e1",), 1), (("e1",), 2)], gamma=1)
 
-    def test_alpha_exceeds_hops(self):
-        with pytest.raises(InstanceError, match="alpha"):
-            CoverInstance(links=("e1", "e2"),
-                          groups=(PathGroup(("e1", "e2"), 1),), gamma=1, alpha=2)
-
     def test_alpha_policies(self):
         groups = [(("e1", "e2"), 2), (("e1",), 3)]
         assert make_instance(["e1", "e2"], groups, 1).alpha == 3  # max hops + 1
+        with pytest.raises(TypeError, match="alpha"):
+            make_instance(["e1", "e2"], groups, 1, alpha=7)
+        with pytest.raises(TypeError, match="alpha"):
+            CoverInstance(links=("e1", "e2"), groups=(PathGroup(("e1", "e2"), 1),),
+                          gamma=1, alpha=7)
 
     def test_gamma_validation(self):
         with pytest.raises(InstanceError):
@@ -103,11 +103,11 @@ class TestInstanceBuild:
         groups = [(("e1",), 1), (("e1", "e8"), 1), (("e1",), 2), (("e9",), 1)]
         with pytest.raises(InstanceError, match=r"unknown links \['e8'\]"):
             CoverInstance(links=("e1",), groups=tuple(PathGroup(r, c) for r, c in groups),
-                          gamma=1, alpha=9)
+                          gamma=1)
         groups[1] = (("e1",), 3)
         with pytest.raises(InstanceError, match=r"duplicate route \('e1',\)"):
             CoverInstance(links=("e1",), groups=tuple(PathGroup(r, c) for r, c in groups),
-                          gamma=1, alpha=9)
+                          gamma=1)
 
     def test_max_hops_set_at_construction(self):
         inst = make_instance(["e1", "e2", "e3"], [(("e1", "e2", "e3"), 1), (("e2",), 2)], 1)
@@ -242,13 +242,13 @@ class TestOracle:
             brute_force_oracle(inst, cap=5)
 
     def test_modes_agree_on_unsat_floor(self):
+        # minimizing alpha * unsatisfied + monitors leaves only the floor
         rng = np.random.default_rng(3)
         for _ in range(50):
             inst = random_instance(rng)
-            w = brute_force_oracle(inst, mode="weighted")
-            l = brute_force_oracle(inst, mode="lexicographic")
-            assert w.unsatisfied == l.unsatisfied == inst.min_unsatisfied
-            assert verify_solution(inst, w) and verify_solution(inst, l)
+            sol = brute_force_oracle(inst)
+            assert sol.unsatisfied == inst.min_unsatisfied
+            assert verify_solution(inst, sol)
 
 
 class TestSolutionPlumbing:

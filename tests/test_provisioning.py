@@ -183,6 +183,20 @@ class TestOpaque:
         assert all(lp.nodes != ("B", "C") for lp in lset.lightpaths)
 
 
+@pytest.mark.parametrize("arch", ["opaque", "transparent"])
+@pytest.mark.parametrize("demand", [Demand("ZZ", "B", 100), Demand("A", "ZZ", 100)],
+                         ids=["src", "dst"])
+def test_unknown_node_is_topology_error(line3, arch, demand):
+    prov = Provisioner(line3, arch)
+    # a 100G demand on a 400G lightpath leaves spare on a link leaving A, so
+    # opaque grooming looks past A for a link entering the unknown node
+    assert prov.serve(Demand("A", "B", 100))
+    with pytest.raises(TopologyError, match=r"^unknown node 'ZZ' in topology 'line3'$"):
+        prov.serve(demand)
+    lset = prov.result()
+    assert (len(lset.accepted), len(lset.rejected), len(lset.lightpaths)) == (1, 0, 1)
+
+
 class TestInvariants:
     def test_config_error_unreachable_link(self):
         with pytest.raises(ProvisioningError, match="exceeds the maximum reach"):
