@@ -105,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--lightpaths", required=True)
     place.add_argument("--solver", choices=["greedy", "exact", "oracle"], default="greedy")
     place.add_argument("--gamma", type=int, required=True)
-    place.add_argument("--tie-break", choices=["deterministic", "seeded_random"],
-                       default="deterministic")
-    place.add_argument("--seed", type=int, default=0)
     place.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     place.add_argument("--out", default="-")
 
@@ -181,7 +178,7 @@ def _cmd_place(args) -> int:
     lps = read_lightpaths_csv(args.lightpaths, topo)
     instance = build_cover_instance(lps, topo, args.gamma)
     if args.solver == "greedy":
-        sol = solve_greedy(instance, tie_break=args.tie_break, seed=args.seed)
+        sol = solve_greedy(instance)
     elif args.solver == "exact":
         sol = solve_exact(instance, node_budget=args.node_budget)
     else:

@@ -1,11 +1,12 @@
 """Exact placement solver: a root-LP screen in front of the HiGHS MIP.
 
-The model minimizes monitors subject to every link reaching min(gamma, max
-coverage). Coverage is monotone in p, so p = counts reaches that floor and
-the unsatisfied total of every feasible p is `min_unsatisfied`; the optima
-are those of alpha * unsatisfied + monitors for any alpha >= 2, since below
-the floor one more monitor on a link's spare lightpath lowers unsatisfied
-by at least one.
+The model minimizes monitors subject to every link reaching its
+`requirement`, min(gamma, max coverage); `ppmplan.lpfile.export_lp` writes
+the same model. Coverage is monotone in p, so p = counts reaches that floor
+and the unsatisfied total of every feasible p is `min_unsatisfied`; the
+optima are those of alpha * unsatisfied + monitors for any alpha >= 2, since
+below the floor one more monitor on a link's spare lightpath lowers
+unsatisfied by at least one.
 
 The greedy placement is the incumbent; it is the instance's cached greedy
 (`CoverInstance.greedy`), so a greedy solve of the same instance, before or
@@ -81,8 +82,8 @@ def solve_exact(instance: CoverInstance,
     counts = instance.counts
 
     # one sparse model for the LP and the MIP: integer counts p in [0, counts]
-    # reaching min(gamma, max coverage), positive exactly on delta's non-empty rows
-    req = np.minimum(instance.gamma, instance.max_coverage)
+    # reaching the requirement, positive exactly on delta's non-empty rows
+    req = instance.requirement
     rows, by_link = np.flatnonzero(req), instance.delta_rows
     a_ub = sparse.csr_array((np.full(by_link.nnz, -1.0), by_link.indices,
                              np.append(0, by_link.indptr[rows + 1])), shape=(len(rows), n_l))

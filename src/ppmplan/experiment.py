@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import math
 import re
 import sys
@@ -34,7 +35,9 @@ from .topology import Topology, TopologyError, generate_gabriel, resolve_topolog
 from .traffic import SaturationError, find_load_at_rejection, generate_demands
 
 DEFAULT_SCENARIOS = ("Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR")
-_SCENARIO_RE = re.compile(r"^(Op|Tr)(-O-(\d+))?$|^OTDR$")
+# n has no leading zero, so one scenario has one name
+_SCENARIO_RE = re.compile(r"^(Op|Tr)(-O-(0|[1-9]\d*))?$|^OTDR$")
+_log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -85,8 +88,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.scenarios:
             raise ConfigError("at least one scenario required")
-        archs = [parse_scenario(s)[0] for s in self.scenarios]
-        if all(arch is None for arch in archs):
+        parsed = [parse_scenario(s) for s in self.scenarios]
+        for name, (_, gamma) in zip(self.scenarios, parsed):
+            if gamma == 0:
+                raise ConfigError(f"scenario {name!r} asks for 0 monitors per link; "
+                                  "n must be >= 1")
+            if self.scenarios.count(name) > 1:
+                raise ConfigError(f"scenario {name!r} repeats")
+        if all(arch is None for arch, _ in parsed):
             # the OTDR baseline counts the links a monitored scenario lights
             raise ConfigError("OTDR needs at least one monitored scenario beside it")
         if not self.seeds:
@@ -211,6 +220,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
             # a seed the model cannot serve is recorded and the bundle marked
             # partial; solver failures and bugs propagate
             errors[seed] = f"{type(exc).__name__}: {exc}"
+            _log.warning("seed %d failed: %s", seed, errors[seed])
     if not per_seed:
         raise AllSeedsFailedError(f"all seeds failed: {errors}")
 

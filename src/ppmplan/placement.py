@@ -144,9 +144,15 @@ class CoverInstance:
         return self.delta @ self.counts
 
     @cached_property
+    def requirement(self) -> np.ndarray:
+        """Per-link monitors the placement model asks for: min(gamma, max coverage).
+        It is 0 exactly on the links that no route covers."""
+        return np.minimum(self.gamma, self.max_coverage)
+
+    @cached_property
     def greedy(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(p, selection) of the deterministic greedy, solved once and shared
-        by `solve_greedy` and the exact solver.
+        """(p, selection) of the greedy, solved once and shared by
+        `solve_greedy` and the exact solver.
 
         A single-hop instance (every opaque one) needs no greedy run: each
         link has at most one group, so the greedy takes min(count, gamma) of
@@ -162,7 +168,7 @@ class CoverInstance:
     @property
     def min_unsatisfied(self) -> int:
         """Floor on unsatisfied coverage; reached at p = counts (coverage is monotone)."""
-        return int(np.maximum(0, self.gamma - np.minimum(self.gamma, self.max_coverage)).sum())
+        return int((self.gamma - self.requirement).sum())
 
 
 def make_instance(links, groups, gamma: int) -> CoverInstance:
@@ -281,36 +287,25 @@ def greedy_cost(z_values) -> float:
     return 1.0 / inv
 
 
-def solve_greedy(instance: CoverInstance, tie_break: str = "deterministic",
-                 seed: int = 0) -> PlacementSolution:
+def solve_greedy(instance: CoverInstance) -> PlacementSolution:
     """Iterative covering heuristic.
 
     Picks, while any link is below the required count, the group covering
     the most still-needy links. Ties go to the smallest `greedy_cost` over
     the group's still-needy links with positive availability, summed in
-    link-index order and compared by exact equality; remaining ties go to
-    the lowest group index, or to a seeded draw over the tied indices in
-    ascending order when tie_break="seeded_random". A group's tie cost is
-    kept until a pick changes the availability or need of one of its links,
-    and only then computed again. A pick costs time in proportion to the
-    tied groups and to the links and covering groups it touches, not to
-    |links| x |groups|.
+    link-index order and compared by exact equality, then to the lowest
+    group index. A group's tie cost is kept until a pick changes the
+    availability or need of one of its links, and only then computed again.
+    A pick costs time in proportion to the tied groups and to the links and
+    covering groups it touches, not to |links| x |groups|. The placement is
+    the instance's cached `greedy`.
     """
-    if tie_break not in ("deterministic", "seeded_random"):
-        raise InstanceError(f"unknown tie_break {tie_break!r}")
-    if tie_break == "deterministic":
-        p, selection = instance.greedy
-    else:
-        p, selection = _greedy_counts(instance, np.random.default_rng(seed))
-    return solution_from_counts(instance, p, optimal=False, selection=tuple(selection))
+    p, selection = instance.greedy
+    return solution_from_counts(instance, p, optimal=False, selection=selection)
 
 
-def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[int]]:
-    """Per-group monitor counts and pick sequence of the greedy.
-
-    `rng` (a numpy Generator) breaks ties left after the cost comparison;
-    without it the lowest group index wins.
-    """
+def _greedy_counts(instance: CoverInstance) -> tuple[list[int], list[int]]:
+    """Per-group monitor counts and pick sequence of the greedy."""
     gamma = instance.gamma
     rows, covering = index_lists(instance.delta), index_lists(instance.delta_rows)
     counts = instance.counts.tolist()
@@ -341,11 +336,7 @@ def _greedy_counts(instance: CoverInstance, rng=None) -> tuple[list[int], list[i
                 cost[j] = greedy_cost([z[e] for e in rows[j] if need[e]])
             stale -= tied
             best = min(map(cost.__getitem__, tied))
-            tied = sorted([j for j in tied if cost[j] == best])
-            if len(tied) > 1 and rng is not None:
-                ls = tied[rng.integers(len(tied))]
-            else:
-                ls = tied[0]
+            ls = min(j for j in tied if cost[j] == best)
         selection.append(ls)
         p[ls] += 1
         for e in rows[ls]:

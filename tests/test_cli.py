@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ppmplan
 from ppmplan.cli import main
 
 
@@ -79,6 +84,15 @@ class TestUsageErrors:
                     "--gamma", "1")
         assert exc.value.code == 1
         assert "unrecognized arguments: --arch opaque" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--tie-break", "seeded_random"], ["--seed", "3"]],
+                             ids=["tie-break", "seed"])
+    def test_place_has_no_tie_break_flags(self, capsys, flag):
+        # the greedy has one tie rule: least cost, then lowest group index
+        with pytest.raises(SystemExit) as exc:
+            run_cli("place", "--topo", "n14", "--lightpaths", "lps.csv", "--gamma", "1", *flag)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["place", "export-lp"])
     def test_no_alpha_policy_flag(self, capsys, command):
@@ -387,6 +401,34 @@ class TestRunAndAnalyze:
         assert err.startswith("error: all seeds failed:")
         assert "SaturationError" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scenarios, message", [
+        ("Tr-O-0,OTDR", "error: scenario 'Tr-O-0' asks for 0 monitors per link"),
+        ("Tr-O-1,Tr-O-1,OTDR", "error: scenario 'Tr-O-1' repeats"),
+    ], ids=["zero-n", "repeated"])
+    def test_run_bad_scenario_is_config_error(self, tmp_path, capsys, scenarios, message):
+        out = tmp_path / "o"
+        assert run_cli("run", "--topo", "n14", "--seeds", "0", "--scenarios", scenarios,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_run_reports_a_failed_seed_on_stderr(self, tmp_path):
+        # seed 0 saturates within 570 N14 demands and seed 1 does not; a
+        # separate process shows stderr as a user sees it, with no logging setup
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"topology": "n14", "seeds": [0, 1], "max_demands": 570,
+                                        "scenarios": ["Tr-O-1", "OTDR"], "solver": "greedy"}))
+        src = str(Path(ppmplan.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ppmplan.cli", "run", "--config", str(cfg_path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ("seed 0 failed: SaturationError: rejection 0.0088 below "
+                               "target 0.01 after 570 demands\n")
+        assert done.stdout.startswith(f"wrote bundle to {tmp_path / 'o'}")
 
     def test_run_one_node_topology_is_data_error(self, tmp_path, capsys):
         topo = tmp_path / "one.json"

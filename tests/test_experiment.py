@@ -47,6 +47,19 @@ class TestConfig:
             ExperimentConfig(topology="n14", scenarios=("Tr-O-1", "Xy"))
         assert ExperimentConfig(topology="n14", scenarios=("Op", "OTDR")).scenarios
 
+    @pytest.mark.parametrize("scenarios, message", [
+        (("Tr-O-0", "OTDR"), "scenario 'Tr-O-0' asks for 0 monitors per link"),
+        (("Op-O-1", "Op-O-00"), "unknown scenario 'Op-O-00'"),
+        (("Tr-O-1", "Tr-O-01", "OTDR"), "unknown scenario 'Tr-O-01'"),
+        (("Tr-O-1", "Tr-O-1", "OTDR"), "scenario 'Tr-O-1' repeats"),
+        (("Op", "OTDR", "OTDR"), "scenario 'OTDR' repeats"),
+    ])
+    def test_zero_n_or_repeated_scenario_rejected(self, scenarios, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(topology="n14", scenarios=scenarios)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"topology": "n14", "scenarios": list(scenarios)})
+
     def test_counts_need_counts_mode(self):
         # rejection mode never reads counts: taking them silently would write
         # them into config.json for a run they did not shape
@@ -303,6 +316,19 @@ class TestRun:
         assert summary["partial"] is True
         assert "synthetic seed failure" in summary["errors"]["1"]
         assert summary["seeds"] == [0]
+
+    def test_failed_seed_logged_as_a_warning(self, tmp_path, caplog):
+        # N14 reaches 1% rejection at 580 demands on seed 0 and at 560 on
+        # seed 1, so with at most 570 only seed 0 saturates
+        cfg = ExperimentConfig(topology="n14", seeds=(0, 1), max_demands=570,
+                               scenarios=("Tr-O-1", "OTDR"), solver="greedy")
+        with caplog.at_level("WARNING", logger="ppmplan.experiment"):
+            summary = run_experiment(cfg, tmp_path / "w")
+        assert summary["seeds"] == [1] and summary["partial"] is True
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("ppmplan.experiment", "WARNING")
+        assert record.getMessage() == f"seed 0 failed: {summary['errors']['0']}"
+        assert record.getMessage().startswith("seed 0 failed: SaturationError: ")
 
     def test_bug_in_a_seed_propagates(self, tmp_path, monkeypatch):
         import ppmplan.experiment as exp

@@ -1,13 +1,110 @@
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import random_instance
+from ppmplan import exact
+from ppmplan.exact import solve_exact
 from ppmplan.lpfile import export_lp
 from ppmplan.placement import build_cover_instance, make_instance
-from ppmplan.provisioning import provision
+from ppmplan.provisioning import Provisioner, provision
+from ppmplan.topology import generate_gabriel
 from ppmplan.traffic import generate_demands
 
 DATA = Path(__file__).parent / "data"
+
+
+def sections(text: str) -> dict[str, list[str]]:
+    """The body lines of each LP section, by section name."""
+    out: dict[str, list[str]] = {}
+    current = None
+    for line in text.splitlines():
+        if line.startswith("\\"):
+            continue
+        if not line.startswith(" "):
+            current = line
+            out[current] = []
+        else:
+            out[current].append(line)
+    return out
+
+
+def read_model(text: str, n_groups: int):
+    """(link indices of the cover rows, row matrix, right-hand sides, upper
+    bounds) of an exported model, checking its fixed layout on the way."""
+    sec = sections(text)
+    assert list(sec) == ["Minimize", "Subject To", "Bounds", "Generals", "End"]
+    names = [f"p{j}" for j in range(n_groups)]
+    assert sec["Minimize"] == [" obj: " + " + ".join(names)]
+    assert sec["Generals"] == [" " + " ".join(names)]
+    links, rows, rhs = [], np.zeros((len(sec["Subject To"]), n_groups)), []
+    for r, line in enumerate(sec["Subject To"]):
+        m = re.fullmatch(r" cover_(\d+): (p\d+(?: \+ p\d+)*) >= (\d+)", line)
+        assert m, line
+        links.append(int(m.group(1)))
+        for term in m.group(2).split(" + "):
+            rows[r, int(term[1:])] += 1
+        rhs.append(int(m.group(3)))
+    ub = []
+    for j, line in enumerate(sec["Bounds"]):
+        m = re.fullmatch(rf" 0 <= p{j} <= (\d+)", line)
+        assert m, line
+        ub.append(int(m.group(1)))
+    assert len(ub) == n_groups
+    return links, rows, np.array(rhs), np.array(ub)
+
+
+@pytest.fixture
+def lp_models(monkeypatch):
+    """The (constraints, bounds) of every root LP solve_exact makes."""
+    seen = []
+    real = exact.linprog
+
+    def spy(cost, constraints, bounds):
+        assert np.array_equal(cost, np.ones(len(bounds.ub)))
+        seen.append((constraints, bounds))
+        return real(cost, constraints, bounds)
+
+    monkeypatch.setattr(exact, "linprog", spy)
+    return seen
+
+
+def assert_export_is_the_lp(inst, lp_models, path):
+    """The export of `inst` states the root LP that solve_exact solves on it."""
+    lp_models.clear()
+    solve_exact(inst)
+    [(constraints, bounds)] = lp_models
+    export_lp(inst, path)
+    links, rows, rhs, ub = read_model(path.read_text(), len(inst.groups))
+    assert links == np.flatnonzero(inst.requirement).tolist()
+    # solve_exact states each cover row as -row @ p <= -req
+    assert np.array_equal(rows, -constraints.A.toarray())
+    assert np.array_equal(rhs, -constraints.ub)
+    assert np.all(constraints.lb == -np.inf)
+    assert np.array_equal(ub, bounds.ub) and np.all(bounds.lb == 0)
+
+
+class TestSameModelAsSolveExact:
+    def test_random_instances(self, lp_models, tmp_path):
+        rng = np.random.default_rng(51)
+        checked = 0
+        for _ in range(150):
+            inst = random_instance(rng, max_links=8, max_groups=8, max_count=3, max_gamma=3)
+            if inst.max_hops > 1:  # solve_exact settles single-hop instances without an LP
+                assert_export_is_the_lp(inst, lp_models, tmp_path / "m.lp")
+                checked += 1
+        assert checked >= 100, checked
+
+    def test_gabriel30_transparent_set(self, lp_models, tmp_path):
+        topo = generate_gabriel(30, seed=0)
+        prov = Provisioner(topo, "transparent")
+        for d in generate_demands(topo, 300, seed=0).demands:
+            prov.serve(d)
+        for gamma in (1, 2, 3):
+            inst = build_cover_instance(prov.result(), topo, gamma)
+            assert_export_is_the_lp(inst, lp_models, tmp_path / "m.lp")
 
 
 def test_structure_two_links(tmp_path):
@@ -16,26 +113,37 @@ def test_structure_two_links(tmp_path):
     path = tmp_path / "model.lp"
     export_lp(inst, path)
     text = path.read_text()
-    assert text.count("cover_") == 2  # one coverage constraint per link
+    assert text.count("\n cover_") == 2  # one coverage constraint per covered link
     assert " 0 <= p0 <= 2" in text
     assert " 0 <= p1 <= 1" in text
-    assert " 0 <= x0 <= 1" in text
-    assert "Generals" in text and "End" in text
-    # dropped affine constant documented in the header
-    assert f"= {inst.alpha * 1 * 2} omitted" in text
+    assert "\\ p0 : route e1|e2 (multiplicity 2)" in text
+    assert "\\ cover_1 : link e2" in text
+    assert "Generals\n p0 p1\nEnd\n" in text
     assert text.index("Minimize") < text.index("Subject To") < text.index("Bounds")
 
 
 def test_objective_terms(tmp_path):
-    inst = make_instance(["e1"], [(("e1",), 3)], gamma=2)
-    assert inst.alpha == 2  # max hops + 1
+    inst = make_instance(["e1", "e2"], [(("e1", "e2"), 1), (("e1",), 3)], gamma=2)
     path = tmp_path / "m.lp"
     export_lp(inst, path)
     lines = path.read_text().splitlines()
     obj = next(l for l in lines if l.startswith(" obj:"))
-    assert obj == " obj: p0 - 2 x0"
-    cover = next(l for l in lines if l.startswith(" cover_0:"))
-    assert cover == " cover_0: x0 - p0 <= 0"
+    assert obj == " obj: p0 + p1"
+    # e2 has one lightpath, so its requirement is min(gamma, 1) = 1
+    assert [l for l in lines if l.startswith(" cover_")] == \
+        [" cover_0: p0 + p1 >= 2", " cover_1: p0 >= 1"]
+
+
+def test_no_x_variable_and_no_row_for_an_uncovered_link(tmp_path):
+    inst = make_instance(["e0", "e1", "e2"], [(("e2", "e0"), 2)], gamma=3)
+    path = tmp_path / "m.lp"
+    export_lp(inst, path)
+    text = path.read_text()
+    assert not re.search(r"\bx\d", text)
+    assert "alpha" not in text and "omitted" not in text
+    links, _, rhs, _ = read_model(text, 1)
+    assert (links, rhs.tolist()) == ([0, 2], [2, 2])
+    assert "link e1" not in text
 
 
 def test_unwritable_path(tmp_path):
@@ -47,8 +155,11 @@ def test_unwritable_path(tmp_path):
 def test_golden_n14_derived(tmp_path, n14):
     """Byte-determinism of the export on a provisioning-derived instance.
 
-    Regenerate tests/data/n14_gamma1_seed1.lp if the provisioning policy is
-    intentionally changed.
+    Regenerate tests/data/n14_gamma1_seed1.lp if the provisioning policy or
+    the exported model is intentionally changed. It was last regenerated
+    when the export became `solve_exact`'s model (min sum p with one `>=`
+    row per covered link), in place of the weighted model with x columns
+    and alpha.
     """
     lset = provision(n14, generate_demands(n14, 50, seed=1), "transparent")
     inst = build_cover_instance(lset, n14, gamma=1)
