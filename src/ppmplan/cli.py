@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--step", type=int, help="rejection-mode demand increment")
     run.add_argument("--counts", help="comma-separated demand counts (counts mode)")
     run.add_argument("--seeds", help="comma-separated seeds")
-    run.add_argument("--solver", choices=["greedy", "exact", "auto"])
+    run.add_argument("--solver", choices=["greedy", "exact"])
     run.add_argument("--scenarios", help="comma-separated scenario names")
     run.add_argument("--out", required=True)
     return parser

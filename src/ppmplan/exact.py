@@ -1,19 +1,17 @@
 """Exact placement solver: a root-LP screen in front of the HiGHS MIP.
 
-The model minimizes monitors subject to every link reaching its
-`requirement`, min(gamma, max coverage); `ppmplan.lpfile.export_lp` writes
-the same model. Coverage is monotone in p, so p = counts reaches that floor
-and the unsatisfied total of every feasible p is `min_unsatisfied`; the
-optima are those of alpha * unsatisfied + monitors for any alpha >= 2, since
-below the floor one more monitor on a link's spare lightpath lowers
-unsatisfied by at least one.
+The model is the paper's OMP problem: the fewest monitors such that every
+link reaches its `requirement`, min(gamma, max coverage);
+`ppmplan.lpfile.export_lp` writes the same model. Coverage is monotone in p,
+so p = counts is feasible, and every feasible p leaves the same unsatisfied
+total, `min_unsatisfied`.
 
 The greedy placement is the incumbent; it is the instance's cached greedy
 (`CoverInstance.greedy`), so a greedy solve of the same instance, before or
 after, does not repeat it. An instance of single-hop groups needs no LP: it
 splits per link, and the greedy's p, min(counts, gamma), is optimal.
 Otherwise one LP relaxation settles most instances: its bound, rounded up
-since objectives are integral, meets the incumbent, or its optimum is
+since monitor counts are integral, meets the incumbent, or its optimum is
 integral. Only a fractional root below the incumbent goes to the HiGHS MIP
 on the same model. Both solves go through `scipy.optimize.milp`, the root
 LP with no integer variables, so HiGHS has one front end here.
@@ -51,7 +49,7 @@ def linprog(cost: np.ndarray, constraints: LinearConstraint, bounds: Bounds):
     """The root LP relaxation: `milp` with no integer variables.
 
     HiGHS gets the model that `scipy.optimize.linprog(method="highs")` would
-    give it, and the tests pin an equal x and objective, but `milp`'s front
+    give it, and the tests pin an equal x and optimum, but `milp`'s front
     end costs less per call. The function carries scipy's name because
     perfbench's `exact.lp` span hooks `ppmplan.exact.linprog`; ROADMAP.md
     item 2 renames the function and the hook together.

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import re
+import statistics
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -77,13 +78,12 @@ class ExperimentConfig:
     step: int = 10
     max_demands: int = 100_000
     counts: tuple[int, ...] = ()
-    solver: str = "auto"                     # greedy | exact | auto
+    solver: str = "exact"                    # exact (the paper's ILP) | greedy (its heuristic)
     node_budget: int = DEFAULT_NODE_BUDGET
     k_paths: int = DEFAULT_K_PATHS
     n_channels: int = CHANNELS_PER_FIBER
     cost_model: CostModel = field(default_factory=CostModel)
     ppm_fractions: tuple[float, ...] = tuple(range(0, 101, 5))
-    compare_solvers: bool = False
 
     def __post_init__(self):
         if not self.scenarios:
@@ -112,9 +112,6 @@ class ExperimentConfig:
                               f'"extent_km": a positive finite number}}, got {gab!r}')
         if not isinstance(self.cost_model, CostModel):
             raise ConfigError(f"cost_model must be an object, got {self.cost_model!r}")
-        if not isinstance(self.compare_solvers, bool):
-            raise ConfigError("compare_solvers must be true or false, "
-                              f"got {self.compare_solvers!r}")
         if self.load_mode not in ("rejection", "counts"):
             raise ConfigError(f"unknown load_mode {self.load_mode!r}")
         if self.load_mode == "counts" and not self.counts:
@@ -122,7 +119,7 @@ class ExperimentConfig:
         if self.load_mode != "counts" and self.counts:
             raise ConfigError("counts are read only with load_mode 'counts', "
                               f"not {self.load_mode!r}")
-        if self.solver not in ("greedy", "exact", "auto"):
+        if self.solver not in ("greedy", "exact"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         for key, least in (("k_paths", 1), ("n_channels", 1), ("step", 1),
                            ("max_demands", 1), ("node_budget", 0)):
@@ -190,13 +187,6 @@ class ExperimentConfig:
             kwargs.setdefault("span_length_km", self.span_length_km)
         return generate_gabriel(n, seed=seed, **kwargs)
 
-    def resolve_solver(self) -> str:
-        if self.solver != "auto":
-            return self.solver
-        # exact is desk-scale on the bundled 14-node networks; the heuristic
-        # is the default on generated graphs
-        return "greedy" if self.gabriel is not None else "exact"
-
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run all seeds and write the result bundle; returns the summary dict."""
@@ -206,7 +196,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash
-    solver = config.resolve_solver()
     archs = sorted({parse_scenario(s)[0] for s in config.scenarios
                     if parse_scenario(s)[0] is not None})
 
@@ -215,7 +204,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     for seed in config.seeds:
         try:
             topo = shared or config.resolve_topology(seed)
-            per_seed[seed] = _run_seed(config, topo, seed, solver, archs, out, chash)
+            per_seed[seed] = _run_seed(config, topo, seed, archs, out, chash)
         except (SaturationError, ProvisioningError, TopologyError) as exc:
             # a seed the model cannot serve is recorded and the bundle marked
             # partial; solver failures and bugs propagate
@@ -229,20 +218,24 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     agg_points = [_mean_fields([per_seed[s]["points"][i] for s in seeds_ok])
                   for i in range(len(per_seed[seeds_ok[0]]["points"]))]
 
-    # summary at the final load point, with crossing values
+    # summary at the final load point, with crossing values and the seed spread
     final = agg_points[-1]["scenarios"]
     otdr_count = final["OTDR"]["monitors"] if "OTDR" in final else None
     cross = {} if otdr_count is None else crossings(final, otdr_count, config.cost_model)
     scenario_summaries = {}
     for name, row in final.items():
         values = cross.get(name, {})
+        seed_monitors = [per_seed[s]["points"][-1]["scenarios"][name]["monitors"]
+                         for s in seeds_ok]
         scenario_summaries[name] = {**row, "crossing_cost_pct": values.get("cost_pct"),
-                                    "crossing_power_pct": values.get("power_pct")}
+                                    "crossing_power_pct": values.get("power_pct"),
+                                    "break_even_ratio": values.get("break_even_ratio"),
+                                    "monitors_se": _standard_error(seed_monitors)}
 
     summary = {
         "config_hash": chash,
         "version": __version__,
-        "solver": solver,
+        "solver": config.solver,
         "seeds": list(seeds_ok),
         "partial": bool(errors),
         "errors": {str(k): v for k, v in sorted(errors.items())},
@@ -256,7 +249,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     _write_monitors_csv(out / "monitors.csv", chash, config.scenarios, agg_points)
     if otdr_count is not None:
         write_curves(out, chash, final, config.cost_model, config.ppm_fractions)
-    if config.compare_solvers:
+    if config.solver == "exact":
         _write_gap_csv(out / "gap.csv", chash, per_seed, seeds_ok)
     return summary
 
@@ -274,11 +267,20 @@ def _mean_fields(items: list):
     return _mean_or_none(items)
 
 
+def _standard_error(values) -> float | None:
+    """Standard error of the mean (sample deviation / sqrt(n)); None for one value."""
+    if len(values) < 2:
+        return None
+    return statistics.stdev(values) / math.sqrt(len(values))
+
+
 def crossings(rows: dict, otdr_total: float, cost_model: CostModel) -> dict:
-    """{scenario: {"cost_pct", "power_pct"}} for every monitored scenario
-    row (name -> row with "monitors") that places at least one monitor."""
+    """{scenario: {"cost_pct", "power_pct", "break_even_ratio"}} for every
+    monitored scenario row (name -> row with "monitors") that places at least
+    one monitor; the ratio is OTDRs per monitor, otdr_total / monitors."""
     return {name: {"cost_pct": crossing_value(row["monitors"], otdr_total, cost_model, "cost"),
-                   "power_pct": crossing_value(row["monitors"], otdr_total, cost_model, "power")}
+                   "power_pct": crossing_value(row["monitors"], otdr_total, cost_model, "power"),
+                   "break_even_ratio": otdr_total / row["monitors"]}
             for name, row in rows.items() if name != "OTDR" and row["monitors"] > 0}
 
 
@@ -304,7 +306,7 @@ def write_curves(out: Path, chash: str, rows: dict, cost_model: CostModel,
                                  _fmt(pt.cost_per_tbps), _fmt(pt.otdr_cost_per_tbps)])
 
 
-def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, archs,
+def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
               out: Path, chash: str) -> dict:
     seed_dir = out / "per_seed" / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
@@ -365,24 +367,22 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, solver: str, 
                     inst = make_instance(base.links, base.groups, gamma)
                 else:
                     inst = instances[arch] = build_cover_instance(ls, topo, gamma)
-                greedy = exact = None
-                if solver == "exact" or config.compare_solvers:
-                    exact = solve_exact(inst, node_budget=config.node_budget)
-                if solver == "greedy" or config.compare_solvers:
-                    greedy = solve_greedy(inst)
-                sol = exact if solver == "exact" else greedy
+                if config.solver == "greedy":
+                    sol = solve_greedy(inst)
+                else:
+                    sol = solve_exact(inst, node_budget=config.node_budget)
+                    # the exact solve's incumbent is the instance's cached greedy
+                    gap_rows.append({
+                        "seed": seed, "offered_tbps": offered, "scenario": name,
+                        "greedy_monitors": sum(inst.greedy[0]),
+                        "exact_monitors": sol.total_monitors,
+                        "exact_optimal": sol.optimal,
+                    })
                 point["scenarios"][name] = {
                     "monitors": sol.total_monitors,
                     "unsatisfied_npl_avg": sol.unsatisfied / len(topo.links),
                     "carried_tbps": carried,
                 }
-                if config.compare_solvers:
-                    gap_rows.append({
-                        "seed": seed, "offered_tbps": offered, "scenario": name,
-                        "greedy_monitors": greedy.total_monitors,
-                        "exact_monitors": exact.total_monitors,
-                        "exact_optimal": exact.optimal,
-                    })
                 write_json(seed_dir / f"solution_{name}_n{n}.json",
                            {"config_hash": chash, **sol.to_json_dict()})
         points.append(point)

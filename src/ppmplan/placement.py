@@ -4,8 +4,8 @@ exhaustive oracle.
 A cover instance groups established lightpaths by identical physical route;
 placing a monitor on one lightpath of a group raises the achieved
 monitors-per-link count on every link of that route. Solvers pick per-group
-monitor counts p (0 <= p <= group size) minimizing unsatisfied coverage
-first and monitor count second.
+monitor counts p (0 <= p <= group size) that bring every link to its
+requirement, min(gamma, max coverage), with as few monitors as they can.
 """
 
 from __future__ import annotations
@@ -109,13 +109,6 @@ class CoverInstance:
             if missing:
                 raise InstanceError(f"route uses unknown links {sorted(missing)}")
 
-    @property
-    def alpha(self) -> int:
-        """Weight of an unsatisfied unit in `objective`: max hops + 1. Every
-        weight of at least 2 has the same minimizers: the optima of
-        `solve_exact`'s model."""
-        return self.max_hops + 1
-
     @cached_property
     def link_index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.links)}
@@ -205,7 +198,6 @@ class PlacementSolution:
     x: dict[str, int]
     total_monitors: int
     unsatisfied: int
-    objective: int
     optimal: bool
     selection: tuple[int, ...] | None = None
 
@@ -215,28 +207,24 @@ class PlacementSolution:
             "x": dict(self.x),
             "unsatisfied": self.unsatisfied,
             "monitors": self.total_monitors,
-            "objective": self.objective,
             "optimal": self.optimal,
         }
 
 
 def solution_from_counts(instance: CoverInstance, p_vec, optimal: bool,
                          selection: tuple[int, ...] | None = None) -> PlacementSolution:
-    """Derive achieved coverage, unsatisfied total and objective from p."""
+    """Derive achieved coverage and the unsatisfied total from p."""
     p = np.asarray(p_vec, dtype=np.int64)
     if p.shape != (len(instance.groups),):
         raise InstanceError("p vector length mismatch")
     if np.any(p < 0) or np.any(p > instance.counts):
         raise InstanceError("p out of bounds")
     x = np.minimum(instance.gamma, instance.delta @ p)
-    unsatisfied = int((instance.gamma - x).sum())
-    monitors = int(p.sum())
     return PlacementSolution(
         p={g.key: c for g, c in zip(instance.groups, p.tolist()) if c > 0},
         x=dict(zip(instance.links, x.tolist())),
-        total_monitors=monitors,
-        unsatisfied=unsatisfied,
-        objective=instance.alpha * unsatisfied + monitors,
+        total_monitors=int(p.sum()),
+        unsatisfied=int((instance.gamma - x).sum()),
         optimal=optimal,
         selection=selection,
     )
@@ -259,10 +247,8 @@ def verify_solution(instance: CoverInstance, sol: PlacementSolution) -> bool:
     x = np.array([sol.x[e] for e in instance.links], dtype=np.int64)
     if np.any(x != np.minimum(instance.gamma, instance.delta @ p)):
         return False
-    unsat = int((instance.gamma - x).sum())
-    return (sol.unsatisfied == unsat
-            and sol.total_monitors == int(p.sum())
-            and sol.objective == instance.alpha * unsat + int(p.sum()))
+    return (sol.unsatisfied == int((instance.gamma - x).sum())
+            and sol.total_monitors == int(p.sum()))
 
 
 def index_lists(m: sparse.csc_array | sparse.csr_array) -> list[list[int]]:
@@ -360,8 +346,9 @@ def _greedy_counts(instance: CoverInstance) -> tuple[list[int], list[int]]:
 def brute_force_oracle(instance: CoverInstance, cap: int = 1_000_000) -> PlacementSolution:
     """Exhaustive optimum by enumerating every p vector; testing-scale only.
 
-    Minimizes `objective`, alpha * unsatisfied + monitors, by its own score
-    rather than `solve_exact`'s model. Refuses when prod(count+1) exceeds `cap`.
+    Keeps the vectors that bring every link to its `requirement` and returns
+    the first with the fewest monitors, by enumeration rather than HiGHS.
+    Refuses when prod(count+1) exceeds `cap`.
     """
     counts = instance.counts
     space = float(np.prod((counts + 1).astype(np.float64))) if len(counts) else 1.0
@@ -371,9 +358,7 @@ def brute_force_oracle(instance: CoverInstance, cap: int = 1_000_000) -> Placeme
         return solution_from_counts(instance, np.zeros(0, dtype=np.int64), optimal=True)
     grids = np.meshgrid(*(np.arange(cc + 1) for cc in counts), indexing="ij")
     all_p = np.stack([g.ravel() for g in grids], axis=1)  # (space, |groups|)
-    coverage = all_p @ instance.delta.T
-    x = np.minimum(instance.gamma, coverage)
-    unsat = (instance.gamma - x).sum(axis=1)
-    monitors = all_p.sum(axis=1)
-    best = int(np.argmin(instance.alpha * unsat + monitors))  # first minimum: deterministic
+    feasible = np.all(all_p @ instance.delta.T >= instance.requirement, axis=1)
+    monitors = np.where(feasible, all_p.sum(axis=1), np.iinfo(np.int64).max)
+    best = int(np.argmin(monitors))  # first minimum: deterministic; p = counts is feasible
     return solution_from_counts(instance, all_p[best], optimal=True)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from ppmplan.placement import make_instance
 from ppmplan.topology import bundled_topology, topology_from_dict
@@ -62,3 +63,18 @@ def saturating_demands(topology, gamma, rate=300):
     for link in topology.links:
         demands.extend(Demand(link.src, link.dst, rate) for _ in range(2 * gamma))
     return demands
+
+
+@st.composite
+def cover_instances(draw):
+    """1-30 links under shuffled labels, up to 40 groups whose routes list
+    links in drawn order (not link-index order), counts 1-4, gamma 1-3.
+    Small counts against gamma up to 3 leave links whose availability runs
+    out while they are still needy, and some links have no group at all."""
+    n_e = draw(st.integers(1, 30))
+    labels = draw(st.permutations([f"e{i}" for i in range(n_e)]))
+    routes = draw(st.lists(
+        st.lists(st.integers(0, n_e - 1), min_size=1, max_size=min(n_e, 6), unique=True)
+        .map(tuple), max_size=40, unique=True))
+    groups = [(tuple(labels[i] for i in route), draw(st.integers(1, 4))) for route in routes]
+    return make_instance(labels, groups, draw(st.integers(1, 3)))

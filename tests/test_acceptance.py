@@ -128,9 +128,7 @@ def test_oracle_exactness(capsys):
         exact = solve_exact(inst)
         oracle = brute_force_oracle(inst)
         assert exact.optimal
-        assert exact.objective == oracle.objective, f"instance #{n}"
-        # the oracle's weighted optimum leaves only the unsatisfied floor,
-        # which the solver's model requires
+        # every feasible placement leaves only the unsatisfied floor
         assert exact.unsatisfied == oracle.unsatisfied == inst.min_unsatisfied, f"instance #{n}"
         assert exact.total_monitors == oracle.total_monitors, f"instance #{n}"
     elapsed = time.time() - t0
@@ -148,7 +146,9 @@ def test_opaque_greedy_optimality(capsys):
         greedy = solve_greedy(inst)
         exact = solve_exact(inst)
         oracle = brute_force_oracle(inst)
-        assert greedy.objective == exact.objective == oracle.objective, f"instance #{n}"
+        assert greedy.total_monitors == exact.total_monitors == oracle.total_monitors, \
+            f"instance #{n}"
+        assert greedy.unsatisfied == exact.unsatisfied == oracle.unsatisfied, f"instance #{n}"
     elapsed = time.time() - t0
     return f"500/500 optimal ({elapsed:.1f} s)"
 

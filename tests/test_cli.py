@@ -96,7 +96,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["place", "export-lp"])
     def test_no_alpha_policy_flag(self, capsys, command):
-        # alpha is max hops + 1; any alpha above the hop bound gives the same placement
+        # the placement model has no weight: it asks for the fewest monitors
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--topo", "n14", "--lightpaths", "lps.csv", "--gamma", "1",
                     "--alpha-policy", "hop_plus_one", "--out", "out")
@@ -130,8 +130,7 @@ class TestPipeline:
             else:
                 assert code == 0
             sols[solver] = json.loads(out.read_text())
-        assert set(sols["exact"]) == {"p", "x", "unsatisfied", "monitors",
-                                      "objective", "optimal"}
+        assert set(sols["exact"]) == {"p", "x", "unsatisfied", "monitors", "optimal"}
         assert sols["exact"]["optimal"] is True
         assert sols["greedy"]["monitors"] >= sols["exact"]["monitors"]
 
@@ -255,7 +254,8 @@ class TestRunAndAnalyze:
         summary = json.loads((out / "summary.json").read_text())
         crossing = json.loads((ana / "crossing.json").read_text())
         expected = {name: {"cost_pct": row["crossing_cost_pct"],
-                           "power_pct": row["crossing_power_pct"]}
+                           "power_pct": row["crossing_power_pct"],
+                           "break_even_ratio": row["break_even_ratio"]}
                     for name, row in summary["scenarios"].items()
                     if row["crossing_cost_pct"] is not None}
         assert crossing["crossings"] == expected
@@ -280,7 +280,8 @@ class TestRunAndAnalyze:
         assert crossing["otdr_total"] == summary["otdr_total"]
         assert crossing["crossings"] == {
             name: {"cost_pct": row["crossing_cost_pct"],
-                   "power_pct": row["crossing_power_pct"]}
+                   "power_pct": row["crossing_power_pct"],
+                   "break_even_ratio": row["break_even_ratio"]}
             for name, row in summary["scenarios"].items()
             if row["crossing_cost_pct"] is not None}
 
@@ -309,6 +310,22 @@ class TestRunAndAnalyze:
         assert run_cli("analyze", "--summary", str(summary_path), "--out", str(ana)) == 2
         err = capsys.readouterr().err
         assert err == f"error: summary {summary_path} has no scenario 'Tr-O-1' of its config\n"
+        assert not ana.exists()
+
+    def test_analyze_bundle_with_compare_solvers_is_config_error(self, tmp_path, capsys):
+        # a bundle written while the compare_solvers key existed holds it in
+        # config.json; analyze reads that config, so it refuses the bundle
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                       "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "greedy", "--out", str(out)) == 0
+        config_path = out / "config.json"
+        bundle = json.loads(config_path.read_text())
+        bundle["config"]["compare_solvers"] = False
+        config_path.write_text(json.dumps(bundle))
+        ana = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(out / "summary.json"), "--out", str(ana)) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['compare_solvers']\n"
         assert not ana.exists()
 
     @pytest.mark.parametrize("fractions,message", [
@@ -486,7 +503,9 @@ class TestRunAndAnalyze:
         ({"cost_model": {"transponder_cost": "a"}}, "cost_model: transponder_cost must"),
         ({"cost_model": "cheap"}, "cost_model must"),
         ({"cost_model": {"otdr_cost": 0.2, "laser_cost": 1}}, "unknown cost_model keys"),
-        ({"compare_solvers": "yes"}, "compare_solvers must"),
+        # compare_solvers is gone: every exact run writes gap.csv
+        pytest.param({"compare_solvers": True}, "unknown config keys: ['compare_solvers']",
+                     id="bad3-compare_solvers is an unknown key"),
         ({"topology": None, "gabriel": {"nodes": "x"}}, "gabriel must"),
         ({"topology": None, "gabriel": {"nodes": 20, "extent": 5}}, "gabriel must"),
     ])
@@ -500,6 +519,24 @@ class TestRunAndAnalyze:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {prefix}")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_solver_auto_is_config_error(self, tmp_path, capsys):
+        # the solver is exact unless the greedy is named; "auto" is unknown
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"topology": "n14", "seeds": [0],
+                                        "scenarios": ["Tr-O-1", "OTDR"], "solver": "auto"}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: unknown solver 'auto'\n"
+        assert not out.exists()
+
+    def test_run_solver_flag_auto_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--topo", "n14", "--solver", "auto", "--out", str(out))
+        assert exc.value.code == 1
+        assert "argument --solver: invalid choice: 'auto'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_repeated_seed_flag_is_config_error(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import statistics
 from dataclasses import asdict
 from pathlib import Path
 
@@ -138,9 +140,10 @@ class TestConfig:
         ({"cost_model": [4.0]}, "cost_model must be an object"),
         ({"cost_model": {"otdr_cost": 0.2, "laser_cost": 1}},
          r"unknown cost_model keys: \['laser_cost'\]"),
-        ({"compare_solvers": "yes"}, "compare_solvers must be true or false, got 'yes'"),
-        ({"compare_solvers": 1}, "compare_solvers must be true or false, got 1"),
-        ({"compare_solvers": None}, "compare_solvers must be true or false"),
+        # compare_solvers is gone, whatever its value: every exact run writes gap.csv
+        *(pytest.param({"compare_solvers": value}, r"unknown config keys: \['compare_solvers'\]",
+                       id=f"bad{9 + i}-compare_solvers may not be set, {value!r}")
+          for i, value in enumerate((True, False, "yes"))),
     ])
     def test_cost_model_and_compare_solvers_checked(self, bad, message):
         with pytest.raises(ConfigError, match=message):
@@ -158,7 +161,7 @@ class TestConfig:
 
     def test_cost_model_and_gabriel_edges_accepted(self):
         cfg = ExperimentConfig.from_dict({
-            "gabriel": {"nodes": 2, "extent_km": 0.5}, "compare_solvers": False,
+            "gabriel": {"nodes": 2, "extent_km": 0.5},
             "cost_model": {"transponder_cost": 1, "otdr_power": 0.5}})
         assert cfg.cost_model.transponder_cost == 1
         assert cfg.cost_model.otdr_cost == 0.2
@@ -189,12 +192,13 @@ class TestConfig:
         assert a.config_hash == b.config_hash
         assert a.config_hash != c.config_hash
 
-    def test_solver_auto(self):
-        file_cfg = ExperimentConfig(topology="n14", load_mode="counts", counts=(5,))
-        gabriel_cfg = ExperimentConfig(gabriel={"nodes": 20}, load_mode="counts",
-                                       counts=(5,))
-        assert file_cfg.resolve_solver() == "exact"
-        assert gabriel_cfg.resolve_solver() == "greedy"
+    def test_solver_exact_by_default_and_auto_unknown(self):
+        assert ExperimentConfig(topology="n14").solver == "exact"
+        assert ExperimentConfig(gabriel={"nodes": 20}).solver == "exact"
+        with pytest.raises(ConfigError, match="unknown solver 'auto'"):
+            ExperimentConfig.from_dict({"topology": "n14", "solver": "auto"})
+        with pytest.raises(ConfigError, match="unknown solver 'auto'"):
+            ExperimentConfig(gabriel={"nodes": 20}, solver="auto")
 
     def test_round_trip_dict(self):
         cfg = ExperimentConfig(topology="n14", seeds=(0, 1), load_mode="counts",
@@ -204,7 +208,8 @@ class TestConfig:
 
     def test_hash_pinned(self):
         # config_hash names every bundle file; these values were computed
-        # when the canonical dict was still listed field by field
+        # when the compare_solvers field left the config, and with it the
+        # Gabriel config's default solver went from "auto" to "exact"
         readme_n14 = ExperimentConfig.from_dict({  # the README_N14_BUNDLE config
             "topology": "n14",
             "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
@@ -213,11 +218,10 @@ class TestConfig:
         gabriel = ExperimentConfig.from_dict({
             "gabriel": {"nodes": 30, "extent_km": 500}, "span_length_km": 60.0,
             "seeds": [1, 2], "load_mode": "counts", "counts": [5, 10],
-            "compare_solvers": True,
             "cost_model": {"transponder_cost": 8.0, "transponder_power": 5.0,
                            "otdr_cost": 0.2, "otdr_power": 0.25}})
-        assert readme_n14.config_hash == "62d5089921b882ba"
-        assert gabriel.config_hash == "ad08320be8edc872"
+        assert readme_n14.config_hash == "1c4d86f8cb3254da"
+        assert gabriel.config_hash == "fb718c6d2572895b"
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +300,7 @@ class TestRun:
                                scenarios=("Tr-O-1", "OTDR"))
         summary = run_experiment(cfg, tmp_path / "g")
         assert summary["scenarios"]["Tr-O-1"]["monitors"] > 0
-        assert summary["solver"] == "greedy"
+        assert summary["solver"] == "exact"  # the default on generated graphs too
 
     def test_failed_seed_marks_bundle_partial(self, tmp_path, monkeypatch):
         import ppmplan.experiment as exp
@@ -325,6 +329,8 @@ class TestRun:
         with caplog.at_level("WARNING", logger="ppmplan.experiment"):
             summary = run_experiment(cfg, tmp_path / "w")
         assert summary["seeds"] == [1] and summary["partial"] is True
+        # one seed succeeded, so there is no spread to report
+        assert [row["monitors_se"] for row in summary["scenarios"].values()] == [None, None]
         [record] = caplog.records
         assert (record.name, record.levelname) == ("ppmplan.experiment", "WARNING")
         assert record.getMessage() == f"seed 0 failed: {summary['errors']['0']}"
@@ -344,9 +350,10 @@ class TestRun:
             run_experiment(cfg, tmp_path / "b")
 
     def test_compare_solvers_gap_table(self, tmp_path):
+        # every exact run writes the greedy-vs-exact table, with no flag
         cfg = ExperimentConfig(gabriel={"nodes": 16}, seeds=(3, 4),
                                load_mode="counts", counts=(40,),
-                               scenarios=("Tr-O-1",), compare_solvers=True)
+                               scenarios=("Tr-O-1",))
         out = tmp_path / "cmp"
         run_experiment(cfg, out)
         lines = (out / "gap.csv").read_text().splitlines()
@@ -359,17 +366,50 @@ class TestRun:
             assert row[2] == "Tr-O-1"
             assert int(row[3]) >= int(row[4])  # greedy never beats exact
 
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_gap_table_from_every_exact_run_only(self, tmp_path, monkeypatch, solver):
+        import ppmplan.experiment as exp
+
+        greedy_solves = []
+        real = exp.solve_greedy
+        monkeypatch.setattr(exp, "solve_greedy",
+                            lambda inst: greedy_solves.append(inst) or real(inst))
+        cfg = ExperimentConfig(topology="j14", seeds=(0, 1), load_mode="counts",
+                               counts=(30, 60), scenarios=("Op-O-1", "Tr-O-3", "OTDR"),
+                               solver=solver)
+        out = tmp_path / solver
+        run_experiment(cfg, out)
+        if solver == "greedy":
+            assert not (out / "gap.csv").exists()
+            assert len(greedy_solves) == 8
+            return
+        # the greedy column is the exact solve's cached incumbent, not a second solve
+        assert not greedy_solves
+        rows = [line.split(",") for line in (out / "gap.csv").read_text().splitlines()[2:]]
+        assert [(r[0], r[2]) for r in rows] == [(seed, name) for seed in "01"
+                                                for _ in (30, 60)
+                                                for name in ("Op-O-1", "Tr-O-3")]
+        assert all(int(r[3]) >= int(r[4]) and r[5] == "true" for r in rows)
+        topo = bundled_topology("j14")
+        for seed in (0, 1):
+            for arch, gamma, row in (("opaque", 1, 0), ("transparent", 3, 1)):
+                lps = read_lightpaths_csv(out / "per_seed" / f"seed_{seed}" /
+                                          f"lightpaths_{arch}.csv", topo)
+                inst = build_cover_instance(lps, topo, gamma)
+                assert int(rows[4 * seed + 2 + row][3]) == real(inst).total_monitors
+
 
 # sha256 of per_seed/seed_N/lightpaths_{arch}.csv for the README N14 config on
 # seeds 0-2. They pin provisioning output (routes, grooming, channels) across
-# versions; a change to them must be deliberate and explained.
+# versions; a change to them must be deliberate and explained. Last changed
+# only in the "# config_hash=" line, when compare_solvers left the config.
 README_N14_LIGHTPATHS = {
-    (0, "opaque"): "fce869b6fddb3f40305f401138b9109f7fa1a7013c6e51a5b80214e4f021340c",
-    (0, "transparent"): "e8ec68098489658a868b14164e8dca3d9a16e565633482a8e00f6c31b222b6d2",
-    (1, "opaque"): "f7136392f9ed300f716c6140976f8e426a15811a65c07d1109c84fd976380136",
-    (1, "transparent"): "62bebb47c022b94257909ff152ffc8bdba0806ad80f16f57ae6eccea00265f6c",
-    (2, "opaque"): "b7b886ee12fb3f85902ab54dc3f0a5cad8890cbb2906b16155d31bb06af6a9cd",
-    (2, "transparent"): "0a5b7ab20ddd105f6d2ef4b6da36ead58d935ecf57d9ea21d0d6a434c000d479",
+    (0, "opaque"): "d8685d590b36331112db74b3ea2419923870837690d1ad8e6728daf37c79ba4c",
+    (0, "transparent"): "ac9bf53767615a4a8e3b11fd3f3e3f9ee3b26b30a839a574086e2f0a41633264",
+    (1, "opaque"): "ea2affc19150c41379ead3b14629451cf595e58d8445303c4de1624509037094",
+    (1, "transparent"): "bc9a6115c87bac0869713b8f5af53abeca139fac14177696aae1708dd5a8adf9",
+    (2, "opaque"): "cd0e6b52c73d29ae20871531a924b56627569c1f5e94a298047748ca959a0192",
+    (2, "transparent"): "6010f4343ccc28f506b7e0e1d6df8027b51897005e88bf430eae467c47b17c74",
 }
 
 
@@ -388,9 +428,35 @@ def test_readme_n14_lightpaths_golden(tmp_path):
 
 
 # sha256 over the sorted "relative path\0file sha256\n" lines of the whole
-# README N14 bundle on seeds 0-2, computed when every seed still resolved its
-# own copy of the bundled topology.
-README_N14_BUNDLE = "116b44509f1681e92cdd03d1c48cce8815073a854ff05fae316534d6ebd5cd7e"
+# README N14 bundle on seeds 0-2. The three bundle goldens were last
+# regenerated when one change moved every file: the config_hash changed
+# (compare_solvers left the config), solution files lost `objective`,
+# summary.json gained `break_even_ratio` and `monitors_se`, and exact bundles
+# gained gap.csv. Placements and monitor counts did not move.
+README_N14_BUNDLE = "3508eade2560226a7ddb3d962b42d5ec976aa5f8911fd45eac01ba3db696dea8"
+
+
+def test_readme_n14_break_even_ratio_and_seed_spread(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "topology": "n14",
+        "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
+        "seeds": list(range(10)), "load_mode": "rejection", "rejection_target": 0.01,
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+    summary = run_experiment(cfg, tmp_path)
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
+    rows, otdr = summary["scenarios"], summary["otdr_total"]
+    tr = rows["Tr-O-1"]
+    assert (tr["monitors"], otdr) == (pytest.approx(17.4), 154)
+    assert round(tr["break_even_ratio"], 2) == 8.85
+    assert round(tr["monitors_se"], 2) == 0.22
+    for name, row in rows.items():
+        assert row["break_even_ratio"] == (None if name == "OTDR" else otdr / row["monitors"])
+        if "-O-" in name:  # the standard error of the per-seed solutions' monitors
+            monitors = [json.loads(path.read_text())["monitors"]
+                        for path in sorted(tmp_path.glob(f"per_seed/*/solution_{name}_n*.json"))]
+            assert len(monitors) == 10
+            assert row["monitors_se"] == statistics.stdev(monitors) / math.sqrt(10)
+    assert rows["OTDR"]["monitors_se"] == 0.0  # one fixed topology
 
 
 def test_fixed_topology_resolved_once_per_run(tmp_path, monkeypatch):
@@ -440,17 +506,17 @@ def whole_bundle_sha(out: Path) -> str:
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
-# Whole-bundle sha256 (as README_N14_BUNDLE), computed while `run` still
-# served every demand again with a fresh transparent provisioner after the
-# load search. With no transparent scenario the OTDR baseline counts the
+# Whole-bundle sha256 (as README_N14_BUNDLE), regenerated with it for the
+# same reasons. With no transparent scenario the OTDR baseline counts the
 # opaque lit links and the bundle holds no transparent files; at k=5 the
 # search and provisioning see routes past the default cut.
-OPAQUE_ONLY_N14_BUNDLE = "f7034058e8a2372bda31053554fb34ac506e76697d81aa26a88a496ae67e8064"
+OPAQUE_ONLY_N14_BUNDLE = "6ada66d734bab9c79f07a00917e29f771077d15b175d1b6ce422479319888efd"
 # Recomputed when exact placement moved from the hand-rolled branch-and-bound
 # to the HiGHS MIP: three Tr-O-* instances here have a fractional root LP,
 # and HiGHS returns another optimal p with the same monitors and unsatisfied
-# (seed_0 Tr-O-1 and Tr-O-3 at n1120, seed_1 Tr-O-3 at n1000).
-J14_K5_BUNDLE = "034b937f7d39facf98b21428ac4dce5328b75a5938510bb050afe0465377c389"
+# (seed_0 Tr-O-1 and Tr-O-3 at n1120, seed_1 Tr-O-3 at n1000). Regenerated
+# since with README_N14_BUNDLE, for its reasons; no p moved.
+J14_K5_BUNDLE = "ed20999fd5e3dc7e4d4c8be06fae1d505658472a3be35af0265cba7af2543d08"
 
 
 def test_opaque_only_rejection_bundle_golden(tmp_path):

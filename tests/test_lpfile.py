@@ -1,17 +1,20 @@
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from scipy.optimize._highspy import _core
 
-from conftest import random_instance
+from conftest import cover_instances, random_instance
 from ppmplan import exact
 from ppmplan.exact import solve_exact
 from ppmplan.lpfile import export_lp
 from ppmplan.placement import build_cover_instance, make_instance
 from ppmplan.provisioning import Provisioner, provision
 from ppmplan.topology import generate_gabriel
-from ppmplan.traffic import generate_demands
+from ppmplan.traffic import find_load_at_rejection, generate_demands
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,6 +108,63 @@ class TestSameModelAsSolveExact:
         for gamma in (1, 2, 3):
             inst = build_cover_instance(prov.result(), topo, gamma)
             assert_export_is_the_lp(inst, lp_models, tmp_path / "m.lp")
+
+
+def highs_optimum(path: Path) -> tuple[str, float]:
+    """(model status, optimum) of HiGHS reading the LP file at `path` and
+    solving it. It goes through scipy's bundled HiGHS, whose LP-file reader
+    is a private API: only this test module uses it, and a scipy that moves
+    it fails these tests rather than skipping them."""
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("mip_rel_gap", 0.0)
+    assert highs.readModel(str(path)) == _core.HighsStatus.kOk
+    assert highs.run() == _core.HighsStatus.kOk
+    return (highs.modelStatusToString(highs.getModelStatus()),
+            highs.getInfo().objective_function_value)
+
+
+def assert_highs_reads_the_optimum(inst, path) -> int:
+    """HiGHS's optimum of the export of `inst` is solve_exact's monitors."""
+    export_lp(inst, path)
+    sol = solve_exact(inst)
+    assert sol.optimal
+    status, optimum = highs_optimum(path)
+    assert (status, optimum) == ("Optimal" if inst.groups else "Empty", sol.total_monitors)
+    return sol.total_monitors
+
+
+class TestHighsReadsTheExport:
+    @pytest.mark.parametrize("seed, monitors", [(0, (18, 54)), (1, (18, 57)), (2, (18, 52))])
+    def test_n14_readme_sets(self, n14, tmp_path, seed, monitors):
+        # the transparent set at the README config's 1% rejection point
+        _, lset = find_load_at_rejection(n14, 0.01, seed)
+        assert tuple(assert_highs_reads_the_optimum(build_cover_instance(lset, n14, gamma),
+                                                    tmp_path / "m.lp")
+                     for gamma in (1, 3)) == monitors
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_j14_sets(self, j14, tmp_path, seed):
+        _, lset = find_load_at_rejection(j14, 0.01, seed)
+        for gamma in (1, 2, 3):
+            assert_highs_reads_the_optimum(build_cover_instance(lset, j14, gamma),
+                                           tmp_path / "m.lp")
+
+    def test_gabriel30_transparent_set(self, tmp_path):
+        topo = generate_gabriel(30, seed=0)
+        lset = provision(topo, generate_demands(topo, 300, seed=0), "transparent")
+        for gamma in (1, 2, 3):
+            assert_highs_reads_the_optimum(build_cover_instance(lset, topo, gamma),
+                                           tmp_path / "m.lp")
+
+    @settings(max_examples=100, deadline=None)
+    @given(cover_instances())
+    # the empty export (an objective with no term, a blank Generals line)
+    # reads as an empty model with optimum 0
+    @example(make_instance(["e1"], [], gamma=3))
+    def test_drawn_instances(self, inst):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_highs_reads_the_optimum(inst, Path(tmp) / "m.lp")
 
 
 def test_structure_two_links(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import cover_instances, random_instance
 from ppmplan import placement
 from ppmplan.experiment import ExperimentConfig, run_experiment
 from ppmplan.placement import (
@@ -61,8 +62,9 @@ class TestInstanceBuild:
             make_instance(["e1"], [(("e1",), 1), (("e1",), 2)], gamma=1)
 
     def test_alpha_policies(self):
+        # the placement model has no weight: no alpha to read or to pass
         groups = [(("e1", "e2"), 2), (("e1",), 3)]
-        assert make_instance(["e1", "e2"], groups, 1).alpha == 3  # max hops + 1
+        assert not hasattr(make_instance(["e1", "e2"], groups, 1), "alpha")
         with pytest.raises(TypeError, match="alpha"):
             make_instance(["e1", "e2"], groups, 1, alpha=7)
         with pytest.raises(TypeError, match="alpha"):
@@ -136,8 +138,7 @@ class TestGreedyOpaque:
         inst = make_instance(["e"], [(("e",), 1)], gamma=2)
         sol = solve_greedy(inst)
         assert sol.x["e"] == 1
-        assert sol.unsatisfied == 1
-        assert sol.objective == inst.alpha + 1
+        assert (sol.total_monitors, sol.unsatisfied) == (1, 1)
 
     def test_selection_in_count_then_index_order(self):
         inst = make_instance(["e0", "e1", "e2", "e3"],
@@ -180,8 +181,8 @@ class TestGreedyTransparent:
         assert sol.total_monitors == 2
         assert sol.selection == (0, 1)
         assert sol.p == {"e1|e2": 1, "e2|e3": 1}
-        oracle = brute_force_oracle(inst)
-        assert sol.objective == oracle.objective  # greedy is optimal here
+        oracle = brute_force_oracle(inst)  # greedy is optimal here
+        assert (sol.total_monitors, sol.unsatisfied) == (oracle.total_monitors, oracle.unsatisfied)
 
     def test_unsatisfied_floor_always_reached(self):
         rng = np.random.default_rng(0)
@@ -251,13 +252,26 @@ class TestOracle:
             brute_force_oracle(inst, cap=5)
 
     def test_modes_agree_on_unsat_floor(self):
-        # minimizing alpha * unsatisfied + monitors leaves only the floor
+        # every placement that meets the requirement leaves only the floor
         rng = np.random.default_rng(3)
         for _ in range(50):
             inst = random_instance(rng)
             sol = brute_force_oracle(inst)
             assert sol.unsatisfied == inst.min_unsatisfied
             assert verify_solution(inst, sol)
+
+    def test_fewest_monitors_among_feasible_vectors(self):
+        # the first of the feasible vectors with the fewest monitors, in
+        # itertools.product order (the last group counts fastest)
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            inst = random_instance(rng)
+            feasible = [p for p in itertools.product(*(range(c + 1) for c in inst.counts))
+                        if np.all(inst.delta @ np.array(p, dtype=np.int64) >= inst.requirement)]
+            best = min(feasible, key=sum)  # min keeps the first of equal sums
+            oracle = brute_force_oracle(inst)
+            assert oracle.p == solution_from_counts(inst, best, optimal=True).p
+            assert oracle.total_monitors == sum(best)
 
 
 class TestSolutionPlumbing:
@@ -280,7 +294,7 @@ class TestSolutionPlumbing:
         inst = make_instance(["e1"], [(("e1",), 2)], gamma=1)
         sol = solve_greedy(inst)
         d = sol.to_json_dict()
-        assert set(d) == {"p", "x", "unsatisfied", "monitors", "objective", "optimal"}
+        assert set(d) == {"p", "x", "unsatisfied", "monitors", "optimal"}
 
 
 class TestVerifySolution:
@@ -319,7 +333,7 @@ class TestVerifySolution:
         p = {"A->B->C": 3}
         x = {"A->B": 1, "B->C": 1, "C->D": 0}
         assert not verify_solution(inst, dataclasses.replace(
-            sol, p=p, x=x, total_monitors=3, unsatisfied=1, objective=inst.alpha + 3))
+            sol, p=p, x=x, total_monitors=3, unsatisfied=1))
 
 
 def reference_greedy(instance):
@@ -365,21 +379,6 @@ def reference_greedy(instance):
             m[:, ls] = 0
             v[ls] = 0
     return solution_from_counts(instance, p, optimal=False, selection=tuple(selection))
-
-
-@st.composite
-def cover_instances(draw):
-    """1-30 links under shuffled labels, up to 40 groups whose routes list
-    links in drawn order (not link-index order), counts 1-4, gamma 1-3.
-    Small counts against gamma up to 3 leave links whose availability runs
-    out while they are still needy, and some links have no group at all."""
-    n_e = draw(st.integers(1, 30))
-    labels = draw(st.permutations([f"e{i}" for i in range(n_e)]))
-    routes = draw(st.lists(
-        st.lists(st.integers(0, n_e - 1), min_size=1, max_size=min(n_e, 6), unique=True)
-        .map(tuple), max_size=40, unique=True))
-    groups = [(tuple(labels[i] for i in route), draw(st.integers(1, 4))) for route in routes]
-    return make_instance(labels, groups, draw(st.integers(1, 3)))
 
 
 class TestGreedyMatchesReference:
@@ -444,35 +443,37 @@ class TestIncidence:
         assert np.array_equal(inst.max_coverage, expected @ inst.counts)
 
 
-# sha256 of the placement outputs of the README N14 config with
-# compare_solvers on seeds 0-2: exact solutions (warm-started by the greedy)
-# and gap.csv (greedy monitor counts). Computed with the dense greedy above.
+# sha256 of the placement outputs of the README N14 config on seeds 0-2:
+# exact solutions (warm-started by the greedy) and gap.csv (greedy monitor
+# counts). Regenerated when the weighted `objective` left the solution files
+# and the `compare_solvers` key left the config (so its hash changed); the
+# files are otherwise those computed with the dense greedy above.
 README_N14_PLACEMENT = {
-    "gap.csv": "6276c61b62ab87e831d3d62798e90676bc3507d206e3c53dc087b48d18e76d6d",
+    "gap.csv": "35ffa44cf7e798f953a2ef7060beacd46af9c274fe5131304923895bf633473a",
     "per_seed/seed_0/solution_Op-O-1_n580.json":
-        "5d7d31bacc33acf632ff598f5f277c32b473a4814b9d23565fff613d7dca7c49",
+        "335967811e827da5dfcbf6a2d86c70f89ecb854a360a3c1ef5c4a5cd4ff632ab",
     "per_seed/seed_0/solution_Op-O-3_n580.json":
-        "3efe25e8a133c458d23bb8d603545a96cd0e98e4ccf39d9b5c4062c22f873275",
+        "347ea6611bb5bcfcedd8ef5c366e9556c1507aa28a82d1a4056b04fa3927d6f3",
     "per_seed/seed_0/solution_Tr-O-1_n580.json":
-        "500679d5d8ebf92cd06bf2d2031d73b90d419b453b13b9e433af1bb992a32244",
+        "ecb71ba077985f1b1d6ac7ac82f6115cff70eaace71650eff43ba18403b51c98",
     "per_seed/seed_0/solution_Tr-O-3_n580.json":
-        "9418867b6184548995ddd463b17b537b23827bd830f218a4f938f9ac7816956a",
+        "41784d7ea12dab7cd1e6d16624c058369af5913b616d75f07aaa0e6700598903",
     "per_seed/seed_1/solution_Op-O-1_n560.json":
-        "5d7d31bacc33acf632ff598f5f277c32b473a4814b9d23565fff613d7dca7c49",
+        "335967811e827da5dfcbf6a2d86c70f89ecb854a360a3c1ef5c4a5cd4ff632ab",
     "per_seed/seed_1/solution_Op-O-3_n560.json":
-        "d30196bcb262552e75e9f68db1e5f9f1fb8a213f1dd6dfb7e12a3919c09cdcc4",
+        "00585d82e22e8e5ed113eb5666154df96f5678b039c8146c7daed39faa4d9185",
     "per_seed/seed_1/solution_Tr-O-1_n560.json":
-        "67c33310eee5ad6332097285593cc35c18dd525f9b3046091e0bfaacf5fd4fe8",
+        "45249c24501f5e0a264f486d8b780421e09d26cd8e2ef8ae10f9ad4a10c2ce7c",
     "per_seed/seed_1/solution_Tr-O-3_n560.json":
-        "400f89ceb5a09e55899b4dd6a723600f255e53773a5f7d30a1273d8f469fef97",
+        "2bdc7e1450607fd6e89ee398efe25e84a4546f798087edc87512ef4d66eaabaf",
     "per_seed/seed_2/solution_Op-O-1_n550.json":
-        "5d7d31bacc33acf632ff598f5f277c32b473a4814b9d23565fff613d7dca7c49",
+        "335967811e827da5dfcbf6a2d86c70f89ecb854a360a3c1ef5c4a5cd4ff632ab",
     "per_seed/seed_2/solution_Op-O-3_n550.json":
-        "19be31886646404bb7ac24636a26a7a19a6c969ada288ff99db89be0e261f7ae",
+        "0c80db1fe8d8fd72a43263edea8b22736244b1ed43e367402c2a9b123fd3e312",
     "per_seed/seed_2/solution_Tr-O-1_n550.json":
-        "eb41a7e1391332d79352bf16783030e60a69f5751b5bb3167eebc3810d86c53e",
+        "66181aaeb546958a1dbb201bc9d4ea6bdeb5d2c7e55bd9f641b2d83cc5e18029",
     "per_seed/seed_2/solution_Tr-O-3_n550.json":
-        "207566002bee9966ff078a89e0148e5c499360b23a1755d8bf723ed3bbaab546",
+        "800719e4df41ec4cc795a33e6a80ce99bc8d3aee0fcb4ca5b4b0b606fa00af83",
 }
 
 
@@ -481,8 +482,7 @@ def test_readme_n14_placement_golden(tmp_path):
         "topology": "n14",
         "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
         "seeds": [0, 1, 2], "load_mode": "rejection", "rejection_target": 0.01,
-        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100],
-        "compare_solvers": True})
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
     run_experiment(cfg, tmp_path)
     got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.rglob("*"))
