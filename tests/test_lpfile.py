@@ -11,7 +11,7 @@ from conftest import cover_instances, random_instance
 from ppmplan import exact
 from ppmplan.exact import solve_exact
 from ppmplan.lpfile import export_lp
-from ppmplan.placement import build_cover_instance, make_instance
+from ppmplan.placement import build_cover_instance, make_instance, solution_from_counts
 from ppmplan.provisioning import Provisioner, provision
 from ppmplan.topology import generate_gabriel
 from ppmplan.traffic import find_load_at_rejection, generate_demands
@@ -110,27 +110,43 @@ class TestSameModelAsSolveExact:
             assert_export_is_the_lp(inst, lp_models, tmp_path / "m.lp")
 
 
-def highs_optimum(path: Path) -> tuple[str, float]:
-    """(model status, optimum) of HiGHS reading the LP file at `path` and
-    solving it. It goes through scipy's bundled HiGHS, whose LP-file reader
-    is a private API: only this test module uses it, and a scipy that moves
-    it fails these tests rather than skipping them."""
+def highs_solution(path: Path, n_groups: int) -> tuple[str, np.ndarray]:
+    """(model status, optimal p by group index) of HiGHS reading the LP file
+    at `path` and solving it. It goes through scipy's bundled HiGHS, whose
+    LP-file reader is a private API: only this test module uses it, and a
+    scipy that moves it fails these tests rather than skipping them.
+
+    HiGHS reports each integer column as a float within its
+    mip_feasibility_tolerance of an integer (its objective too may be off an
+    integer by a rounding step), so p is checked against that tolerance and
+    then rounded."""
     highs = _core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("mip_rel_gap", 0.0)
     assert highs.readModel(str(path)) == _core.HighsStatus.kOk
     assert highs.run() == _core.HighsStatus.kOk
-    return (highs.modelStatusToString(highs.getModelStatus()),
-            highs.getInfo().objective_function_value)
+    status = highs.modelStatusToString(highs.getModelStatus())
+    names = highs.getLp().col_names_
+    assert sorted(names) == sorted(f"p{j}" for j in range(n_groups))
+    values = np.zeros(n_groups)
+    values[[int(name[1:]) for name in names]] = highs.getSolution().col_value
+    _, tolerance = highs.getOptionValue("mip_feasibility_tolerance")
+    p = np.rint(values)
+    assert np.all(np.abs(values - p) <= tolerance), values
+    return status, p.astype(np.int64)
 
 
 def assert_highs_reads_the_optimum(inst, path) -> int:
-    """HiGHS's optimum of the export of `inst` is solve_exact's monitors."""
+    """HiGHS's optimum of the export of `inst` is a placement that meets
+    every link's requirement with solve_exact's monitors."""
     export_lp(inst, path)
     sol = solve_exact(inst)
     assert sol.optimal
-    status, optimum = highs_optimum(path)
-    assert (status, optimum) == ("Optimal" if inst.groups else "Empty", sol.total_monitors)
+    status, p = highs_solution(path, len(inst.groups))
+    assert status == ("Optimal" if inst.groups else "Empty")
+    highs_sol = solution_from_counts(inst, p, optimal=True)  # raises on p out of bounds
+    assert highs_sol.unsatisfied == inst.min_unsatisfied
+    assert highs_sol.total_monitors == sol.total_monitors
     return sol.total_monitors
 
 
