@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     place = sub.add_parser("place", help="solve monitor placement over dumped lightpaths")
     place.add_argument("--topo", required=True)
     place.add_argument("--lightpaths", required=True)
-    place.add_argument("--solver", choices=["greedy", "exact", "oracle"], default="greedy")
+    place.add_argument("--solver", choices=["greedy", "exact", "oracle"], default="exact")
     place.add_argument("--gamma", type=int, required=True)
     place.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     place.add_argument("--out", default="-")

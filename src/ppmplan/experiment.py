@@ -339,6 +339,9 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
                 prov.serve(d)
         served = n
         lsets = {a: built[a] if a in built else provisioners[a].result() for a in archs}
+        # each set's link coverage and carried traffic, counted once per point
+        coverage = {a: ls.coverage(topo) for a, ls in lsets.items()}
+        carried = {a: ls.carried_gbps / 1000.0 for a, ls in lsets.items()}
         offered = sum(d.rate_gbps for d in demands[:n]) / 1000.0
         point = {"offered_tbps": offered, "scenarios": {}}
         # each lightpath set is grouped once; its other gammas reuse the groups
@@ -346,20 +349,18 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
         for name in config.scenarios:
             arch, gamma = parse_scenario(name)
             if name == "OTDR":
-                ref = lsets.get("transparent") or next(iter(lsets.values()))
-                plan = count_otdrs(topo, lit_links=ref.lit_links(topo))
+                ref = "transparent" if "transparent" in lsets else next(iter(lsets))
+                plan = count_otdrs(topo, lit_links=[e for e, c in coverage[ref].items() if c])
                 point["scenarios"][name] = {"monitors": plan.total,
                                             "unsatisfied_npl_avg": None,
                                             "carried_tbps": None}
                 continue
             ls = lsets[arch]
-            carried = ls.carried_gbps / 1000.0
             if gamma is None:
-                cov = ls.coverage(topo)
                 point["scenarios"][name] = {
                     "monitors": len(ls.lightpaths),
-                    "unsatisfied_npl_avg": unsatisfied_npl_avg(cov, 1),
-                    "carried_tbps": carried,
+                    "unsatisfied_npl_avg": unsatisfied_npl_avg(coverage[arch], 1),
+                    "carried_tbps": carried[arch],
                 }
             else:
                 if arch in instances:
@@ -381,7 +382,7 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
                 point["scenarios"][name] = {
                     "monitors": sol.total_monitors,
                     "unsatisfied_npl_avg": sol.unsatisfied / len(topo.links),
-                    "carried_tbps": carried,
+                    "carried_tbps": carried[arch],
                 }
                 write_json(seed_dir / f"solution_{name}_n{n}.json",
                            {"config_hash": chash, **sol.to_json_dict()})

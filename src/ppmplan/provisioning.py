@@ -23,12 +23,20 @@ by the sequence of node names (`Topology.k_shortest_routes`). They are kept
 on the Topology object with one link record per route (`Topology.route_links`:
 link labels, link lengths and the length summed in path order), so every
 Provisioner on one object shares them, and serving a demand looks up no link
-by its end nodes.
+by its end nodes. A transparent demand looks its routes up once and hands
+them to grooming and then to establishment; an opaque demand grooms over the
+spare links and looks its routes up only when it must establish.
+
+The reach table is fixed, so each Provisioner memoises its answers in two
+caches of its own: the longest lightpath per demand rate (`max_length_for`)
+and the line rate per lightpath length (`best_rate`). They live and die with
+the Provisioner.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -221,6 +229,10 @@ class Provisioner:
         self._accepted: list[Demand] = []
         self._rejected: list[Demand] = []
         self._assignments: list[tuple[Demand, tuple[int, ...]]] = []
+        # the reach table's answers, per demand rate (the longest lightpath
+        # that carries it) and per lightpath length (its line rate)
+        self._max_length = functools.cache(reach_table.max_length_for)
+        self._line_rate = functools.cache(reach_table.best_rate)
 
     @property
     def rejected_count(self) -> int:
@@ -246,9 +258,18 @@ class Provisioner:
     def serve(self, demand: Demand) -> bool:
         """Serve one demand; returns True when accepted. Atomic: state is
         only mutated on success."""
-        chain = self._groom(demand)
-        if chain is None:
-            chain = self._establish(demand)
+        opaque = self.architecture == "opaque"
+        if opaque:
+            chain = self._groom_opaque(demand)
+        else:
+            routes = self.routes(demand.src, demand.dst)
+            chain = self._groom_transparent(demand, routes)
+        if chain is not None:
+            self._carry(chain, demand.rate_gbps)
+        else:
+            if opaque:
+                routes = self.routes(demand.src, demand.dst)
+            chain = self._establish(demand, routes)
         if chain is None:
             self._rejected.append(demand)
             return False
@@ -258,12 +279,9 @@ class Provisioner:
 
     # -- grooming -----------------------------------------------------------
 
-    def _groom(self, demand: Demand) -> tuple[int, ...] | None:
+    def _carry(self, chain: tuple[int, ...], rate: int) -> None:
+        """Load a groomed chain with `rate` and update the grooming indexes."""
         opaque = self.architecture == "opaque"
-        chain = self._groom_opaque(demand) if opaque else self._groom_transparent(demand)
-        if chain is None:
-            return None
-        rate = demand.rate_gbps
         lps, spare, by_ends, max_spare = self._lps, self._spare, self._by_ends, self._max_spare
         for lp_id in chain:
             lp = lps[lp_id]
@@ -283,7 +301,6 @@ class Provisioner:
                 # the link's largest spare falls only if this lightpath held it
                 ids = by_ends.get(u, {}).get(v, ())
                 max_spare[u][v] = max([spare[i] for i in ids], default=0)
-        return chain
 
     def _groom_opaque(self, demand: Demand) -> tuple[int, ...] | None:
         """Shortest chain of links whose single-hop lightpaths have `rate`
@@ -298,7 +315,7 @@ class Provisioner:
         # it; links come in both directions, so dst's successors feed it
         try:
             if (max(max_spare[src].values(), default=0) < rate
-                    or max([max_spare[u].get(dst, 0) for u in adj[dst]], default=0) < rate):
+                    or not any(max_spare[u].get(dst, 0) >= rate for u in adj[dst])):
                 return None
         except KeyError:
             for node in (src, dst):
@@ -339,10 +356,11 @@ class Provisioner:
         chain.reverse()
         return tuple(chain)
 
-    def _groom_transparent(self, demand: Demand) -> tuple[int, ...] | None:
+    def _groom_transparent(self, demand: Demand,
+                           routes: tuple[tuple[str, ...], ...]) -> tuple[int, ...] | None:
         rate = demand.rate_gbps
         by_ends, spare = self._by_ends, self._spare
-        for route in self.routes(demand.src, demand.dst):
+        for route in routes:
             last = len(route) - 1
             i = 0
             chain: list[int] = []
@@ -373,28 +391,32 @@ class Provisioner:
 
     # -- new lightpaths -----------------------------------------------------
 
-    def _establish(self, demand: Demand) -> tuple[int, ...] | None:
-        rmax = self.reach_table.max_length_for(demand.rate_gbps)
+    def _establish(self, demand: Demand,
+                   routes: tuple[tuple[str, ...], ...]) -> tuple[int, ...] | None:
+        """New lightpaths along the first route whose segments all reach and
+        all find a channel; None when no route does."""
+        rate = demand.rate_gbps
+        rmax = self._max_length(rate)
         if rmax is None:
             return None
-        route_links = self.topology.route_links
-        for route in self.routes(demand.src, demand.dst):
+        route_links, used = self.topology.route_links, self._channel_used
+        for route in routes:
             labels, lengths, total = route_links[route]
             segments = self._segment(lengths, total, rmax)
             if segments is None:
                 continue
-            plan = []
-            for i, j, length in segments:
-                seg_labels = labels[i:j]
-                ch = self._first_fit(seg_labels)
-                if ch is None:
+            channels = []
+            for i, j, _ in segments:
+                # first fit: the lowest channel free on every link of the segment
+                taken = 0
+                for e in labels[i:j]:
+                    taken |= used[e]
+                ch = (~taken & (taken + 1)).bit_length() - 1  # lowest clear bit
+                if ch >= self.n_channels:
                     break
-                plan.append((route[i:j + 1], seg_labels, length, ch))
+                channels.append(ch)
             else:
-                best_rate = self.reach_table.best_rate
-                return tuple([self._create(nodes, seg_labels, length, best_rate(length),
-                                           ch, demand.rate_gbps)
-                              for nodes, seg_labels, length, ch in plan])
+                return self._create(route, labels, segments, channels, rate)
         return None
 
     def _segment(self, lengths: tuple[float, ...], total: float,
@@ -425,32 +447,36 @@ class Provisioner:
             i = j
         return segments
 
-    def _first_fit(self, labels) -> int | None:
-        """The lowest channel free on every link in `labels`, or None."""
-        used = 0
-        for e in labels:
-            used |= self._channel_used[e]
-        ch = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
-        return ch if ch < self.n_channels else None
-
-    def _create(self, nodes: tuple[str, ...], links: tuple[str, ...], length: float,
-                rate: int, channel: int, carried: int) -> int:
-        lp_id = len(self._lps)
-        lp = Lightpath(lp_id, nodes, length, rate, channel, carried)
-        lp.__dict__["links"] = links  # fills the cached property with first-fit's labels
-        self._lps.append(lp)
-        spare = rate - carried
-        self._spare.append(spare)
-        used, bit = self._channel_used, 1 << channel
-        for e in links:
-            used[e] |= bit
-        u, v = nodes[0], nodes[-1]
-        if self.architecture == "opaque":
-            succ = self._max_spare[u]
-            succ[v] = max(succ.get(v, 0), spare)
-        if spare:
-            self._by_ends.setdefault(u, {}).setdefault(v, []).append(lp_id)
-        return lp_id
+    def _create(self, route: tuple[str, ...], labels: tuple[str, ...],
+                segments: list[tuple[int, int, float]], channels: list[int],
+                carried: int) -> tuple[int, ...]:
+        """One new lightpath per segment of `route`, on its channel and at the
+        line rate its length allows, carrying `carried`; returns their ids."""
+        lps, spare_of, used, by_ends = self._lps, self._spare, self._channel_used, self._by_ends
+        opaque = self.architecture == "opaque"
+        max_spare, hops, line_rate = self._max_spare, self.topology.link_hops, self._line_rate
+        ids = []
+        for (i, j, length), channel in zip(segments, channels):
+            lp_id = len(lps)
+            # single-hop lightpaths share their link's node pair and label tuple
+            nodes, links = hops[labels[i]] if opaque else (route[i:j + 1], labels[i:j])
+            rate = line_rate(length)
+            lp = Lightpath(lp_id, nodes, length, rate, channel, carried)
+            lp.links = links  # fills the cached property with the route's labels
+            lps.append(lp)
+            spare = rate - carried
+            spare_of.append(spare)
+            bit = 1 << channel
+            for e in links:
+                used[e] |= bit
+            u, v = nodes[0], nodes[-1]
+            if opaque:
+                succ = max_spare[u]
+                succ[v] = max(succ.get(v, 0), spare)
+            if spare:
+                by_ends.setdefault(u, {}).setdefault(v, []).append(lp_id)
+            ids.append(lp_id)
+        return tuple(ids)
 
 
 def provision(topology: Topology, demands, architecture: str,
@@ -478,10 +504,9 @@ def write_lightpaths_csv(lightpaths, path: str | Path,
         writer = csv.writer(fh)
         writer.writerow(["lp_id", "add_node", "drop_node", "route",
                          "rate_gbps", "channel", "carried_gbps"])
-        for lp in lightpaths:
-            writer.writerow([lp.lp_id, lp.add_node, lp.drop_node,
-                             "->".join(lp.nodes), lp.rate_gbps, lp.channel,
-                             lp.carried_gbps])
+        writer.writerows([lp.lp_id, lp.nodes[0], lp.nodes[-1], "->".join(lp.nodes),
+                          lp.rate_gbps, lp.channel, lp.carried_gbps]
+                         for lp in lightpaths)
 
 
 def read_lightpaths_csv(path: str | Path, topology: Topology) -> list[Lightpath]:

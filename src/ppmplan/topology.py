@@ -187,6 +187,12 @@ class Topology:
     def link_labels(self) -> tuple[str, ...]:
         return tuple(l.label for l in self.links)
 
+    @cached_property
+    def link_hops(self) -> dict[str, tuple[tuple[str, str], tuple[str]]]:
+        """Per link label, the link's node pair and a one-label tuple: the
+        nodes and links of a single-hop lightpath on it, shared by all."""
+        return {l.label: ((l.src, l.dst), (l.label,)) for l in self.links}
+
     def link(self, src: str, dst: str) -> DirectedLink:
         try:
             return self._link_map[(src, dst)]
@@ -330,6 +336,9 @@ def _build(name: str, span_length_km: float,
         raise TopologyError(f"span_length_km must be positive and finite, got {span_length_km}")
     if len(set(nodes)) != len(nodes):
         raise TopologyError("duplicate node ids")
+    for node in nodes:
+        if "->" in node:  # the separator of link labels and lightpath routes
+            raise TopologyError(f"node {node!r} contains '->'")
     node_set = set(nodes)
     seen: set[frozenset[str]] = set()
     links: list[DirectedLink] = []

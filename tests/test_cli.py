@@ -8,6 +8,9 @@ import pytest
 
 import ppmplan
 from ppmplan.cli import main
+from ppmplan.provisioning import write_lightpaths_csv
+from ppmplan.topology import bundled_topology
+from ppmplan.traffic import find_load_at_rejection
 
 
 def run_cli(*argv):
@@ -58,6 +61,21 @@ class TestTopoCommands:
         assert run_cli("topo", "gen", "--nodes", "6", "--seed", "2", flag, value,
                        "--out", str(out)) == 2
         assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["topo", "validate", "{path}"], ["baseline", "--topo", "{path}"],
+        ["demands", "--topo", "{path}", "--count", "5", "--out", "{out}"],
+        ["run", "--topo", "{path}", "--seeds", "0", "--out", "{out}"]],
+        ids=["validate", "baseline", "demands", "run"])
+    def test_arrow_in_node_name_is_data_error(self, tmp_path, capsys, command):
+        # "->" separates the nodes of a link label and a lightpath route
+        path = tmp_path / "arrow.json"
+        path.write_text(json.dumps({"name": "t", "span_length_km": 80, "nodes": ["A->B", "C"],
+                                    "edges": [{"a": "A->B", "b": "C", "length_km": 100}]}))
+        out = tmp_path / "out"
+        assert run_cli(*[arg.format(path=path, out=out) for arg in command]) == 2
+        assert capsys.readouterr().err == "error: node 'A->B' contains '->'\n"
         assert not out.exists()
 
 
@@ -133,6 +151,23 @@ class TestPipeline:
         assert set(sols["exact"]) == {"p", "x", "unsatisfied", "monitors", "optimal"}
         assert sols["exact"]["optimal"] is True
         assert sols["greedy"]["monitors"] >= sols["exact"]["monitors"]
+
+    def test_place_defaults_to_exact(self, tmp_path):
+        # on the N14 seed-0 set at 1% rejection the greedy places 19 monitors
+        # at gamma = 1 and the optimum is 18: place with no --solver is exact
+        _, lset = find_load_at_rejection(bundled_topology("n14"), 0.01, 0)
+        lps = tmp_path / "lps.csv"
+        write_lightpaths_csv(lset, lps)
+        sols = {}
+        for name, flag in (("default", []), ("exact", ["--solver", "exact"]),
+                           ("greedy", ["--solver", "greedy"])):
+            out = tmp_path / f"{name}.json"
+            assert run_cli("place", "--topo", "n14", "--lightpaths", str(lps), *flag,
+                           "--gamma", "1", "--out", str(out)) == 0
+            sols[name] = out.read_bytes()
+        assert sols["default"] == sols["exact"]
+        assert json.loads(sols["exact"])["monitors"] == 18
+        assert json.loads(sols["greedy"])["monitors"] == 19
 
     def test_place_weighted_mode(self, tmp_path, capsys):
         # one placement model: --mode is gone, so passing it is a usage error

@@ -262,6 +262,26 @@ class TestInvariants:
             assert back.carried_gbps == orig.carried_gbps
             assert back.length_km == pytest.approx(orig.length_km)
 
+    def test_csv_quoting_pinned_and_read_back(self, tmp_path):
+        # names with a comma, a double quote and a space: the excel dialect
+        # quotes the first two, doubling the quote, and leaves the third
+        topo = topology_from_dict({
+            "name": "quoted", "span_length_km": 80, "nodes": ["a,b", 'say "hi"', "c d"],
+            "edges": [{"a": "a,b", "b": 'say "hi"', "length_km": 100},
+                      {"a": 'say "hi"', "b": "c d", "length_km": 200}]})
+        lset = provision(topo, [Demand("a,b", "c d", 100), Demand("c d", 'say "hi"', 200),
+                                Demand("a,b", 'say "hi"', 300)], "transparent")
+        path = tmp_path / "lps.csv"
+        write_lightpaths_csv(lset, path, config_hash="0123abcd")
+        assert path.read_bytes() == (
+            b"# config_hash=0123abcd\n"
+            b"lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\r\n"
+            b'0,"a,b",c d,"a,b->say ""hi""->c d",700,0,100\r\n'
+            b'1,c d,"say ""hi""","c d->say ""hi""",700,0,200\r\n'
+            b'2,"a,b","say ""hi""","a,b->say ""hi""",800,1,300\r\n')
+        again = read_lightpaths_csv(path, topo)
+        assert again == lset.lightpaths
+
     def test_csv_read_needs_topology(self, n14, tmp_path):
         # the topology gives each route its length; there is no zero-length fallback
         path = tmp_path / "lps.csv"
@@ -730,7 +750,8 @@ class ReferenceProvisioner(Provisioner):
         return tuple(next(lp.lp_id for lp in links[(u, v)] if lp.spare_gbps >= rate)
                      for u, v in zip(path, path[1:]))
 
-    def _groom_transparent(self, demand):
+    def _groom_transparent(self, demand, routes):
+        # the reference looks its routes up itself, not through `routes`
         rate = demand.rate_gbps
         for route in self.routes(demand.src, demand.dst):
             pos = {n: i for i, n in enumerate(route)}

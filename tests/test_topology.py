@@ -112,6 +112,21 @@ class TestLoading:
         with pytest.raises(TopologyError, match="unknown node"):
             load_topology(path)
 
+    @pytest.mark.parametrize("bad", ["B->C", "->", "A->", "->A"])
+    def test_node_name_with_arrow_rejected(self, bad):
+        # "->" joins link labels and lightpath routes: with a node "B->C" the
+        # label "A->B->C" would name the link A -> B->C, and a route through
+        # the node could not be split back into its nodes
+        with pytest.raises(TopologyError, match=f"node '{bad}' contains '->'"):
+            topology_from_dict({"name": "t", "span_length_km": 80, "nodes": ["A", bad, "D"],
+                                "edges": [{"a": "A", "b": bad, "length_km": 100},
+                                          {"a": bad, "b": "D", "length_km": 100}]})
+
+    def test_node_name_with_single_dash_or_gt_accepted(self):
+        topo = topology_from_dict({"name": "t", "span_length_km": 80, "nodes": ["A-", ">B"],
+                                   "edges": [{"a": "A-", "b": ">B", "length_km": 100}]})
+        assert topo.link_labels == ("A-->>B", ">B->A-")
+
     def test_save_round_trip(self, tmp_path, j14):
         path = tmp_path / "j14.json"
         save_topology(j14, path)
