@@ -12,9 +12,13 @@ after, does not repeat it. An instance of single-hop groups needs no LP: it
 splits per link, and the greedy's p, min(counts, gamma), is optimal.
 Otherwise one LP relaxation settles most instances: its bound, rounded up
 since monitor counts are integral, meets the incumbent, or its optimum is
-integral. Only a fractional root below the incumbent goes to the HiGHS MIP
-on the same model. Both solves go through `scipy.optimize.milp`, the root
-LP with no integer variables, so HiGHS has one front end here.
+integral. A fractional root below the incumbent is rounded (`_round_lp`):
+floor, repair in descending fractional part, reverse-delete shortest route
+first. When the rounding meets the bound it is optimal; otherwise it is a
+second incumbent, and the HiGHS MIP solves the same model. The rounding is
+part of the root node, so a node budget of 1 can return an optimum. Both
+solves go through `scipy.optimize.milp`, the root LP with no integer
+variables, so HiGHS has one front end here.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .placement import (
     CoverInstance,
     InstanceError,
     PlacementSolution,
+    index_lists,
     solution_from_counts,
 )
 
@@ -61,11 +66,42 @@ def _greedy_p(instance: CoverInstance) -> np.ndarray:
     return np.array(instance.greedy[0], dtype=np.int64)
 
 
+def _round_lp(instance: CoverInstance, x: np.ndarray) -> np.ndarray:
+    """A placement that meets every requirement, rounded from the LP's x.
+
+    1. Floor `x + _INT_TOL`, capped at `counts`.
+    2. Repair: groups in descending fractional part, ties to the lower
+       index; each rises while one of its links is below its requirement.
+       One pass is feasible: a link still short at the end would have every
+       covering group at its count.
+    3. Reverse-delete: groups shortest route first, ties to the lower index;
+       each falls while every one of its links stays at or above its
+       requirement.
+    """
+    delta = instance.delta
+    floor = np.minimum(np.floor(x + _INT_TOL).astype(np.int64), instance.counts)
+    links, counts = index_lists(delta), instance.counts.tolist()
+    req, cover, p = instance.requirement.tolist(), (delta @ floor).tolist(), floor.tolist()
+    for j in np.argsort(floor - x, kind="stable").tolist():
+        rise = min(counts[j] - p[j], max(req[e] - cover[e] for e in links[j]))
+        if rise > 0:
+            p[j] += rise
+            for e in links[j]:
+                cover[e] += rise
+    for j in np.argsort(np.diff(delta.indptr), kind="stable").tolist():
+        fall = min(p[j], min(cover[e] - req[e] for e in links[j]))
+        if fall > 0:
+            p[j] -= fall
+            for e in links[j]:
+                cover[e] -= fall
+    return np.array(p, dtype=np.int64)
+
+
 def solve_exact(instance: CoverInstance,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> PlacementSolution:
     """Provably optimal placement, or the best incumbent with optimal=False
-    when the node budget runs out. The root LP counts as one node; the MIP
-    gets the rest as its node limit."""
+    when the node budget runs out. The root LP and its rounding count as one
+    node; the MIP gets the rest as its node limit."""
     if node_budget < 0:
         raise InstanceError(f"node_budget must be >= 0, got {node_budget}")
     n_l = len(instance.groups)
@@ -80,17 +116,20 @@ def solve_exact(instance: CoverInstance,
     counts = instance.counts
 
     # one sparse model for the LP and the MIP: integer counts p in [0, counts]
-    # reaching the requirement, positive exactly on delta's non-empty rows
-    req = instance.requirement
-    rows, by_link = np.flatnonzero(req), instance.delta_rows
-    a_ub = sparse.csr_array((np.full(by_link.nnz, -1.0), by_link.indices,
-                             np.append(0, by_link.indptr[rows + 1])), shape=(len(rows), n_l))
+    # reaching the requirement, positive exactly on delta's non-empty rows.
+    # Renumbering those rows keeps each column's rows sorted, so milp hands
+    # the CSC array to HiGHS unconverted
+    req, delta = instance.requirement, instance.delta
+    rows = np.flatnonzero(req)
+    renumber = np.cumsum(req > 0, dtype=delta.indices.dtype) - 1
+    a_ub = sparse.csc_array((np.full(delta.nnz, -1.0), renumber[delta.indices], delta.indptr),
+                            shape=(len(rows), n_l))
     constraints = LinearConstraint(a_ub, -np.inf, -req[rows])
     bounds = Bounds(np.zeros(n_l), counts.astype(np.float64))
     cost = np.ones(n_l)
 
     best_p = _greedy_p(instance)
-    if np.any(instance.delta @ best_p < req):
+    if np.any(delta @ best_p < req):
         best_p = counts.copy()  # always feasible
     if node_budget < 1:
         return solution_from_counts(instance, best_p, optimal=False)
@@ -99,10 +138,14 @@ def solve_exact(instance: CoverInstance,
     if res.status != 0:
         raise SolverError(f"LP relaxation failed with status {res.status}: "
                           f"{res.message}")
-    if math.ceil(res.fun - _INT_TOL) >= best_p.sum():
+    bound = math.ceil(res.fun - _INT_TOL)
+    if bound >= best_p.sum():
         return solution_from_counts(instance, best_p, optimal=True)
     if np.all(np.abs(res.x - np.round(res.x)) <= _INT_TOL):
         return solution_from_counts(instance, np.round(res.x).astype(np.int64), optimal=True)
+    rounded = _round_lp(instance, res.x)
+    if rounded.sum() <= bound:
+        return solution_from_counts(instance, rounded, optimal=True)
 
     res = milp(cost, integrality=1, bounds=bounds, constraints=constraints,
                options={"node_limit": node_budget - 1, "mip_rel_gap": 0})
@@ -113,4 +156,8 @@ def solve_exact(instance: CoverInstance,
         p_int = np.round(res.x).astype(np.int64)
         if p_int.sum() < best_p.sum():
             best_p = p_int
+    # the rounding is the second incumbent: it is kept only where it has
+    # fewer monitors than both the greedy and the MIP's p
+    if rounded.sum() < best_p.sum():
+        best_p = rounded
     return solution_from_counts(instance, best_p, optimal=not budget_stop)

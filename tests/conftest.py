@@ -66,15 +66,17 @@ def saturating_demands(topology, gamma, rate=300):
 
 
 @st.composite
-def cover_instances(draw):
-    """1-30 links under shuffled labels, up to 40 groups whose routes list
-    links in drawn order (not link-index order), counts 1-4, gamma 1-3.
-    Small counts against gamma up to 3 leave links whose availability runs
-    out while they are still needy, and some links have no group at all."""
-    n_e = draw(st.integers(1, 30))
+def cover_instances(draw, max_links=30, max_groups=40):
+    """1 to `max_links` links under shuffled labels, up to `max_groups`
+    groups whose routes list links in drawn order (not link-index order),
+    counts 1-4, gamma 1-3. Small counts against gamma up to 3 leave links
+    whose availability runs out while they are still needy, and some links
+    have no group at all. Smaller caps keep instances within the oracle's
+    reach."""
+    n_e = draw(st.integers(1, max_links))
     labels = draw(st.permutations([f"e{i}" for i in range(n_e)]))
     routes = draw(st.lists(
         st.lists(st.integers(0, n_e - 1), min_size=1, max_size=min(n_e, 6), unique=True)
-        .map(tuple), max_size=40, unique=True))
+        .map(tuple), max_size=max_groups, unique=True))
     groups = [(tuple(labels[i] for i in route), draw(st.integers(1, 4))) for route in routes]
     return make_instance(labels, groups, draw(st.integers(1, 3)))

@@ -410,9 +410,10 @@ class TestRunAndAnalyze:
                                   x=None, fun=None)
 
         monkeypatch.setattr(exact, "milp", failing_mip)
-        # J14 seed 0 at k=5 has a Tr-O-1 instance with a fractional root LP
-        cfg = {"topology": "j14", "seeds": [0], "k_paths": 5,
-               "scenarios": ["Tr-O-1", "OTDR"], "solver": "exact"}
+        # N14 seed 15's Tr-O-3 instance has a fractional root LP that the
+        # rounding does not settle
+        cfg = {"topology": "n14", "seeds": [15], "scenarios": ["Tr-O-3", "OTDR"],
+               "solver": "exact"}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli("run", "--config", str(cfg_path), "--out",

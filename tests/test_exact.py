@@ -1,13 +1,15 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy import sparse
 from scipy.optimize import OptimizeResult
 from scipy.optimize import linprog as scipy_linprog
 
-from conftest import random_instance
+from conftest import cover_instances, random_instance
 from ppmplan import exact, placement
 from ppmplan.exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from ppmplan.placement import (
@@ -138,11 +140,25 @@ class TestWarmStartAndFailures:
 
 def _branching_instance():
     # root LP 4.5 (1.5 on each two-link group), greedy 6, optimum 5: the
-    # root screen does not settle it, so the MIP runs
+    # root screen does not settle it, and the rounding (2, 2, 0, 1) meets
+    # ceil(4.5) = 5, so no MIP runs
     return make_instance(
         ["e0", "e1", "e2"],
         [(("e0", "e2"), 3), (("e1", "e0"), 3), (("e2",), 2), (("e2", "e1"), 2)],
         gamma=3)
+
+
+def _mip_instance(prefix="e"):
+    # root LP 8/3 (2/3 on each three-link group), greedy 4, optimum 3 (one
+    # each on the last three groups): the rounding (0, 2, 2, 0, 0) takes 4,
+    # above ceil(8/3) = 3, so the MIP runs. A random search over 3-6 links
+    # and 3-7 groups finds such an instance about once in 1,000 draws
+    e0, e1, e2, e3 = (f"{prefix}{i}" for i in range(4))
+    return make_instance(
+        [e0, e1, e2, e3],
+        [((e0,), 3), ((e0, e1, e2), 3), ((e0, e2, e3), 3), ((e1, e0, e3), 1),
+         ((e3, e1, e2), 2)],
+        gamma=2)
 
 
 def _is_mip(milp_kwargs):
@@ -169,7 +185,9 @@ def milp_calls(monkeypatch):
 
 
 def test_lp_and_mip_get_sparse_constraint_matrices(monkeypatch):
-    inst = _branching_instance()
+    # a link no route covers, first, has no row: the rows after it move up
+    base = _mip_instance()
+    inst = make_instance(["x", *base.links], base.groups, base.gamma)
     seen = {}
     real_linprog, real_milp = exact.linprog, exact.milp
 
@@ -189,28 +207,31 @@ def test_lp_and_mip_get_sparse_constraint_matrices(monkeypatch):
     assert set(seen) == {"linprog", "milp"}
     assert seen["linprog"] is seen["milp"]
     for constraints in seen.values():
-        assert sparse.issparse(constraints.A)
+        # in column form with sorted rows, as HiGHS takes it: milp converts
+        # nothing
+        assert isinstance(constraints.A, sparse.csc_array)
+        assert constraints.A.has_sorted_indices
         assert np.array_equal(constraints.A.toarray(), expected)
 
 
 class TestMipFallback:
     def test_fractional_root_goes_to_the_mip(self, milp_calls):
-        inst = _branching_instance()
+        inst = _mip_instance()
         sol = solve_exact(inst)
         assert [options for options, _ in milp_calls] == \
             [{"node_limit": DEFAULT_NODE_BUDGET - 1, "mip_rel_gap": 0}]
         assert sol.optimal
-        assert (sol.total_monitors, sol.unsatisfied) == (5, 0)
+        assert (sol.total_monitors, sol.unsatisfied) == (3, 0)
         oracle = brute_force_oracle(inst)
         assert (sol.total_monitors, sol.unsatisfied) == (oracle.total_monitors, oracle.unsatisfied)
 
     def test_matches_oracle_where_the_root_is_fractional(self, milp_calls):
-        # draws around _branching_instance, with 0-3 extra links and 0-3
-        # extra random groups on any links: 30 of these 80 keep a fractional
-        # root below the greedy and reach the MIP, where plain random draws
-        # reach it about once in 360
+        # draws around _mip_instance, with 0-3 extra links and 0-3 extra
+        # random groups on any links: 30 of these 80 keep a fractional root
+        # below the greedy that the rounding does not settle, and reach the
+        # MIP, where plain random draws reach it about once in 1,000
         rng = np.random.default_rng(0)
-        base = _branching_instance()
+        base = _mip_instance()
         reached = 0
         for _ in range(80):
             links = [*base.links, *(f"x{i}" for i in range(rng.integers(0, 4)))]
@@ -231,7 +252,7 @@ class TestMipFallback:
         assert reached >= 10, reached
 
     def test_node_limit_stop_returns_incumbent(self, milp_calls):
-        inst = _branching_instance()
+        inst = _mip_instance()
         sol = solve_exact(inst, node_budget=1)
         [(options, res)] = milp_calls
         assert options["node_limit"] == 0
@@ -253,7 +274,96 @@ class TestMipFallback:
 
         monkeypatch.setattr(exact, "milp", failing_mip)
         with pytest.raises(SolverError, match="MIP failed with status 4"):
-            solve_exact(_branching_instance())
+            solve_exact(_mip_instance())
+
+
+def _root_lp(instance):
+    """solve_exact's solution and the root LP result it solved, or None
+    where it solved none."""
+    seen = []
+    real = exact.linprog
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(exact, "linprog", spy)
+        sol = solve_exact(instance)
+    return sol, (seen[0] if seen else None)
+
+
+class TestRounding:
+    def test_settles_the_branching_instance_without_a_mip(self, milp_calls):
+        inst = _branching_instance()
+        for budget in (DEFAULT_NODE_BUDGET, 1):  # the rounding is part of the root node
+            sol = solve_exact(inst, node_budget=budget)
+            assert sol.p == {"e0|e2": 2, "e1|e0": 2, "e2|e1": 1}
+            assert (sol.total_monitors, sol.unsatisfied, sol.optimal) == (5, 0, True)
+        assert milp_calls == []
+
+    def test_tie_rules_pinned(self):
+        inst = _branching_instance()
+        # the root LP: floor (1, 1, 0, 1), repair raises groups 0 and 1
+        assert exact._round_lp(inst, np.array([1.5, 1.5, 0.0, 1.5])).tolist() == [2, 2, 0, 1]
+        # repair in descending fractional part, ties to the lower index:
+        # group 2 (0.5) rises first; ties to the higher index give
+        # (0, 3, 1, 2), ascending parts (3, 3, 0, 0), and a reverse-delete
+        # that takes longest routes first gives (1, 3, 2, 0)
+        assert exact._round_lp(inst, np.array([0.0, 1.0, 0.5, 0.0])).tolist() == [2, 3, 1, 0]
+        # reverse-delete shortest route first, ties to the lower index: the
+        # one-link group 2 falls to 0, then group 0 to 1; ties to the higher
+        # index give (2, 2, 0, 1)
+        assert exact._round_lp(inst, np.array([2.0, 2.0, 2.0, 2.0])).tolist() == [1, 2, 0, 2]
+        # x within _INT_TOL below an integer floors to it; a plain floor
+        # gives (3, 3, 0, 0)
+        assert exact._round_lp(inst, np.array([0.0, 0.9999999, 0.0, 0.0])).tolist() == [2, 1, 0, 2]
+
+    def test_second_incumbent_under_the_node_limit(self, milp_calls):
+        # two link-disjoint parts at gamma 2: the branching instance's routes,
+        # whose rounding (3) beats their greedy (4) and meets their bound,
+        # beside _mip_instance, whose rounding (4) does not meet ceil(8/3).
+        # Together: ceil(LP) 6, rounding 7, greedy 8, optimum 6
+        left, right = _branching_instance(), _mip_instance("f")
+        inst = make_instance([*left.links, *right.links], [*left.groups, *right.groups],
+                             gamma=2)
+        assert sum(inst.greedy[0]) == 8
+        stopped = solve_exact(inst, node_budget=1)
+        [(options, res)] = milp_calls
+        assert options["node_limit"] == 0 and "HiGHS Status 16:" in res.message
+        assert (stopped.total_monitors, stopped.optimal) == (7, False)
+        assert verify_solution(inst, stopped)
+        sol = solve_exact(inst)
+        assert (sol.total_monitors, sol.unsatisfied, sol.optimal) == (6, 0, True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover_instances(max_links=8, max_groups=7))
+    @example(_branching_instance())
+    @example(_mip_instance())
+    def test_matches_the_oracle_on_drawn_instances(self, inst):
+        sol = solve_exact(inst)
+        assert sol.optimal
+        assert verify_solution(inst, sol)
+        oracle = brute_force_oracle(inst)
+        assert (sol.total_monitors, sol.unsatisfied) == (oracle.total_monitors, oracle.unsatisfied)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover_instances())
+    @example(_branching_instance())
+    @example(_mip_instance())
+    def test_never_below_the_lp_bound(self, inst):
+        # the rounding of every root LP, not only of those solve_exact rounds
+        sol, res = _root_lp(inst)
+        assert verify_solution(inst, sol)
+        if res is None:
+            return
+        bound = math.ceil(res.fun - exact._INT_TOL)
+        p = exact._round_lp(inst, res.x)
+        assert p.dtype == np.int64
+        assert np.all(p >= 0) and np.all(p <= inst.counts)
+        assert np.all(inst.delta @ p >= inst.requirement)
+        assert p.sum() >= bound
+        assert sol.total_monitors >= bound
 
 
 @pytest.fixture

@@ -515,8 +515,13 @@ OPAQUE_ONLY_N14_BUNDLE = "6ada66d734bab9c79f07a00917e29f771077d15b175d1b6ce42247
 # to the HiGHS MIP: three Tr-O-* instances here have a fractional root LP,
 # and HiGHS returns another optimal p with the same monitors and unsatisfied
 # (seed_0 Tr-O-1 and Tr-O-3 at n1120, seed_1 Tr-O-3 at n1000). Regenerated
-# since with README_N14_BUNDLE, for its reasons; no p moved.
-J14_K5_BUNDLE = "ed20999fd5e3dc7e4d4c8be06fae1d505658472a3be35af0265cba7af2543d08"
+# since with README_N14_BUNDLE, for its reasons; no p moved. Regenerated
+# when the rounded root LP came before the MIP: it settles those same three
+# instances, so per_seed/seed_0/solution_Tr-O-1_n1120.json,
+# per_seed/seed_0/solution_Tr-O-3_n1120.json and
+# per_seed/seed_1/solution_Tr-O-3_n1000.json hold the rounding's p, with
+# monitors, unsatisfied and optimal unchanged; every other file is unchanged.
+J14_K5_BUNDLE = "f5bee22ae8cf15b4b6197a7c1c14d2d3f80fde452d9c62c3094c12e408cb8ed9"
 
 
 def test_opaque_only_rejection_bundle_golden(tmp_path):
