@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -252,6 +253,64 @@ class TestPipeline:
         assert run_cli("baseline", "--topo", "n14", "--lightpaths", str(lps),
                        "--out", str(out)) == 0
         assert json.loads(out.read_text())["total"] <= 154
+
+
+# sha256 of every file the staged CLI chain of CI's runtime-only job writes:
+# a Gabriel-20 topology (seed 3), 120 demands (seed 1), both architectures
+# provisioned and placed at gamma 3 greedy and exact, the OTDR baseline over
+# the transparent lit links and the LP export. They pin the stage-file
+# formats the bundle goldens do not reach; a change to them must be
+# deliberate and explained.
+CLI_STAGES = {
+    "demands.csv":
+        "24d4e485e8ac4d31272cdb13b26eda40460c7a395771998e6a5c4c1f4279c10d",
+    "demands.csv.meta.json":
+        "16c021f893b9e56af55c6d1157a87f299aac832fc4f4782114c6a9ab0454083d",
+    "g20.json":
+        "c653ec6389188cd5df3defd5fc333d7858627a1ea1ace3168838fe2d7426b870",
+    "lps_opaque.csv":
+        "43fd77d272563d0e0b20b8742bf2f3cf610c87ca5834866687a91d76e54375b8",
+    "lps_opaque.csv.meta.json":
+        "d14280a16b4d1cfc3bf4099b72c061b52012dbf59e6e80fef95b2f5425d06792",
+    "lps_transparent.csv":
+        "c61da05f941119f43b4607197ac296888b5efc02f3672f224123c7be21c05cf0",
+    "lps_transparent.csv.meta.json":
+        "0e035bbfab0944f60e89b3c477dd62c34861cd81c0638d880b6fbe79ba872c51",
+    "model.lp":
+        "b335ceeeeee488cbf778893212b8f45bac4f3e5cfaedbe1bd78efefa4c182ef9",
+    "otdr.json":
+        "be469a339c9f746d70068c21c71df2ac429978589d8764cab9d669647b78b68f",
+    "sol_opaque_exact.json":
+        "359683153617fe6a4d79afad86b75a188e221b8f91cf32ccec0a7af5b03b1943",
+    "sol_opaque_greedy.json":
+        "ef96723725395dc0cf7e45e8b3776f7e2819b0d5c6434932d2d5c20e364f6c40",
+    "sol_transparent_exact.json":
+        "831dff9ea2cddfb839928b3440ad281dc47351557ef0c502566b82d78e01529f",
+    "sol_transparent_greedy.json":
+        "8a75d4ffce554d58df72a00635815bd665c0e1c7e42e8b70b4df8156e5c43279",
+}
+
+
+def test_staged_cli_chain_golden(tmp_path):
+    topo, demands = str(tmp_path / "g20.json"), str(tmp_path / "demands.csv")
+    assert run_cli("topo", "gen", "--nodes", "20", "--seed", "3", "--out", topo) == 0
+    assert run_cli("demands", "--topo", topo, "--count", "120", "--seed", "1",
+                   "--out", demands) == 0
+    for arch in ("opaque", "transparent"):
+        lps = str(tmp_path / f"lps_{arch}.csv")
+        assert run_cli("provision", "--topo", topo, "--demands", demands,
+                       "--arch", arch, "--out", lps) == 0
+        for solver in ("greedy", "exact"):
+            assert run_cli("place", "--topo", topo, "--lightpaths", lps, "--solver", solver,
+                           "--gamma", "3",
+                           "--out", str(tmp_path / f"sol_{arch}_{solver}.json")) == 0
+    lps = str(tmp_path / "lps_transparent.csv")
+    assert run_cli("baseline", "--topo", topo, "--lightpaths", lps,
+                   "--out", str(tmp_path / "otdr.json")) == 0
+    assert run_cli("export-lp", "--topo", topo, "--lightpaths", lps, "--gamma", "3",
+                   "--out", str(tmp_path / "model.lp")) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == CLI_STAGES
 
 
 class TestRunAndAnalyze:
