@@ -5,7 +5,7 @@ cost/power crossing-value analysis."""
 
 __version__ = "0.1.0"
 
-from .analysis import CostModel, ScenarioResult, crossing_value, sweep_cost_curves, unsatisfied_npl_avg
+from .analysis import CostModel, crossing_value, sweep_cost_curves, unsatisfied_npl_avg
 from .exact import solve_exact
 from .lpfile import export_lp
 from .otdr import OtdrPlan, count_otdrs

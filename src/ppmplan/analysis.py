@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .files import is_number
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -27,8 +29,7 @@ class CostModel:
     def __post_init__(self):
         for name in ("transponder_cost", "transponder_power", "otdr_cost", "otdr_power"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value < math.inf):
+            if not is_number(value) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
     def units(self, dimension: str) -> tuple[float, float]:
@@ -38,13 +39,6 @@ class CostModel:
         if dimension == "power":
             return self.transponder_power, self.otdr_power
         raise ValueError(f"unknown dimension {dimension!r}")
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    scenario: str
-    monitor_count: float
-    carried_tbps: float = 0.0
 
 
 def unsatisfied_npl_avg(solution_or_counts, gamma: int) -> float:
@@ -68,41 +62,32 @@ def crossing_value(n_ppm: float, n_otdr: float, cost_model: CostModel,
     return 100.0 * (n_otdr * o_unit) / (n_ppm * t_unit)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    scenario: str
-    fraction_pct: float
-    cost_per_tbps: float
-    otdr_cost_per_tbps: float
-
-
-def sweep_cost_curves(scenario_results, cost_model: CostModel, fractions,
-                      dimension: str = "cost") -> list[CurvePoint]:
+def sweep_cost_curves(rows: dict, cost_model: CostModel, fractions,
+                      dimension: str = "cost") -> list[tuple[str, float, float, float]]:
     """Monitoring expenditure per Tb/s versus the monitor unit-price fraction.
 
-    Each monitored scenario contributes one point per fraction f:
-    monitor_count * (f/100 * transponder_unit) / carried_tbps, with the
-    baseline n_otdr * otdr_unit / carried_tbps (the scenario's own carried
-    traffic) alongside. The baseline count comes from the "OTDR" entry of
-    `scenario_results`.
+    `rows` maps scenario name -> row with "monitors" and "carried_tbps", as
+    `crossings` takes them; the "OTDR" row gives the baseline count. Each
+    other scenario, in row order, contributes one (scenario, fraction_pct,
+    cost_per_tbps, otdr_cost_per_tbps) tuple per fraction f: monitors *
+    (f/100 * transponder_unit) / carried_tbps, with the baseline n_otdr *
+    otdr_unit / carried_tbps (the scenario's own carried traffic) alongside.
+    A scenario that carries no traffic or places no monitor gets no curve.
     """
     fractions = list(fractions)
     if not fractions:
         raise ValueError("empty fractions list")
-    results = list(scenario_results)
-    otdr_rows = [r for r in results if r.scenario.upper() == "OTDR"]
-    if not otdr_rows:
-        raise ValueError("no OTDR baseline among scenario results")
-    n_otdr = otdr_rows[0].monitor_count
+    if "OTDR" not in rows:
+        raise ValueError("no OTDR baseline among scenario rows")
+    n_otdr = rows["OTDR"]["monitors"]
     t_unit, o_unit = cost_model.units(dimension)
     points = []
-    for r in results:
-        if r.scenario.upper() == "OTDR":
+    for name, row in rows.items():
+        monitors, carried = row["monitors"], row["carried_tbps"]
+        if name == "OTDR" or not carried or monitors <= 0:
             continue
-        if r.carried_tbps <= 0:
-            raise ValueError(f"scenario {r.scenario}: carried_tbps must be positive")
-        otdr_line = n_otdr * o_unit / r.carried_tbps
+        otdr_line = n_otdr * o_unit / carried
         for f in fractions:
-            ppm = r.monitor_count * (f / 100.0 * t_unit) / r.carried_tbps
-            points.append(CurvePoint(r.scenario, float(f), ppm, otdr_line))
+            points.append((name, float(f), monitors * (f / 100.0 * t_unit) / carried,
+                           otdr_line))
     return points

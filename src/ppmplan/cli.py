@@ -21,8 +21,8 @@ from .experiment import (
     crossings,
     run_experiment,
     write_curves,
-    write_json,
 )
+from .files import write_json
 from .lpfile import export_lp
 from .otdr import count_otdrs
 from .placement import (
@@ -173,9 +173,15 @@ def _cmd_provision(args) -> int:
     return EXIT_OK
 
 
-def _cmd_place(args) -> int:
+def _topology_and_lightpaths(args):
+    """The --topo topology and the --lightpaths dump read against it (None without it)."""
     topo = resolve_topology(args.topo)
-    lps = read_lightpaths_csv(args.lightpaths, topo)
+    lps = read_lightpaths_csv(args.lightpaths, topo) if args.lightpaths else None
+    return topo, lps
+
+
+def _cmd_place(args) -> int:
+    topo, lps = _topology_and_lightpaths(args)
     instance = build_cover_instance(lps, topo, args.gamma)
     if args.solver == "greedy":
         sol = solve_greedy(instance)
@@ -191,11 +197,8 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    topo = resolve_topology(args.topo)
-    lit = None
-    if args.lightpaths:
-        lps = read_lightpaths_csv(args.lightpaths, topo)
-        lit = {e for lp in lps for e in lp.links}
+    topo, lps = _topology_and_lightpaths(args)
+    lit = None if lps is None else {e for lp in lps for e in lp.links}
     plan = count_otdrs(topo, lit_links=lit)
     write_json(args.out, plan.to_json_dict())
     if args.out != "-":
@@ -204,8 +207,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    topo = resolve_topology(args.topo)
-    lps = read_lightpaths_csv(args.lightpaths, topo)
+    topo, lps = _topology_and_lightpaths(args)
     instance = build_cover_instance(lps, topo, args.gamma)
     export_lp(instance, args.out)
     print(f"wrote {args.out}")
@@ -214,12 +216,12 @@ def _cmd_export_lp(args) -> int:
 
 def _cmd_analyze(args) -> int:
     summary_path = Path(args.summary)
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary = _read_object(summary_path)
     otdr_total = summary.get("otdr_total")
     if otdr_total is None:
         raise ConfigError("summary has no otdr_total; run with an OTDR scenario")
     # the bundle's config gives the cost model, fractions and scenario order
-    bundle = json.loads(summary_path.with_name("config.json").read_text(encoding="utf-8"))
+    bundle = _read_object(summary_path.with_name("config.json"))
     config = ExperimentConfig.from_dict(bundle["config"])
     if args.fractions is not None:  # the config's own check applies to the flag
         config = dataclasses.replace(config, ppm_fractions=tuple(
@@ -236,6 +238,14 @@ def _cmd_analyze(args) -> int:
     write_curves(out, summary["config_hash"], rows, config.cost_model, config.ppm_fractions)
     print(f"wrote {out}/crossing.json and curves")
     return EXIT_OK
+
+
+def _read_object(path: Path) -> dict:
+    """The JSON object in a config or summary file; other JSON is a config error."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _items(value: str, flag: str) -> list[str]:
@@ -262,7 +272,7 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"{flag} needs a value, got {value!r}")
     data = {}
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        data = _read_object(Path(args.config))
     if args.topo is not None:
         data["topology"] = args.topo
         data.pop("gabriel", None)

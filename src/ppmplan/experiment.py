@@ -8,20 +8,17 @@ kept under per_seed/ for debugging and stage-wise re-runs.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 import logging
 import math
 import re
 import statistics
-import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .analysis import CostModel, ScenarioResult, crossing_value, sweep_cost_curves, unsatisfied_npl_avg
+from .analysis import CostModel, crossing_value, sweep_cost_curves, unsatisfied_npl_avg
 from .exact import DEFAULT_NODE_BUDGET, solve_exact
+from .files import content_hash, fmt, is_number, write_csv, write_json
 from .otdr import count_otdrs
 from .placement import CoverInstance, build_cover_instance, make_instance, solve_greedy
 from .provisioning import (
@@ -59,11 +56,6 @@ def parse_scenario(name: str) -> tuple[str | None, int | None]:
     arch = "opaque" if m.group(1) == "Op" else "transparent"
     gamma = int(m.group(3)) if m.group(3) else None
     return arch, gamma
-
-
-def _is_number(value, types) -> bool:
-    """An instance of `types` that is not a bool (JSON true/false)."""
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,8 @@ class ExperimentConfig:
         gab = self.gabriel
         if gab is not None and not (
                 isinstance(gab, dict) and set(gab) <= {"nodes", "extent_km"}
-                and _is_number(gab.get("nodes"), int) and gab["nodes"] >= 2
-                and _is_number(gab.get("extent_km", 1), (int, float))
+                and is_number(gab.get("nodes"), int) and gab["nodes"] >= 2
+                and is_number(gab.get("extent_km", 1))
                 and 0 < gab.get("extent_km", 1) < math.inf):
             raise ConfigError('gabriel must be {"nodes": an integer >= 2, optionally '
                               f'"extent_km": a positive finite number}}, got {gab!r}')
@@ -124,12 +116,12 @@ class ExperimentConfig:
         for key, least in (("k_paths", 1), ("n_channels", 1), ("step", 1),
                            ("max_demands", 1), ("node_budget", 0)):
             value = getattr(self, key)
-            if not _is_number(value, int):
+            if not is_number(value, int):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
         target = self.rejection_target
-        if not _is_number(target, (int, float)):
+        if not is_number(target):
             raise ConfigError(f"rejection_target must be a number, got {target!r}")
         if not 0 < target < 1:
             raise ConfigError(f"rejection_target must lie in (0, 1), got {target}")
@@ -138,15 +130,15 @@ class ExperimentConfig:
         for key, least in (("seeds", 0), ("counts", 1)):
             values = getattr(self, key) or ()
             for value in values:
-                if not _is_number(value, int) or value < least:
+                if not is_number(value, int) or value < least:
                     raise ConfigError(f"{key} must be integers >= {least}, got {value!r}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{key} must not repeat, got {list(values)}")
         for value in self.ppm_fractions:
-            if not _is_number(value, (int, float)) or not 0 <= value < math.inf:
+            if not is_number(value) or not 0 <= value < math.inf:
                 raise ConfigError(f"ppm_fractions must be finite numbers >= 0, got {value!r}")
         span = self.span_length_km
-        if span is not None and (not _is_number(span, (int, float))
+        if span is not None and (not is_number(span)
                                  or not 0 < span < math.inf):
             raise ConfigError("span_length_km must be None or a positive finite number, "
                               f"got {span!r}")
@@ -175,8 +167,7 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return content_hash(asdict(self))
 
     def resolve_topology(self, seed: int) -> Topology:
         if self.gabriel is None:
@@ -250,7 +241,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     if otdr_count is not None:
         write_curves(out, chash, final, config.cost_model, config.ppm_fractions)
     if config.solver == "exact":
-        _write_gap_csv(out / "gap.csv", chash, per_seed, seeds_ok)
+        write_csv(out / "gap.csv", ["seed", "load_tbps", "scenario", "greedy_monitors",
+                                    "exact_monitors", "exact_optimal", "gap_pct"],
+                  [row for s in seeds_ok for row in per_seed[s]["gap_rows"]], chash)
     return summary
 
 
@@ -289,21 +282,14 @@ def write_curves(out: Path, chash: str, rows: dict, cost_model: CostModel,
     """Write cost_curves.csv and power_curves.csv into `out`.
 
     `rows` maps scenario name -> row with "monitors" and "carried_tbps", in
-    the order the curves are written; its OTDR row gives the baseline.
-    Scenarios that carry no traffic or place no monitor get no curve."""
-    results = [ScenarioResult(name, row["monitors"], row["carried_tbps"] or 0.0)
-               for name, row in rows.items()
-               if name == "OTDR" or (row["carried_tbps"] and row["monitors"] > 0)]
+    the order the curves are written; its OTDR row gives the baseline."""
     for dim in ("cost", "power"):
-        points = sweep_cost_curves(results, cost_model, fractions, dimension=dim)
-        with open(out / f"{dim}_curves.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={chash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "fraction_pct", "cost_per_tbps",
-                             "otdr_cost_per_tbps"])
-            for pt in points:
-                writer.writerow([pt.scenario, _fmt(pt.fraction_pct),
-                                 _fmt(pt.cost_per_tbps), _fmt(pt.otdr_cost_per_tbps)])
+        points = sweep_cost_curves(rows, cost_model, fractions, dim)
+        write_csv(out / f"{dim}_curves.csv",
+                  ["scenario", "fraction_pct", "cost_per_tbps", "otdr_cost_per_tbps"],
+                  ([name, fmt(fraction), fmt(cost), fmt(otdr_cost)]
+                   for name, fraction, cost, otdr_cost in points),
+                  chash)
 
 
 def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
@@ -373,12 +359,13 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
                 else:
                     sol = solve_exact(inst, node_budget=config.node_budget)
                     # the exact solve's incumbent is the instance's cached greedy
-                    gap_rows.append({
-                        "seed": seed, "offered_tbps": offered, "scenario": name,
-                        "greedy_monitors": sum(inst.greedy[0]),
-                        "exact_monitors": sol.total_monitors,
-                        "exact_optimal": sol.optimal,
-                    })
+                    greedy = sum(inst.greedy[0])
+                    exact = sol.total_monitors
+                    gap = None
+                    if sol.optimal and exact > 0:
+                        gap = 100.0 * (greedy - exact) / exact
+                    gap_rows.append([seed, fmt(offered), name, greedy, exact,
+                                     fmt(sol.optimal), fmt(gap)])
                 point["scenarios"][name] = {
                     "monitors": sol.total_monitors,
                     "unsatisfied_npl_avg": sol.unsatisfied / len(topo.links),
@@ -395,51 +382,11 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
     return {"points": points, "gap_rows": gap_rows}
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def write_json(path: str | Path, payload: dict) -> None:
-    """Indented, key-sorted JSON with a trailing newline; path "-" is stdout."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _write_monitors_csv(path: Path, chash: str, scenarios, agg_points) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "load_tbps", "monitors", "unsatisfied_npl"])
-        for point in agg_points:
-            for name in scenarios:
-                row = point["scenarios"][name]
-                writer.writerow([name, _fmt(point["offered_tbps"]),
-                                 _fmt(row["monitors"]),
-                                 _fmt(row["unsatisfied_npl_avg"])])
-
-
-def _write_gap_csv(path: Path, chash: str, per_seed, seeds_ok) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "load_tbps", "scenario", "greedy_monitors",
-                         "exact_monitors", "exact_optimal", "gap_pct"])
-        for s in seeds_ok:
-            for row in per_seed[s]["gap_rows"]:
-                gap = None
-                if row["exact_optimal"] and row["exact_monitors"] > 0:
-                    gap = 100.0 * (row["greedy_monitors"] - row["exact_monitors"]) \
-                        / row["exact_monitors"]
-                writer.writerow([row["seed"], _fmt(row["offered_tbps"]),
-                                 row["scenario"], row["greedy_monitors"],
-                                 row["exact_monitors"],
-                                 _fmt(row["exact_optimal"]), _fmt(gap)])
+    rows = []
+    for point in agg_points:
+        for name in scenarios:
+            row = point["scenarios"][name]
+            rows.append([name, fmt(point["offered_tbps"]), fmt(row["monitors"]),
+                         fmt(row["unsatisfied_npl_avg"])])
+    write_csv(path, ["scenario", "load_tbps", "monitors", "unsatisfied_npl"], rows, chash)

@@ -35,7 +35,6 @@ the Provisioner.
 
 from __future__ import annotations
 
-import csv
 import functools
 import heapq
 import math
@@ -44,6 +43,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .files import read_csv, write_csv
 from .topology import Topology, link_label
 
 if TYPE_CHECKING:
@@ -498,27 +498,21 @@ def write_lightpaths_csv(lightpaths, path: str | Path,
     """Lightpath dump: lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps."""
     if hasattr(lightpaths, "lightpaths"):
         lightpaths = lightpaths.lightpaths
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["lp_id", "add_node", "drop_node", "route",
-                         "rate_gbps", "channel", "carried_gbps"])
-        writer.writerows([lp.lp_id, lp.nodes[0], lp.nodes[-1], "->".join(lp.nodes),
-                          lp.rate_gbps, lp.channel, lp.carried_gbps]
-                         for lp in lightpaths)
+    write_csv(path, ["lp_id", "add_node", "drop_node", "route",
+                     "rate_gbps", "channel", "carried_gbps"],
+              ([lp.lp_id, lp.nodes[0], lp.nodes[-1], "->".join(lp.nodes),
+                lp.rate_gbps, lp.channel, lp.carried_gbps] for lp in lightpaths),
+              config_hash)
 
 
 def read_lightpaths_csv(path: str | Path, topology: Topology) -> list[Lightpath]:
     """Lightpaths of a dump; a route off `topology` raises TopologyError."""
     lps = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = (line for line in fh if not line.startswith("#"))
-        for row in csv.DictReader(rows):
-            nodes = tuple(row["route"].split("->"))
-            lps.append(Lightpath(lp_id=int(row["lp_id"]), nodes=nodes,
-                                 length_km=topology.route_links[nodes].length_km,
-                                 rate_gbps=int(row["rate_gbps"]),
-                                 channel=int(row["channel"]),
-                                 carried_gbps=int(row["carried_gbps"])))
+    for row in read_csv(path):
+        nodes = tuple(row["route"].split("->"))
+        lps.append(Lightpath(lp_id=int(row["lp_id"]), nodes=nodes,
+                             length_km=topology.route_links[nodes].length_km,
+                             rate_gbps=int(row["rate_gbps"]),
+                             channel=int(row["channel"]),
+                             carried_gbps=int(row["carried_gbps"])))
     return lps

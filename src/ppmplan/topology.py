@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .files import is_number, write_json
+
 DEFAULT_SPAN_KM = 80.0
 DEFAULT_EXTENT_KM = 1000.0
 
@@ -364,18 +366,26 @@ def topology_from_dict(data: dict, span_length_km: float | None = None) -> Topol
     """Build a Topology from the JSON schema dict; both directions materialized."""
     try:
         name = data["name"]
-        nodes = [str(n) for n in data["nodes"]]
+        nodes = data["nodes"]
         raw_edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise TopologyError(f"topology schema missing field: {exc}") from None
+    for key, value in (("nodes", nodes), ("edges", raw_edges)):
+        if not isinstance(value, list):
+            raise TopologyError(f"{key} must be a list, got {value!r}")
     span = span_length_km if span_length_km is not None else data.get("span_length_km", DEFAULT_SPAN_KM)
     edges = []
     for e in raw_edges:
         try:
-            edges.append((str(e["a"]), str(e["b"]), float(e["length_km"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            a, b, length = str(e["a"]), str(e["b"]), e["length_km"]
+        except (KeyError, TypeError) as exc:
             raise TopologyError(f"bad edge entry {e!r}: {exc}") from None
-    return _build(str(name), float(span), nodes, edges)
+        if not is_number(length):
+            raise TopologyError(f"edge {a}-{b} length_km must be a number, got {length!r}")
+        edges.append((a, b, float(length)))
+    if not is_number(span):
+        raise TopologyError(f"span_length_km must be a number, got {span!r}")
+    return _build(str(name), float(span), [str(n) for n in nodes], edges)
 
 
 def load_topology(path: str | Path, span_length_km: float | None = None) -> Topology:
@@ -402,9 +412,7 @@ def topology_to_dict(topology: Topology) -> dict:
 
 
 def save_topology(topology: Topology, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(topology_to_dict(topology), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, topology_to_dict(topology))
 
 
 def bundled_topology(name: str, span_length_km: float | None = None) -> Topology:

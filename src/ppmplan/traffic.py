@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import read_csv, write_csv, write_json
 from .provisioning import LightpathSet, Provisioner
 from .topology import Topology, TopologyError
 
@@ -122,23 +122,16 @@ def find_load_at_rejection(topology: Topology, target_rejection: float, seed: in
 def write_demands_csv(demand_set: DemandSet, path: str | Path) -> None:
     """Demand CSV with header plus a .meta.json sidecar recording the seed."""
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "rate_gbps"])
-        for d in demand_set.demands:
-            writer.writerow([d.src, d.dst, d.rate_gbps])
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({"seed": demand_set.seed, "count": len(demand_set)}, fh, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, ["src", "dst", "rate_gbps"],
+              ([d.src, d.dst, d.rate_gbps] for d in demand_set.demands))
+    write_json(path.with_suffix(path.suffix + ".meta.json"),
+               {"seed": demand_set.seed, "count": len(demand_set)})
 
 
 def read_demands_csv(path: str | Path) -> DemandSet:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        demands = tuple(Demand(row["src"], row["dst"], int(row["rate_gbps"]))
-                        for row in reader)
+    demands = tuple(Demand(row["src"], row["dst"], int(row["rate_gbps"]))
+                    for row in read_csv(path))
     seed = None
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from ppmplan.analysis import (
     CostModel,
-    ScenarioResult,
     crossing_value,
     sweep_cost_curves,
     unsatisfied_npl_avg,
@@ -91,24 +90,21 @@ class TestCrossingValue:
 
 class TestSweep:
     def rows(self):
-        return [
-            ScenarioResult("Tr-O-1", monitor_count=15, carried_tbps=160.0),
-            ScenarioResult("OTDR", monitor_count=154),
-        ]
+        return {"Tr-O-1": {"monitors": 15, "carried_tbps": 160.0},
+                "OTDR": {"monitors": 154, "carried_tbps": None}}
 
     def test_crossing_point_equality(self):
         cm = CostModel()
         cross = crossing_value(15, 154, cm, "cost")
-        points = sweep_cost_curves(self.rows(), cm, [0.0, cross, 100.0])
-        at_cross = [p for p in points if p.fraction_pct == cross][0]
-        assert at_cross.cost_per_tbps == pytest.approx(at_cross.otdr_cost_per_tbps)
-        at_zero = [p for p in points if p.fraction_pct == 0.0][0]
-        assert at_zero.cost_per_tbps == 0.0
+        points = {fraction: (cost, otdr_cost) for _, fraction, cost, otdr_cost
+                  in sweep_cost_curves(self.rows(), cm, [0.0, cross, 100.0])}
+        assert points[cross][0] == pytest.approx(points[cross][1])
+        assert points[0.0][0] == 0.0
 
     def test_linear_zero_intercept(self):
         cm = CostModel()
         points = sweep_cost_curves(self.rows(), cm, [10, 20, 40])
-        vals = {p.fraction_pct: p.cost_per_tbps for p in points}
+        vals = {fraction: cost for _, fraction, cost, _ in points}
         assert vals[20] == pytest.approx(2 * vals[10])
         assert vals[40] == pytest.approx(4 * vals[10])
 
@@ -122,7 +118,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_cost_curves(self.rows(), cm, [])
         with pytest.raises(ValueError):
-            sweep_cost_curves([ScenarioResult("Tr-O-1", 5, carried_tbps=0.0),
-                               ScenarioResult("OTDR", 10)], cm, [1.0])
-        with pytest.raises(ValueError):
-            sweep_cost_curves([ScenarioResult("Tr-O-1", 5, carried_tbps=1.0)], cm, [1.0])
+            sweep_cost_curves({"Tr-O-1": {"monitors": 5, "carried_tbps": 1.0}}, cm, [1.0])
+
+    def test_no_curve_without_traffic_or_monitors(self):
+        # such a scenario is skipped, in the order the rows give the curves
+        rows = {"Tr": {"monitors": 0, "carried_tbps": 2.0},
+                "Tr-O-1": {"monitors": 5, "carried_tbps": 0.0},
+                "Op-O-1": {"monitors": 5, "carried_tbps": None},
+                "Tr-O-3": {"monitors": 4, "carried_tbps": 2.0},
+                "OTDR": {"monitors": 10, "carried_tbps": None},
+                "Op": {"monitors": 2, "carried_tbps": 1.0}}
+        assert sweep_cost_curves(rows, CostModel(), [50]) == [
+            ("Tr-O-3", 50.0, 4 * 2.0 / 2.0, 10 * 0.2 / 2.0),
+            ("Op", 50.0, 2 * 2.0 / 1.0, 10 * 0.2 / 1.0)]

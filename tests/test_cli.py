@@ -55,6 +55,25 @@ class TestTopoCommands:
         assert "Traceback" not in err
         assert run_cli("baseline", "--topo", str(path)) == 2
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("span_length_km", None, "span_length_km must be a number, got None"),
+        ("edges", 5, "edges must be a list, got 5"),
+        ("nodes", "AB", "nodes must be a list, got 'AB'"),
+        ("edges", [{"a": "A", "b": "B", "length_km": True}],
+         "edge A-B length_km must be a number, got True")])
+    def test_validate_field_of_the_wrong_type_is_data_error(self, tmp_path, capsys,
+                                                           field, value, message):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps({"name": "t", "span_length_km": 80, "nodes": ["A", "B"],
+                                    "edges": [{"a": "A", "b": "B", "length_km": 100}],
+                                    field: value}))
+        assert run_cli("topo", "validate", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / "out"
+        assert run_cli("run", "--topo", str(path), "--seeds", "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--extent-km", "nan"), ("--extent-km", "inf"),
                                              ("--span-km", "nan"), ("--span-km", "inf")])
     def test_gen_non_finite_number_is_data_error(self, tmp_path, capsys, flag, value):
@@ -264,8 +283,10 @@ class TestPipeline:
 CLI_STAGES = {
     "demands.csv":
         "24d4e485e8ac4d31272cdb13b26eda40460c7a395771998e6a5c4c1f4279c10d",
+    # changed when every JSON file came to be written by files.write_json:
+    # the sidecar went from one line to the indented layout, same keys and values
     "demands.csv.meta.json":
-        "16c021f893b9e56af55c6d1157a87f299aac832fc4f4782114c6a9ab0454083d",
+        "75aba54bc59c823d4f72b6def71ca9330fd3d68fb11ff32ed8823f212f959b36",
     "g20.json":
         "c653ec6389188cd5df3defd5fc333d7858627a1ea1ace3168838fe2d7426b870",
     "lps_opaque.csv":
@@ -669,6 +690,34 @@ class TestRunAndAnalyze:
         assert capsys.readouterr().err == \
             "error: --seeds must be comma-separated integers, got '0,a'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"n14"', "str"),
+                                            ("3", "int"), ("null", "NoneType")])
+    @pytest.mark.parametrize("flags", [[], ["--topo", "n14"]], ids=["config", "config-and-topo"])
+    def test_run_non_object_config_is_config_error(self, tmp_path, capsys, text, kind, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg_path), *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg_path} must hold a JSON object, got {kind}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["summary.json", "config.json"])
+    def test_analyze_non_object_json_is_config_error(self, tmp_path, capsys, name):
+        # the summary and the bundle config beside it
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                       "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "greedy", "--out", str(out)) == 0
+        (out / name).write_text("[1, 2]")
+        capsys.readouterr()
+        analysis = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(out / "summary.json"),
+                       "--out", str(analysis)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {out / name} must hold a JSON object, got list\n"
+        assert not analysis.exists()
 
     def test_run_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from functools import cached_property
 from pathlib import Path
 
@@ -82,6 +83,32 @@ class TestLoading:
     def test_missing_fields(self, tmp_path):
         with pytest.raises(TopologyError, match="missing"):
             load_topology(write_topo(tmp_path, {"name": "x"}))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("nodes", "AB", "nodes must be a list, got 'AB'"),
+        ("nodes", {"A": 1, "B": 2}, "nodes must be a list, got {'A': 1, 'B': 2}"),
+        ("edges", 5, "edges must be a list, got 5"),
+        ("span_length_km", None, "span_length_km must be a number, got None"),
+        ("span_length_km", "80", "span_length_km must be a number, got '80'"),
+        ("span_length_km", False, "span_length_km must be a number, got False"),
+        ("edges", [{"a": "A", "b": "B", "length_km": True}],
+         "edge A-B length_km must be a number, got True"),
+        ("edges", [{"a": "A", "b": "B", "length_km": "100"}],
+         "edge A-B length_km must be a number, got '100'"),
+        ("edges", [{"a": "A", "b": "B", "length_km": None}],
+         "edge A-B length_km must be a number, got None")])
+    def test_field_of_the_wrong_type_rejected(self, field, value, message):
+        # a string is not a node list and a bool is not a length
+        data = {"name": "t", "span_length_km": 80, "nodes": ["A", "B"],
+                "edges": [{"a": "A", "b": "B", "length_km": 100}], field: value}
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            topology_from_dict(data)
+
+    def test_bool_span_override_rejected(self):
+        data = {"name": "t", "nodes": ["A", "B"], "edges": [{"a": "A", "b": "B", "length_km": 100}]}
+        with pytest.raises(TopologyError, match="span_length_km must be a number, got True"):
+            topology_from_dict(data, span_length_km=True)
+        assert topology_from_dict(data, span_length_km=40).links[0].spans == 3
 
     def test_nonpositive_length(self, tmp_path):
         path = write_topo(tmp_path, {
