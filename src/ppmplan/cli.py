@@ -22,7 +22,7 @@ from .experiment import (
     run_experiment,
     write_curves,
 )
-from .files import write_json
+from .files import read_object, write_json
 from .lpfile import export_lp
 from .otdr import count_otdrs
 from .placement import (
@@ -216,12 +216,12 @@ def _cmd_export_lp(args) -> int:
 
 def _cmd_analyze(args) -> int:
     summary_path = Path(args.summary)
-    summary = _read_object(summary_path)
+    summary = read_object(summary_path)
     otdr_total = summary.get("otdr_total")
     if otdr_total is None:
         raise ConfigError("summary has no otdr_total; run with an OTDR scenario")
     # the bundle's config gives the cost model, fractions and scenario order
-    bundle = _read_object(summary_path.with_name("config.json"))
+    bundle = read_object(summary_path.with_name("config.json"))
     config = ExperimentConfig.from_dict(bundle["config"])
     if args.fractions is not None:  # the config's own check applies to the flag
         config = dataclasses.replace(config, ppm_fractions=tuple(
@@ -238,14 +238,6 @@ def _cmd_analyze(args) -> int:
     write_curves(out, summary["config_hash"], rows, config.cost_model, config.ppm_fractions)
     print(f"wrote {out}/crossing.json and curves")
     return EXIT_OK
-
-
-def _read_object(path: Path) -> dict:
-    """The JSON object in a config or summary file; other JSON is a config error."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a JSON object, got {type(data).__name__}")
-    return data
 
 
 def _items(value: str, flag: str) -> list[str]:
@@ -272,7 +264,7 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"{flag} needs a value, got {value!r}")
     data = {}
     if args.config is not None:
-        data = _read_object(Path(args.config))
+        data = read_object(Path(args.config))
     if args.topo is not None:
         data["topology"] = args.topo
         data.pop("gabriel", None)
@@ -290,7 +282,7 @@ def _cmd_run(args) -> int:
         data["solver"] = args.solver
     if args.scenarios is not None:
         data["scenarios"] = _items(args.scenarios, "--scenarios")
-    if not data.get("topology") and not data.get("gabriel"):
+    if data.get("topology") is None and data.get("gabriel") is None:
         raise ConfigError("give --config or --topo (or a gabriel entry in the config)")
     config = ExperimentConfig.from_dict(data)
     summary = run_experiment(config, args.out)

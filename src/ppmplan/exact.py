@@ -16,9 +16,15 @@ integral. A fractional root below the incumbent is rounded (`_round_lp`):
 floor, repair in descending fractional part, reverse-delete shortest route
 first. When the rounding meets the bound it is optimal; otherwise it is a
 second incumbent, and the HiGHS MIP solves the same model. The rounding is
-part of the root node, so a node budget of 1 can return an optimum. Both
-solves go through `scipy.optimize.milp`, the root LP with no integer
-variables, so HiGHS has one front end here.
+part of the root node, so a node budget of 1 can return an optimum.
+
+Both solves hand one `HighsLp` to HiGHS through `_run_highs`, each on a
+fresh solver. The binding is `scipy.optimize._highspy._core`, scipy's
+bundled copy of HiGHS's own Python binding (highspy's names). Its module
+path is private to scipy, so a scipy that moves it breaks this import.
+scipy's public front end would build the same model from its arguments,
+in per-column Python loops that cost as much as HiGHS's own run at these
+sizes.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core
 
 from .placement import (
     CoverInstance,
@@ -39,10 +44,6 @@ from .placement import (
 
 DEFAULT_NODE_BUDGET = 100_000
 _INT_TOL = 1e-6
-# scipy's status table (1.17) has no entry for HiGHS's kSolutionLimit (16),
-# which HiGHS reports when the node limit stops the search, so milp returns it
-# as status 4 ("other"), like a genuine failure; only the message differs
-_NODE_LIMIT = "HiGHS Status 16:"
 
 
 class SolverError(RuntimeError):
@@ -50,16 +51,32 @@ class SolverError(RuntimeError):
     budget."""
 
 
-def linprog(cost: np.ndarray, constraints: LinearConstraint, bounds: Bounds):
-    """The root LP relaxation: `milp` with no integer variables.
+def _run_highs(lp: _core.HighsLp, **options):
+    """(model status, objective, x) of one HiGHS run on `lp` with `options`.
 
-    HiGHS gets the model that `scipy.optimize.linprog(method="highs")` would
-    give it, and the tests pin an equal x and optimum, but `milp`'s front
-    end costs less per call. The function carries scipy's name because
-    perfbench's `exact.lp` span hooks `ppmplan.exact.linprog`; ROADMAP.md
-    item 2 renames the function and the hook together.
-    """
-    return milp(cost, constraints=constraints, bounds=bounds)
+    x is None unless the status is optimal, or the node limit stopped the
+    MIP (kSolutionLimit) with a finite objective, that is, with a feasible
+    incumbent: this is scipy's rule, and other stops leave x undefined."""
+    highs = _core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    for key, value in options.items():
+        highs.setOptionValue(key, value)
+    highs.passModel(lp)
+    highs.run()
+    status, fun = highs.getModelStatus(), highs.getInfo().objective_function_value
+    solved = status == _core.HighsModelStatus.kOptimal or (
+        status == _core.HighsModelStatus.kSolutionLimit and fun < _core.kHighsInf)
+    return status, fun, np.array(highs.getSolution().col_value) if solved else None
+
+
+def linprog(lp: _core.HighsLp):
+    """The root LP relaxation: `_run_highs` on `lp`, which has no integer
+    columns; the tests pin the x and optimum of `scipy.optimize.linprog`.
+    perfbench's `exact.lp` span hooks this name (ROADMAP.md item 2 renames
+    both), and its tracer rebinds every name bound to the function it wraps.
+    So this is a function of its own: as an alias of `_run_highs`, the MIP
+    would be timed as an LP too."""
+    return _run_highs(lp)
 
 
 def _greedy_p(instance: CoverInstance) -> np.ndarray:
@@ -113,47 +130,49 @@ def solve_exact(instance: CoverInstance,
         # the greedy's p, min(counts, gamma), is optimal
         return solution_from_counts(instance, _greedy_p(instance),
                                     optimal=node_budget >= 1)
-    counts = instance.counts
-
-    # one sparse model for the LP and the MIP: integer counts p in [0, counts]
-    # reaching the requirement, positive exactly on delta's non-empty rows.
-    # Renumbering those rows keeps each column's rows sorted, so milp hands
-    # the CSC array to HiGHS unconverted
-    req, delta = instance.requirement, instance.delta
-    rows = np.flatnonzero(req)
-    renumber = np.cumsum(req > 0, dtype=delta.indices.dtype) - 1
-    a_ub = sparse.csc_array((np.full(delta.nnz, -1.0), renumber[delta.indices], delta.indptr),
-                            shape=(len(rows), n_l))
-    constraints = LinearConstraint(a_ub, -np.inf, -req[rows])
-    bounds = Bounds(np.zeros(n_l), counts.astype(np.float64))
-    cost = np.ones(n_l)
-
+    counts, req, delta = instance.counts, instance.requirement, instance.delta
     best_p = _greedy_p(instance)
     if np.any(delta @ best_p < req):
         best_p = counts.copy()  # always feasible
     if node_budget < 1:
         return solution_from_counts(instance, best_p, optimal=False)
 
-    res = linprog(cost, constraints, bounds)
-    if res.status != 0:
-        raise SolverError(f"LP relaxation failed with status {res.status}: "
-                          f"{res.message}")
-    bound = math.ceil(res.fun - _INT_TOL)
+    # one model for the LP and the MIP: counts p in [0, counts] reaching the
+    # requirement, -delta @ p <= -req on delta's non-empty rows. Renumbering
+    # those rows keeps each column's rows sorted, so the matrix is delta's
+    # column form
+    rows = np.flatnonzero(req)
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = n_l, len(rows)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = delta.indptr
+    lp.a_matrix_.index_ = (np.cumsum(req > 0, dtype=delta.indices.dtype) - 1)[delta.indices]
+    lp.a_matrix_.value_ = np.full(delta.nnz, -1.0)
+    lp.col_cost_ = np.ones(n_l)
+    lp.col_lower_, lp.col_upper_ = np.zeros(n_l), counts.astype(np.float64)
+    lp.row_lower_, lp.row_upper_ = np.full(len(rows), -np.inf), -req[rows].astype(np.float64)
+
+    status, fun, x = linprog(lp)
+    if x is None:
+        raise SolverError(f"LP relaxation failed: HiGHS model status {status.name}")
+    bound = math.ceil(fun - _INT_TOL)
     if bound >= best_p.sum():
         return solution_from_counts(instance, best_p, optimal=True)
-    if np.all(np.abs(res.x - np.round(res.x)) <= _INT_TOL):
-        return solution_from_counts(instance, np.round(res.x).astype(np.int64), optimal=True)
-    rounded = _round_lp(instance, res.x)
+    if np.all(np.abs(x - np.round(x)) <= _INT_TOL):
+        return solution_from_counts(instance, np.round(x).astype(np.int64), optimal=True)
+    rounded = _round_lp(instance, x)
     if rounded.sum() <= bound:
         return solution_from_counts(instance, rounded, optimal=True)
 
-    res = milp(cost, integrality=1, bounds=bounds, constraints=constraints,
-               options={"node_limit": node_budget - 1, "mip_rel_gap": 0})
-    budget_stop = res.status == 4 and _NODE_LIMIT in res.message
-    if res.status != 0 and not budget_stop:
-        raise SolverError(f"MIP failed with status {res.status}: {res.message}")
-    if res.x is not None:
-        p_int = np.round(res.x).astype(np.int64)
+    lp.integrality_ = [_core.HighsVarType.kInteger] * n_l
+    # HiGHS's node limit is an int; a larger one means no limit, as in scipy
+    status, fun, x = _run_highs(lp, mip_max_nodes=min(node_budget - 1, _core.kHighsIInf),
+                                mip_rel_gap=0.0)
+    budget_stop = status == _core.HighsModelStatus.kSolutionLimit
+    if status != _core.HighsModelStatus.kOptimal and not budget_stop:
+        raise SolverError(f"MIP failed: HiGHS model status {status.name}")
+    if x is not None:
+        p_int = np.round(x).astype(np.int64)
         if p_int.sum() < best_p.sum():
             best_p = p_int
     # the rounding is the second incumbent: it is kept only where it has

@@ -94,6 +94,10 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if (self.topology is None) == (self.gabriel is None):
             raise ConfigError("exactly one of topology / gabriel must be given")
+        topo = self.topology
+        if topo is not None and not (isinstance(topo, str) and topo.strip()):
+            raise ConfigError("topology must be a non-empty string (a file path or a "
+                              f"bundled name), got {topo!r}")
         gab = self.gabriel
         if gab is not None and not (
                 isinstance(gab, dict) and set(gab) <= {"nodes", "extent_km"}

@@ -22,8 +22,13 @@ def fmt(value) -> str:
 
 
 def is_number(value, types=(int, float)) -> bool:
-    """An instance of `types` that is not a bool (JSON true/false)."""
-    return isinstance(value, types) and not isinstance(value, bool)
+    """An instance of `types` that is not a bool (JSON true/false). Where
+    floats are accepted, an int too large for one is not a number: JSON
+    reads 1 followed by 400 zeros exactly, and it would overflow where it
+    is used as a float."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        return False
+    return not issubclass(float, types) or isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def content_hash(payload: dict) -> str:
@@ -52,8 +57,29 @@ def write_csv(path: str | Path, header, rows, config_hash: str | None = None) ->
         writer.writerows(rows)
 
 
-def read_csv(path: str | Path) -> list[dict[str, str]]:
-    """Rows as dicts keyed by the header; "#" lines before the header are skipped."""
+def read_object(path: str | Path) -> dict:
+    """The JSON object in the file at `path`. Other JSON, text that is not
+    JSON and bytes that are not UTF-8 are ValueErrors naming the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
+
+
+def read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """Rows as dicts keyed by the header; "#" lines before the header are
+    skipped. A header without one of `columns`, the ones the caller reads,
+    is a ValueError naming the file and the columns it lacks, and so are
+    bytes that are not UTF-8."""
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = itertools.dropwhile(lambda line: line.startswith("#"), fh)
-        return list(csv.DictReader(lines))
+        reader = csv.DictReader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path} has no {', '.join(missing)} column")
+            return list(reader)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from None

@@ -508,7 +508,7 @@ def write_lightpaths_csv(lightpaths, path: str | Path,
 def read_lightpaths_csv(path: str | Path, topology: Topology) -> list[Lightpath]:
     """Lightpaths of a dump; a route off `topology` raises TopologyError."""
     lps = []
-    for row in read_csv(path):
+    for row in read_csv(path, ("lp_id", "route", "rate_gbps", "channel", "carried_gbps")):
         nodes = tuple(row["route"].split("->"))
         lps.append(Lightpath(lp_id=int(row["lp_id"]), nodes=nodes,
                              length_km=topology.route_links[nodes].length_km,

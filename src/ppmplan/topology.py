@@ -396,7 +396,7 @@ def load_topology(path: str | Path, span_length_km: float | None = None) -> Topo
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise TopologyError(f"invalid JSON in {path}: {exc}") from None
     return topology_from_dict(data, span_length_km)
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .files import read_csv, write_csv, write_json
+from .files import read_csv, read_object, write_csv, write_json
 from .provisioning import LightpathSet, Provisioner
 from .topology import Topology, TopologyError
 
@@ -131,9 +130,9 @@ def write_demands_csv(demand_set: DemandSet, path: str | Path) -> None:
 def read_demands_csv(path: str | Path) -> DemandSet:
     path = Path(path)
     demands = tuple(Demand(row["src"], row["dst"], int(row["rate_gbps"]))
-                    for row in read_csv(path))
+                    for row in read_csv(path, ("src", "dst", "rate_gbps")))
     seed = None
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        seed = json.loads(sidecar.read_text(encoding="utf-8")).get("seed")
+        seed = read_object(sidecar).get("seed")
     return DemandSet(demands=demands, seed=seed)

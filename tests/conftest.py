@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy import sparse
 
 from ppmplan.placement import make_instance
 from ppmplan.topology import bundled_topology, topology_from_dict
@@ -53,6 +57,18 @@ def random_instance(rng, max_links=6, max_groups=6, max_count=2, max_gamma=2,
     groups = [(route, int(rng.integers(1, max_count + 1))) for route in sorted(routes)]
     gamma = int(rng.integers(1, max_gamma + 1))
     return make_instance(links, groups, gamma)
+
+
+def lp_model(lp) -> SimpleNamespace:
+    """The arrays of a HiGHS model (`HighsLp`): `A` as a CSC array, the row
+    bounds, the column bounds and the cost."""
+    a = lp.a_matrix_
+    return SimpleNamespace(
+        A=sparse.csc_array((np.array(a.value_), np.array(a.index_), np.array(a.start_)),
+                           shape=(lp.num_row_, lp.num_col_)),
+        row_lower=np.array(lp.row_lower_), row_upper=np.array(lp.row_upper_),
+        col_lower=np.array(lp.col_lower_), col_upper=np.array(lp.col_upper_),
+        cost=np.array(lp.col_cost_))
 
 
 def saturating_demands(topology, gamma, rate=300):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,13 @@ class TestTopoCommands:
         bad.write_text('{"name": "x"}')
         assert run_cli("topo", "validate", str(bad)) == 2
 
+    @pytest.mark.parametrize("raw", [b"{", b"\xff{}"], ids=["not-json", "not-utf8"])
+    def test_validate_undecodable_file_names_it(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert run_cli("topo", "validate", str(bad)) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
+
     def test_missing_file_is_data_error(self):
         assert run_cli("topo", "validate", "no_such_file.json") == 2
 
@@ -60,7 +68,11 @@ class TestTopoCommands:
         ("edges", 5, "edges must be a list, got 5"),
         ("nodes", "AB", "nodes must be a list, got 'AB'"),
         ("edges", [{"a": "A", "b": "B", "length_km": True}],
-         "edge A-B length_km must be a number, got True")])
+         "edge A-B length_km must be a number, got True"),
+        # JSON reads these integers exactly; as floats they would overflow
+        ("span_length_km", 10**400, f"span_length_km must be a number, got {10**400}"),
+        ("edges", [{"a": "A", "b": "B", "length_km": 10**400}],
+         f"edge A-B length_km must be a number, got {10**400}")])
     def test_validate_field_of_the_wrong_type_is_data_error(self, tmp_path, capsys,
                                                            field, value, message):
         path = tmp_path / "topo.json"
@@ -220,18 +232,16 @@ class TestPipeline:
         assert not out.exists()
 
     def test_place_lp_failure_exit_code(self, tmp_path, stage_files, monkeypatch, capsys):
-        from scipy.optimize import OptimizeResult
-
         from ppmplan import exact
 
-        monkeypatch.setattr(exact, "linprog", lambda *a, **k: OptimizeResult(
-            status=4, message="numerical difficulties", x=None, fun=None))
+        monkeypatch.setattr(exact, "linprog", lambda lp: (
+            exact._core.HighsModelStatus.kSolveError, math.inf, None))
         _, lps = stage_files
         code = run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
                        "--solver", "exact", "--gamma", "1",
                        "--out", str(tmp_path / "sol.json"))
         assert code == 4
-        assert "LP relaxation failed with status 4" in capsys.readouterr().err
+        assert "LP relaxation failed: HiGHS model status kSolveError" in capsys.readouterr().err
 
     def test_export_lp(self, tmp_path, stage_files):
         _, lps = stage_files
@@ -260,6 +270,40 @@ class TestPipeline:
         assert run_cli(*command, "--topo", "n14", "--lightpaths", str(lps),
                        "--out", str(tmp_path / "out.json")) == 2
         assert capsys.readouterr().err == "error: route ('1', '9') leaves topology 'N14'\n"
+
+    def test_provision_non_object_sidecar_is_data_error(self, tmp_path, capsys):
+        demands, out = tmp_path / "d.csv", tmp_path / "lps.csv"
+        assert run_cli("demands", "--topo", "n14", "--count", "5", "--seed", "0",
+                       "--out", str(demands)) == 0
+        sidecar = tmp_path / "d.csv.meta.json"
+        sidecar.write_text("[1]")
+        capsys.readouterr()
+        assert run_cli("provision", "--topo", "n14", "--demands", str(demands),
+                       "--arch", "opaque", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {sidecar} must hold a JSON object, got list\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, missing", [("src,dst,rate", "rate_gbps"),
+                                                 ("a,b,c", "src, dst, rate_gbps")])
+    def test_provision_demands_without_a_column_is_data_error(self, tmp_path, capsys,
+                                                              header, missing):
+        demands, out = tmp_path / "d.csv", tmp_path / "lps.csv"
+        demands.write_text(f"{header}\n1,2,100\n")
+        assert run_cli("provision", "--topo", "n14", "--demands", str(demands),
+                       "--arch", "opaque", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {demands} has no {missing} column\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"]],
+                             ids=["place", "baseline"])
+    def test_lightpaths_without_a_column_is_data_error(self, tmp_path, capsys, command):
+        lps, out = tmp_path / "lps.csv", tmp_path / "out.json"
+        lps.write_text("lp_id,add_node,drop_node,route,rate_gbps,carried_gbps\n"
+                       "0,1,2,1->2,400,100\n")
+        assert run_cli(*command, "--topo", "n14", "--lightpaths", str(lps),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {lps} has no channel column\n"
+        assert not out.exists()
 
     def test_baseline_n14(self, tmp_path):
         out = tmp_path / "plan.json"
@@ -332,6 +376,40 @@ def test_staged_cli_chain_golden(tmp_path):
                    "--out", str(tmp_path / "model.lp")) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == CLI_STAGES
+
+
+def without_config_hash(path: Path) -> str:
+    """The text of a bundle file without its one `# config_hash=` line or
+    top-level `config_hash` key, which the stage commands do not write."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines
+            if not line.startswith(("# config_hash=", '  "config_hash": '))]
+    assert len(kept) == len(lines) - 1, path
+    return "".join(kept)
+
+
+def test_staged_chain_reproduces_the_run_bundle(tmp_path):
+    # the library path (`run`) and the stage commands give the same
+    # lightpaths and exact placements: N14 seed 0, whose load search at 1%
+    # rejection stops at 580 demands
+    bundle = tmp_path / "bundle"
+    assert run_cli("run", "--topo", "n14", "--seeds", "0", "--out", str(bundle)) == 0
+    per_seed = bundle / "per_seed" / "seed_0"
+    demands = tmp_path / "demands.csv"
+    assert run_cli("demands", "--topo", "n14", "--count", "580", "--seed", "0",
+                   "--out", str(demands)) == 0
+    for arch, prefix in (("opaque", "Op"), ("transparent", "Tr")):
+        lps = tmp_path / f"lps_{arch}.csv"
+        assert run_cli("provision", "--topo", "n14", "--demands", str(demands),
+                       "--arch", arch, "--out", str(lps)) == 0
+        assert lps.read_text(encoding="utf-8") == \
+            without_config_hash(per_seed / f"lightpaths_{arch}.csv")
+        for gamma in (1, 3):
+            sol = tmp_path / f"sol_{arch}_{gamma}.json"
+            assert run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
+                           "--solver", "exact", "--gamma", str(gamma), "--out", str(sol)) == 0
+            assert sol.read_text(encoding="utf-8") == \
+                without_config_hash(per_seed / f"solution_{prefix}-O-{gamma}_n580.json")
 
 
 class TestRunAndAnalyze:
@@ -465,31 +543,26 @@ class TestRunAndAnalyze:
         assert not ana.exists()
 
     def test_run_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        from scipy.optimize import OptimizeResult
-
         from ppmplan import exact
 
-        monkeypatch.setattr(exact, "linprog", lambda *a, **k: OptimizeResult(
-            status=4, message="numerical difficulties", x=None, fun=None))
+        monkeypatch.setattr(exact, "linprog", lambda lp: (
+            exact._core.HighsModelStatus.kSolveError, math.inf, None))
         assert run_cli("run", "--topo", "n14", "--mode", "counts", "--counts", "40",
                        "--seeds", "0,1", "--scenarios", "Tr-O-1,OTDR",
                        "--solver", "exact", "--out", str(tmp_path / "o")) == 4
-        assert "LP relaxation failed with status 4" in capsys.readouterr().err
+        assert "LP relaxation failed: HiGHS model status kSolveError" in capsys.readouterr().err
 
     def test_run_mip_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        from scipy.optimize import OptimizeResult
-
         from ppmplan import exact
 
-        real_milp = exact.milp
+        real = exact._run_highs
 
-        def failing_mip(*args, **kwargs):
-            if kwargs.get("integrality") is None:  # the root LP
-                return real_milp(*args, **kwargs)
-            return OptimizeResult(status=4, message="(HiGHS Status 4: model_status is Solve error)",
-                                  x=None, fun=None)
+        def failing_mip(lp, **options):
+            if not lp.integrality_:  # the root LP
+                return real(lp, **options)
+            return exact._core.HighsModelStatus.kSolveError, math.inf, None
 
-        monkeypatch.setattr(exact, "milp", failing_mip)
+        monkeypatch.setattr(exact, "_run_highs", failing_mip)
         # N14 seed 15's Tr-O-3 instance has a fractional root LP that the
         # rounding does not settle
         cfg = {"topology": "n14", "seeds": [15], "scenarios": ["Tr-O-3", "OTDR"],
@@ -498,7 +571,7 @@ class TestRunAndAnalyze:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli("run", "--config", str(cfg_path), "--out",
                        str(tmp_path / "o")) == 4
-        assert "MIP failed with status 4" in capsys.readouterr().err
+        assert "MIP failed: HiGHS model status kSolveError" in capsys.readouterr().err
 
     def test_run_otdr_only_is_config_error(self, tmp_path, capsys):
         cfg = {"topology": "n14", "seeds": [0], "scenarios": ["OTDR"],
@@ -602,7 +675,9 @@ class TestRunAndAnalyze:
                                      {"ppm_fractions": ["x"]},
                                      {"ppm_fractions": [True]},
                                      {"span_length_km": "80"},
-                                     {"span_length_km": 0}])
+                                     {"span_length_km": 0},
+                                     {"span_length_km": 10**400},
+                                     {"ppm_fractions": [0, 10**400]}])
     def test_run_bad_list_element_or_span_is_config_error(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"topology": "n14", "seeds": [0],
@@ -624,6 +699,10 @@ class TestRunAndAnalyze:
                      id="bad3-compare_solvers is an unknown key"),
         ({"topology": None, "gabriel": {"nodes": "x"}}, "gabriel must"),
         ({"topology": None, "gabriel": {"nodes": 20, "extent": 5}}, "gabriel must"),
+        # an integer too large for a float used to overflow after the output
+        # directory was made
+        ({"cost_model": {"transponder_cost": 10**400}}, "cost_model: transponder_cost must"),
+        ({"topology": None, "gabriel": {"nodes": 20, "extent_km": 10**400}}, "gabriel must"),
     ])
     def test_run_bad_cost_model_gabriel_or_flag_is_config_error(self, tmp_path, capsys,
                                                                 bad, prefix):
@@ -635,6 +714,19 @@ class TestRunAndAnalyze:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {prefix}")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("topology", [5, 0, True, [1], "", " "])
+    def test_run_non_string_topology_is_config_error(self, tmp_path, capsys, topology):
+        # 5 used to be opened as file descriptor 5, and 0 read as absent
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"topology": topology, "seeds": [0],
+                                        "scenarios": ["Tr-O-1", "OTDR"]}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: topology must be a non-empty string (a file path or a bundled name), "
+            f"got {topology!r}\n")
         assert not out.exists()
 
     def test_run_solver_auto_is_config_error(self, tmp_path, capsys):

@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from scipy import sparse
-from scipy.optimize import OptimizeResult
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog as scipy_linprog
 
-from conftest import cover_instances, random_instance
+from conftest import cover_instances, lp_model, random_instance
 from ppmplan import exact, placement
 from ppmplan.exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from ppmplan.placement import (
@@ -19,6 +18,8 @@ from ppmplan.placement import (
     solve_greedy,
     verify_solution,
 )
+
+STATUS = exact._core.HighsModelStatus
 
 
 class TestSpecCases:
@@ -128,12 +129,12 @@ class TestWarmStartAndFailures:
             assert {g.key: int(c) for g, c in zip(inst.groups, p) if c} == greedy.p
 
     def test_lp_failure_raises_solver_error(self, monkeypatch):
-        def failing_linprog(*args, **kwargs):
-            return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
+        def failing_linprog(lp):
+            return STATUS.kSolveError, math.inf, None
 
         monkeypatch.setattr(exact, "linprog", failing_linprog)
         inst = make_instance(["e1", "e2"], [(("e1", "e2"), 1), (("e1",), 2)], gamma=1)
-        with pytest.raises(SolverError, match="status 4: numerical difficulties"):
+        with pytest.raises(SolverError, match="LP relaxation failed: HiGHS model status kSolveError"):
             solve_exact(inst)
         assert issubclass(SolverError, RuntimeError)
 
@@ -161,26 +162,26 @@ def _mip_instance(prefix="e"):
         gamma=2)
 
 
-def _is_mip(milp_kwargs):
-    # exact.linprog calls exact.milp too, for the root LP, with no integrality
-    return milp_kwargs.get("integrality") is not None
+def _is_mip(lp):
+    # exact.linprog runs exact._run_highs too, on the root LP, whose model
+    # has no integer columns
+    return len(lp.integrality_) > 0
 
 
 @pytest.fixture
-def milp_calls(monkeypatch):
-    """Records (options, result) of every real MIP solve solve_exact makes."""
+def mip_calls(monkeypatch):
+    """Records (options, (status, objective, x)) of every real MIP run
+    solve_exact makes."""
     calls = []
-    real_milp = exact.milp
+    real = exact._run_highs
 
-    def spy(*args, **kwargs):
-        if not _is_mip(kwargs):
-            return real_milp(*args, **kwargs)
-        options = dict(kwargs["options"])  # milp pops node_limit from its options
-        res = real_milp(*args, **kwargs)
-        calls.append((options, res))
+    def spy(lp, **options):
+        res = real(lp, **options)
+        if _is_mip(lp):
+            calls.append((options, res))
         return res
 
-    monkeypatch.setattr(exact, "milp", spy)
+    monkeypatch.setattr(exact, "_run_highs", spy)
     return calls
 
 
@@ -189,74 +190,110 @@ def test_lp_and_mip_get_sparse_constraint_matrices(monkeypatch):
     base = _mip_instance()
     inst = make_instance(["x", *base.links], base.groups, base.gamma)
     seen = {}
-    real_linprog, real_milp = exact.linprog, exact.milp
+    real_linprog, real_run = exact.linprog, exact._run_highs
 
-    def linprog_spy(cost, constraints, bounds):
-        seen["linprog"] = constraints
-        return real_linprog(cost, constraints, bounds)
+    def linprog_spy(lp):
+        seen["linprog"] = lp
+        return real_linprog(lp)
 
-    def milp_spy(*args, **kwargs):
-        if _is_mip(kwargs):
-            seen["milp"] = kwargs["constraints"]
-        return real_milp(*args, **kwargs)
+    def run_spy(lp, **options):
+        if _is_mip(lp):
+            seen["mip"] = lp
+        return real_run(lp, **options)
 
     monkeypatch.setattr(exact, "linprog", linprog_spy)
-    monkeypatch.setattr(exact, "milp", milp_spy)
+    monkeypatch.setattr(exact, "_run_highs", run_spy)
     solve_exact(inst)
     expected = -inst.delta.toarray()[inst.max_coverage > 0]
-    assert set(seen) == {"linprog", "milp"}
-    assert seen["linprog"] is seen["milp"]
-    for constraints in seen.values():
-        # in column form with sorted rows, as HiGHS takes it: milp converts
-        # nothing
-        assert isinstance(constraints.A, sparse.csc_array)
-        assert constraints.A.has_sorted_indices
-        assert np.array_equal(constraints.A.toarray(), expected)
+    assert set(seen) == {"linprog", "mip"}
+    assert seen["linprog"] is seen["mip"]
+    lp = seen["mip"]
+    # in column form with sorted rows, as HiGHS takes it: delta's column
+    # starts, and its row indices renumbered
+    assert lp.a_matrix_.format_ == exact._core.MatrixFormat.kColwise
+    assert np.array_equal(lp.a_matrix_.start_, inst.delta.indptr)
+    model = lp_model(lp)
+    assert model.A.has_sorted_indices
+    assert np.array_equal(model.A.toarray(), expected)
+
+
+def _fallback_draws():
+    # draws around _mip_instance, with 0-3 extra links and 0-3 extra random
+    # groups on any links: 30 of these 80 keep a fractional root below the
+    # greedy that the rounding does not settle, and reach the MIP, where
+    # plain random draws reach it about once in 1,000
+    rng = np.random.default_rng(0)
+    base = _mip_instance()
+    for _ in range(80):
+        links = [*base.links, *(f"x{i}" for i in range(rng.integers(0, 4)))]
+        groups = {g.links: g.count for g in base.groups}
+        for _ in range(rng.integers(0, 4)):
+            size = int(rng.integers(1, 4))
+            route = tuple(links[i] for i in rng.choice(len(links), size=size, replace=False))
+            groups.setdefault(route, int(rng.integers(1, 4)))
+        yield make_instance(links, groups.items(), base.gamma)
 
 
 class TestMipFallback:
-    def test_fractional_root_goes_to_the_mip(self, milp_calls):
+    def test_fractional_root_goes_to_the_mip(self, mip_calls):
         inst = _mip_instance()
         sol = solve_exact(inst)
-        assert [options for options, _ in milp_calls] == \
-            [{"node_limit": DEFAULT_NODE_BUDGET - 1, "mip_rel_gap": 0}]
+        assert [options for options, _ in mip_calls] == \
+            [{"mip_max_nodes": DEFAULT_NODE_BUDGET - 1, "mip_rel_gap": 0}]
         assert sol.optimal
         assert (sol.total_monitors, sol.unsatisfied) == (3, 0)
         oracle = brute_force_oracle(inst)
         assert (sol.total_monitors, sol.unsatisfied) == (oracle.total_monitors, oracle.unsatisfied)
 
-    def test_matches_oracle_where_the_root_is_fractional(self, milp_calls):
-        # draws around _mip_instance, with 0-3 extra links and 0-3 extra
-        # random groups on any links: 30 of these 80 keep a fractional root
-        # below the greedy that the rounding does not settle, and reach the
-        # MIP, where plain random draws reach it about once in 1,000
-        rng = np.random.default_rng(0)
-        base = _mip_instance()
+    def test_matches_oracle_where_the_root_is_fractional(self, mip_calls):
         reached = 0
-        for _ in range(80):
-            links = [*base.links, *(f"x{i}" for i in range(rng.integers(0, 4)))]
-            groups = {g.links: g.count for g in base.groups}
-            for _ in range(rng.integers(0, 4)):
-                size = int(rng.integers(1, 4))
-                route = tuple(links[i] for i in rng.choice(len(links), size=size, replace=False))
-                groups.setdefault(route, int(rng.integers(1, 4)))
-            inst = make_instance(links, groups.items(), base.gamma)
+        for inst in _fallback_draws():
             sol = solve_exact(inst)
             assert sol.optimal
             oracle = brute_force_oracle(inst)
             assert sol.total_monitors == oracle.total_monitors
             assert sol.unsatisfied == oracle.unsatisfied
             assert verify_solution(inst, sol)
-            reached += len(milp_calls)
-            milp_calls.clear()
+            reached += len(mip_calls)
+            mip_calls.clear()
         assert reached >= 10, reached
 
-    def test_node_limit_stop_returns_incumbent(self, milp_calls):
+    @pytest.mark.parametrize("node_budget", [DEFAULT_NODE_BUDGET, 1])
+    def test_same_p_as_scipy_milp(self, node_budget, monkeypatch):
+        # every MIP run, also solved by scipy's public milp on the same
+        # arrays and options: the same p, or no p from either
+        compared = []
+        real = exact._run_highs
+
+        def spy(lp, **options):
+            status, fun, x = real(lp, **options)
+            if _is_mip(lp):
+                model = lp_model(lp)
+                ref = milp(model.cost, integrality=1,
+                           constraints=LinearConstraint(model.A, model.row_lower, model.row_upper),
+                           bounds=Bounds(model.col_lower, model.col_upper),
+                           options={"node_limit": options["mip_max_nodes"],
+                                    "mip_rel_gap": options["mip_rel_gap"]})
+                assert (ref.status == 0) == (status == STATUS.kOptimal)
+                assert (x is None) == (ref.x is None)
+                if x is not None:
+                    assert np.array_equal(np.round(x), np.round(ref.x))
+                compared.append(status)
+            return status, fun, x
+
+        monkeypatch.setattr(exact, "_run_highs", spy)
+        for inst in _fallback_draws():
+            solve_exact(inst, node_budget=node_budget)
+        assert len(compared) >= 10, compared
+        if node_budget == 1:
+            assert STATUS.kSolutionLimit in compared
+
+    def test_node_limit_stop_returns_incumbent(self, mip_calls):
         inst = _mip_instance()
         sol = solve_exact(inst, node_budget=1)
-        [(options, res)] = milp_calls
-        assert options["node_limit"] == 0
-        assert res.status == 4 and "HiGHS Status 16:" in res.message
+        [(options, (status, _, _))] = mip_calls
+        assert options["mip_max_nodes"] == 0
+        assert status == STATUS.kSolutionLimit
         assert not sol.optimal
         assert verify_solution(inst, sol)
         oracle = brute_force_oracle(inst)
@@ -264,17 +301,25 @@ class TestMipFallback:
         assert sol.total_monitors >= oracle.total_monitors
 
     def test_other_status_4_raises_solver_error(self, monkeypatch):
-        real_milp = exact.milp
+        # scipy's milp reported a HiGHS solve error as status 4, like a stop
+        # at the node limit; the model statuses tell them apart
+        real = exact._run_highs
 
-        def failing_mip(*args, **kwargs):
-            if not _is_mip(kwargs):
-                return real_milp(*args, **kwargs)
-            return OptimizeResult(status=4, message="(HiGHS Status 4: model_status is Solve error)",
-                                  x=None, fun=None)
+        def failing_mip(lp, **options):
+            if not _is_mip(lp):
+                return real(lp, **options)
+            return STATUS.kSolveError, math.inf, None
 
-        monkeypatch.setattr(exact, "milp", failing_mip)
-        with pytest.raises(SolverError, match="MIP failed with status 4"):
+        monkeypatch.setattr(exact, "_run_highs", failing_mip)
+        with pytest.raises(SolverError, match="MIP failed: HiGHS model status kSolveError"):
             solve_exact(_mip_instance())
+
+    def test_node_budget_beyond_highs_int_means_no_limit(self, mip_calls, capfd):
+        sol = solve_exact(_mip_instance(), node_budget=10**12)
+        [(options, (status, _, _))] = mip_calls
+        assert options["mip_max_nodes"] == exact._core.kHighsIInf
+        assert status == STATUS.kOptimal and sol.optimal
+        assert capfd.readouterr() == ("", "")
 
 
 def _root_lp(instance):
@@ -294,13 +339,13 @@ def _root_lp(instance):
 
 
 class TestRounding:
-    def test_settles_the_branching_instance_without_a_mip(self, milp_calls):
+    def test_settles_the_branching_instance_without_a_mip(self, mip_calls):
         inst = _branching_instance()
         for budget in (DEFAULT_NODE_BUDGET, 1):  # the rounding is part of the root node
             sol = solve_exact(inst, node_budget=budget)
             assert sol.p == {"e0|e2": 2, "e1|e0": 2, "e2|e1": 1}
             assert (sol.total_monitors, sol.unsatisfied, sol.optimal) == (5, 0, True)
-        assert milp_calls == []
+        assert mip_calls == []
 
     def test_tie_rules_pinned(self):
         inst = _branching_instance()
@@ -319,7 +364,7 @@ class TestRounding:
         # gives (3, 3, 0, 0)
         assert exact._round_lp(inst, np.array([0.0, 0.9999999, 0.0, 0.0])).tolist() == [2, 1, 0, 2]
 
-    def test_second_incumbent_under_the_node_limit(self, milp_calls):
+    def test_second_incumbent_under_the_node_limit(self, mip_calls):
         # two link-disjoint parts at gamma 2: the branching instance's routes,
         # whose rounding (3) beats their greedy (4) and meets their bound,
         # beside _mip_instance, whose rounding (4) does not meet ceil(8/3).
@@ -329,8 +374,8 @@ class TestRounding:
                              gamma=2)
         assert sum(inst.greedy[0]) == 8
         stopped = solve_exact(inst, node_budget=1)
-        [(options, res)] = milp_calls
-        assert options["node_limit"] == 0 and "HiGHS Status 16:" in res.message
+        [(options, (status, _, _))] = mip_calls
+        assert options["mip_max_nodes"] == 0 and status == STATUS.kSolutionLimit
         assert (stopped.total_monitors, stopped.optimal) == (7, False)
         assert verify_solution(inst, stopped)
         sol = solve_exact(inst)
@@ -357,8 +402,9 @@ class TestRounding:
         assert verify_solution(inst, sol)
         if res is None:
             return
-        bound = math.ceil(res.fun - exact._INT_TOL)
-        p = exact._round_lp(inst, res.x)
+        _, fun, x = res
+        bound = math.ceil(fun - exact._INT_TOL)
+        p = exact._round_lp(inst, x)
         assert p.dtype == np.int64
         assert np.all(p >= 0) and np.all(p <= inst.counts)
         assert np.all(inst.delta @ p >= inst.requirement)
@@ -420,18 +466,21 @@ class TestSharedGreedy:
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts the root LP (exact.linprog) and MIP (exact.milp with integrality)
-    solves solve_exact makes."""
-    calls = {"linprog": 0, "milp": 0}
-    for name in calls:
-        real = getattr(exact, name)
+    """Counts the root LP (exact.linprog) and MIP (exact._run_highs on a model
+    with integer columns) runs solve_exact makes."""
+    calls = {"linprog": 0, "mip": 0}
+    real_linprog, real_run = exact.linprog, exact._run_highs
 
-        def spy(*args, _name=name, _real=real, **kwargs):
-            if _name == "linprog" or _is_mip(kwargs):
-                calls[_name] += 1
-            return _real(*args, **kwargs)
+    def linprog_spy(lp):
+        calls["linprog"] += 1
+        return real_linprog(lp)
 
-        monkeypatch.setattr(exact, name, spy)
+    def run_spy(lp, **options):
+        calls["mip"] += _is_mip(lp)
+        return real_run(lp, **options)
+
+    monkeypatch.setattr(exact, "linprog", linprog_spy)
+    monkeypatch.setattr(exact, "_run_highs", run_spy)
     return calls
 
 
@@ -447,7 +496,7 @@ class TestSingleHop:
             assert sol.total_monitors == oracle.total_monitors
             assert sol.unsatisfied == oracle.unsatisfied
             assert verify_solution(inst, sol)
-        assert lp_calls == {"linprog": 0, "milp": 0}
+        assert lp_calls == {"linprog": 0, "mip": 0}
 
     @pytest.mark.parametrize("node_budget", [0, DEFAULT_NODE_BUDGET])
     def test_incumbent_in_closed_form(self, node_budget, monkeypatch):
@@ -476,14 +525,14 @@ class TestSingleHop:
         sol = solve_exact(inst, node_budget=0)
         assert not sol.optimal
         assert verify_solution(inst, sol)
-        assert lp_calls == {"linprog": 0, "milp": 0}
+        assert lp_calls == {"linprog": 0, "mip": 0}
 
     def test_multi_hop_still_solves_the_root_lp(self, lp_calls):
         inst = make_instance(
             ["e1", "e2"],
             [(("e1", "e2"), 1), (("e1",), 3), (("e2",), 3)], gamma=1)
         assert solve_exact(inst).optimal
-        assert lp_calls == {"linprog": 1, "milp": 0}
+        assert lp_calls == {"linprog": 1, "mip": 0}
 
 
 @pytest.fixture
@@ -493,10 +542,13 @@ def root_lps(monkeypatch):
     pairs = []
     real = exact.linprog
 
-    def spy(cost, constraints, bounds):
-        res = real(cost, constraints, bounds)
-        ref = scipy_linprog(cost, A_ub=constraints.A, b_ub=constraints.ub,
-                            bounds=np.column_stack([bounds.lb, bounds.ub]), method="highs")
+    def spy(lp):
+        res = real(lp)
+        model = lp_model(lp)
+        assert np.all(model.row_lower == -np.inf)  # every row is an upper bound
+        ref = scipy_linprog(model.cost, A_ub=model.A, b_ub=model.row_upper,
+                            bounds=np.column_stack([model.col_lower, model.col_upper]),
+                            method="highs")
         pairs.append((res, ref))
         return res
 
@@ -506,14 +558,14 @@ def root_lps(monkeypatch):
 
 def assert_same_as_scipy_linprog(pairs):
     assert pairs
-    for res, ref in pairs:
-        assert res.status == ref.status == 0
-        assert res.fun == ref.fun
-        assert np.array_equal(res.x, ref.x)
+    for (status, fun, x), ref in pairs:
+        assert status == STATUS.kOptimal and ref.status == 0
+        assert fun == ref.fun
+        assert np.array_equal(x, ref.x)
 
 
 class TestRootLpMatchesScipyLinprog:
-    """The root LP goes through milp; its x and objective stay those of
+    """The root LP goes to HiGHS directly; its x and objective stay those of
     scipy.optimize.linprog(method="highs"), which every golden output was
     computed with."""
 

@@ -42,6 +42,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"topology": "n14", "frobnicate": 1})
 
+    @pytest.mark.parametrize("topology", [5, 0, True, [1], "", " "])
+    def test_topology_must_be_a_non_empty_string(self, topology):
+        with pytest.raises(ConfigError, match=r"^topology must be a non-empty string"):
+            ExperimentConfig(topology=topology)
+        with pytest.raises(ConfigError, match=r"^topology must be a non-empty string"):
+            ExperimentConfig.from_dict({"topology": topology})
+
     def test_otdr_needs_a_monitored_scenario(self):
         with pytest.raises(ConfigError, match="monitored scenario"):
             ExperimentConfig(topology="n14", scenarios=("OTDR",))

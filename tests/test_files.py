@@ -1,10 +1,13 @@
 import ast
 import json
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from ppmplan import files
-from ppmplan.files import fmt, read_csv, write_csv, write_json
+from ppmplan.files import fmt, is_number, read_csv, read_object, write_csv, write_json
 from ppmplan.traffic import Demand, DemandSet, read_demands_csv, write_demands_csv
 
 SRC = Path(files.__file__).parent
@@ -15,7 +18,43 @@ def test_csv_round_trip_with_and_without_hash(tmp_path):
     for chash, first in ((None, "a,b\r\n"), ("abc", "# config_hash=abc\n")):
         write_csv(path, ["a", "b"], [[1, "x,y"], [fmt(0.5), fmt(None)]], chash)
         assert path.read_bytes().decode().startswith(first)
-        assert read_csv(path) == [{"a": "1", "b": "x,y"}, {"a": "0.5", "b": ""}]
+        assert read_csv(path, ("a", "b")) == [{"a": "1", "b": "x,y"}, {"a": "0.5", "b": ""}]
+
+
+@pytest.mark.parametrize("text, missing", [("a,b\n1,2\n", "c"), ("b\n", "a, c"), ("", "a, b, c")])
+def test_csv_without_a_read_column_names_the_file_and_column(tmp_path, text, missing):
+    path = tmp_path / "t.csv"
+    path.write_text("# config_hash=abc\n" + text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has no {missing} column$"):
+        read_csv(path, ("a", "b", "c"))
+
+
+def test_read_object_names_the_file(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"seed": 3}')
+    assert read_object(path) == {"seed": 3}
+    path.write_text("[1]")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} must hold a JSON object, got list$"):
+        read_object(path)
+    for raw in (b"{", b"\xff{}"):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^invalid JSON in {re.escape(str(path))}: "):
+            read_object(path)
+
+
+def test_csv_of_non_utf8_bytes_names_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not UTF-8 text: "):
+        read_csv(path, ("a", "b"))
+
+
+def test_demands_sidecar_of_non_object_json_is_a_value_error(tmp_path):
+    path = tmp_path / "d.csv"
+    write_demands_csv(DemandSet((Demand("1", "2", 100),), seed=4), path)
+    (tmp_path / "d.csv.meta.json").write_text("[1]")
+    with pytest.raises(ValueError, match="d.csv.meta.json must hold a JSON object, got list"):
+        read_demands_csv(path)
 
 
 def test_hash_lines_after_the_header_are_rows(tmp_path):
@@ -38,6 +77,14 @@ def test_write_json_layout_and_stdout(tmp_path, capsys):
 def test_fmt():
     assert [fmt(None), fmt(True), fmt(False), fmt(1 / 3), fmt(3), fmt("Tr")] == \
         ["", "true", "false", "0.333333", "3", "Tr"]
+
+
+def test_is_number():
+    assert [is_number(v) for v in (3, 0.5, 1e308, 10**308, True, "3", None)] == \
+        [True, True, True, True, False, False, False]
+    # an int too large for a float is no number where floats are accepted
+    assert not is_number(10**400) and not is_number(-(10**400))
+    assert is_number(10**400, int) and not is_number(True, int) and not is_number(0.5, int)
 
 
 def test_files_imports_only_the_standard_library():

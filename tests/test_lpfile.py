@@ -5,11 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from scipy.optimize._highspy import _core
-
-from conftest import cover_instances, random_instance
+from conftest import cover_instances, lp_model, random_instance
 from ppmplan import exact
-from ppmplan.exact import solve_exact
+from ppmplan.exact import _core, solve_exact
 from ppmplan.lpfile import export_lp
 from ppmplan.placement import build_cover_instance, make_instance, solution_from_counts
 from ppmplan.provisioning import Provisioner, provision
@@ -61,14 +59,15 @@ def read_model(text: str, n_groups: int):
 
 @pytest.fixture
 def lp_models(monkeypatch):
-    """The (constraints, bounds) of every root LP solve_exact makes."""
+    """The model arrays (`lp_model`) of every root LP solve_exact makes."""
     seen = []
     real = exact.linprog
 
-    def spy(cost, constraints, bounds):
-        assert np.array_equal(cost, np.ones(len(bounds.ub)))
-        seen.append((constraints, bounds))
-        return real(cost, constraints, bounds)
+    def spy(lp):
+        model = lp_model(lp)
+        assert np.array_equal(model.cost, np.ones(lp.num_col_))
+        seen.append(model)
+        return real(lp)
 
     monkeypatch.setattr(exact, "linprog", spy)
     return seen
@@ -78,15 +77,15 @@ def assert_export_is_the_lp(inst, lp_models, path):
     """The export of `inst` states the root LP that solve_exact solves on it."""
     lp_models.clear()
     solve_exact(inst)
-    [(constraints, bounds)] = lp_models
+    [model] = lp_models
     export_lp(inst, path)
     links, rows, rhs, ub = read_model(path.read_text(), len(inst.groups))
     assert links == np.flatnonzero(inst.requirement).tolist()
     # solve_exact states each cover row as -row @ p <= -req
-    assert np.array_equal(rows, -constraints.A.toarray())
-    assert np.array_equal(rhs, -constraints.ub)
-    assert np.all(constraints.lb == -np.inf)
-    assert np.array_equal(ub, bounds.ub) and np.all(bounds.lb == 0)
+    assert np.array_equal(rows, -model.A.toarray())
+    assert np.array_equal(rhs, -model.row_upper)
+    assert np.all(model.row_lower == -np.inf)
+    assert np.array_equal(ub, model.col_upper) and np.all(model.col_lower == 0)
 
 
 class TestSameModelAsSolveExact:
@@ -112,8 +111,8 @@ class TestSameModelAsSolveExact:
 
 def highs_solution(path: Path, n_groups: int) -> tuple[str, np.ndarray]:
     """(model status, optimal p by group index) of HiGHS reading the LP file
-    at `path` and solving it. It goes through scipy's bundled HiGHS, whose
-    LP-file reader is a private API: only this test module uses it, and a
+    at `path` and solving it. It goes through scipy's bundled HiGHS binding,
+    which `solve_exact` runs too; its module path is private to scipy, and a
     scipy that moves it fails these tests rather than skipping them.
 
     HiGHS reports each integer column as a float within its

@@ -96,7 +96,11 @@ class TestLoading:
         ("edges", [{"a": "A", "b": "B", "length_km": "100"}],
          "edge A-B length_km must be a number, got '100'"),
         ("edges", [{"a": "A", "b": "B", "length_km": None}],
-         "edge A-B length_km must be a number, got None")])
+         "edge A-B length_km must be a number, got None"),
+        # JSON reads these integers exactly; as floats they would overflow
+        ("span_length_km", 10**400, f"span_length_km must be a number, got {10**400}"),
+        ("edges", [{"a": "A", "b": "B", "length_km": 10**400}],
+         f"edge A-B length_km must be a number, got {10**400}")])
     def test_field_of_the_wrong_type_rejected(self, field, value, message):
         # a string is not a node list and a bool is not a length
         data = {"name": "t", "span_length_km": 80, "nodes": ["A", "B"],
