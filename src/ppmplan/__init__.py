@@ -32,6 +32,5 @@ from .topology import (
     bundled_topology,
     generate_gabriel,
     load_topology,
-    node_degree,
 )
 from .traffic import Demand, DemandSet, find_load_at_rejection, generate_demands

@@ -20,19 +20,32 @@ part of the root node, so a node budget of 1 can return an optimum.
 
 Both solves hand one `HighsLp` to HiGHS through `_run_highs`, each on a
 fresh solver. The binding is `scipy.optimize._highspy._core`, scipy's
-bundled copy of HiGHS's own Python binding (highspy's names). Its module
-path is private to scipy, so a scipy that moves it breaks this import.
-scipy's public front end would build the same model from its arguments,
-in per-column Python loops that cost as much as HiGHS's own run at these
+bundled copy of HiGHS's own Python binding (highspy's names). scipy's
+public front end would build the same model from its arguments, in
+per-column Python loops that cost as much as HiGHS's own run at these
 sizes.
+
+The binding is loaded from its file in scipy's directory when this module
+is imported (`_load_core`), not through `import scipy.optimize`: that
+package's init loads scipy.linalg, scipy.special and the optimize front
+end, which nothing here uses and every process would pay for at start-up.
+`_core` has no Python-level tie to its package, and it is registered under
+its own name, so a later `import scipy.optimize` runs on the same module.
+Its path is private to scipy: a scipy that moves the file fails this
+import with an ImportError naming the directory searched. It is loaded
+eagerly, since a load on the first solve would only move the cost into it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy import _core
+import scipy
 
 from .placement import (
     CoverInstance,
@@ -41,6 +54,32 @@ from .placement import (
     index_lists,
     solution_from_counts,
 )
+
+
+def _load_core():
+    """scipy's HiGHS binding, loaded from its file in scipy's directory.
+    Where `scipy.optimize` has already loaded it, this is that module:
+    pybind11 registers the binding's types once per process. Loaded here
+    first, it is no attribute of the `_highspy` package that a later
+    `import scipy.optimize` loads; scipy's modules import it by name, which
+    finds it in sys.modules."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((p for p in (directory / f"_core{s}" for s in suffixes) if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's HiGHS binding is not in {directory}: "
+                          f"no _core with a suffix in {suffixes}", name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a later import of scipy.optimize finds it here
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_core()
 
 DEFAULT_NODE_BUDGET = 100_000
 _INT_TOL = 1e-6

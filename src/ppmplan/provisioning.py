@@ -136,10 +136,6 @@ class Lightpath:
     def hops(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def spare_gbps(self) -> int:
-        return self.rate_gbps - self.carried_gbps
-
 
 @dataclass
 class LightpathSet:
@@ -505,14 +501,34 @@ def write_lightpaths_csv(lightpaths, path: str | Path,
               config_hash)
 
 
+def _int_cell(path, row: dict[str, str], column: str, rule: str, ok) -> int:
+    """`row[column]` as an int passing `ok`; otherwise a ValueError naming the
+    file, the row's lp_id, the column and `rule`."""
+    try:
+        value = int(row[column])
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise ValueError(f"{path}: lightpath {row['lp_id']!r} has {column} "
+                         f"{row[column]!r}, not {rule}")
+    return value
+
+
 def read_lightpaths_csv(path: str | Path, topology: Topology) -> list[Lightpath]:
-    """Lightpaths of a dump; a route off `topology` raises TopologyError."""
+    """Lightpaths of a dump, each row checked as `provision` writes it: an
+    integer lp_id, a channel >= 0, a rate of `RATE_REACH_ROWS` and
+    0 < carried <= rate. A row that breaks one is a ValueError naming the
+    file, the lp_id and the column; a route off `topology` raises
+    TopologyError."""
+    rates = [rate for rate, _ in RATE_REACH_ROWS]
     lps = []
     for row in read_csv(path, ("lp_id", "route", "rate_gbps", "channel", "carried_gbps")):
         nodes = tuple(row["route"].split("->"))
-        lps.append(Lightpath(lp_id=int(row["lp_id"]), nodes=nodes,
-                             length_km=topology.route_links[nodes].length_km,
-                             rate_gbps=int(row["rate_gbps"]),
-                             channel=int(row["channel"]),
-                             carried_gbps=int(row["carried_gbps"])))
+        rate = _int_cell(path, row, "rate_gbps", f"one of {rates}", rates.__contains__)
+        lps.append(Lightpath(
+            lp_id=_int_cell(path, row, "lp_id", "an integer", lambda v: True), nodes=nodes,
+            length_km=topology.route_links[nodes].length_km, rate_gbps=rate,
+            channel=_int_cell(path, row, "channel", "an integer >= 0", lambda v: v >= 0),
+            carried_gbps=_int_cell(path, row, "carried_gbps", f"an integer in 1..{rate}",
+                                   lambda v: 0 < v <= rate)))
     return lps

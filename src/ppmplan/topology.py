@@ -327,11 +327,6 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
     return tuple(tuple(names[i] for i in p) for _, p in found[:k])
 
 
-def node_degree(topology: Topology, node: str) -> int:
-    """Undirected degree: number of distinct bidirectional neighbors."""
-    return len(topology.neighbors(node))
-
-
 def _build(name: str, span_length_km: float,
            nodes: list[str], edges: list[tuple[str, str, float]]) -> Topology:
     if not 0 < span_length_km < math.inf:

@@ -305,6 +305,24 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: {lps} has no channel column\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"],
+                                         ["export-lp", "--gamma", "1"]],
+                             ids=["place", "baseline", "export-lp"])
+    @pytest.mark.parametrize("cells, message", [
+        ("400,-1,100", "channel '-1', not an integer >= 0"),
+        ("150,0,100", "rate_gbps '150', not one of [800, 700, 600, 500, 400, 300, 200]"),
+        ("400,0,500", "carried_gbps '500', not an integer in 1..400"),
+    ], ids=["negative-channel", "rate-off-the-table", "carried-above-rate"])
+    def test_lightpath_row_provision_never_writes_is_data_error(self, tmp_path, capsys,
+                                                                command, cells, message):
+        lps, out = tmp_path / "lps.csv", tmp_path / "out"
+        lps.write_text("lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\n"
+                       f"3,1,2,1->2,{cells}\n")
+        assert run_cli(*command, "--topo", "n14", "--lightpaths", str(lps),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {lps}: lightpath '3' has {message}\n"
+        assert not out.exists()
+
     def test_baseline_n14(self, tmp_path):
         out = tmp_path / "plan.json"
         assert run_cli("baseline", "--topo", "n14", "--out", str(out)) == 0

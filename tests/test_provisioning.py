@@ -82,7 +82,7 @@ class TestTransparent:
     def test_single_demand_high_rate(self):
         lset = provision(single_link(100), [Demand("A", "B", 400)], "transparent")
         lp = lset.lightpaths[0]
-        assert (lp.rate_gbps, lp.carried_gbps, lp.spare_gbps) == (800, 400, 400)
+        assert (lp.rate_gbps, lp.carried_gbps) == (800, 400)
         assert lset.transponder_count == 2
 
     def test_grooming_consumes_headroom(self):
@@ -289,6 +289,23 @@ class TestInvariants:
         with pytest.raises(TypeError):
             read_lightpaths_csv(path)
 
+    @pytest.mark.parametrize("cells, column, value, rule", [
+        ("400,-1,100", "channel", "-1", "an integer >= 0"),
+        ("400,x,100", "channel", "x", "an integer >= 0"),
+        ("150,0,100", "rate_gbps", "150", "one of [800, 700, 600, 500, 400, 300, 200]"),
+        ("400,0,500", "carried_gbps", "500", "an integer in 1..400"),
+        ("400,0,0", "carried_gbps", "0", "an integer in 1..400"),
+    ], ids=["negative-channel", "text-channel", "rate-off-the-table",
+            "carried-above-rate", "nothing-carried"])
+    def test_csv_read_rejects_a_row_provision_never_writes(self, n14, tmp_path,
+                                                           cells, column, value, rule):
+        path = tmp_path / "lps.csv"
+        path.write_text("lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\n"
+                        f"0,1,2,1->2,400,0,100\n7,1,2,1->2,{cells}\n")
+        with pytest.raises(ValueError) as err:
+            read_lightpaths_csv(path, n14)
+        assert str(err.value) == f"{path}: lightpath '7' has {column} {value!r}, not {rule}"
+
     def test_lightpath_links_cached_without_changing_identity(self, tmp_path):
         from dataclasses import fields
 
@@ -401,11 +418,11 @@ class TestInvariantsOnRandomTopologies:
             for d in demands:
                 prov.serve(d)
                 lps = prov.result().lightpaths
-                assert prov._spare == [lp.spare_gbps for lp in lps]
+                assert prov._spare == [lp.rate_gbps - lp.carried_gbps for lp in lps]
                 by_ends, links = {}, {}
                 for lp in lps:
                     links.setdefault(lp.nodes, [])
-                    if lp.spare_gbps > 0:
+                    if lp.rate_gbps > lp.carried_gbps:
                         by_ends.setdefault(lp.add_node, {}).setdefault(
                             lp.drop_node, []).append(lp.lp_id)
                         links[lp.nodes].append(lp.lp_id)
@@ -418,7 +435,7 @@ class TestInvariantsOnRandomTopologies:
                     assert list(succ) == [b for a, b in links if a == u]
                 for (u, v), ids in links.items():
                     assert prov._max_spare[u][v] == max(
-                        (lps[i].spare_gbps for i in ids), default=0)
+                        (lps[i].rate_gbps - lps[i].carried_gbps for i in ids), default=0)
 
 
 class TestRouteLinkRecords:
@@ -741,13 +758,14 @@ class ReferenceProvisioner(Provisioner):
         spare = nx.DiGraph()
         spare.add_nodes_from(self.topology.nodes)
         for (u, v), lps in links.items():
-            if any(lp.spare_gbps >= rate for lp in lps):
+            if any(lp.rate_gbps - lp.carried_gbps >= rate for lp in lps):
                 spare.add_edge(u, v, length_km=self.topology.link(u, v).length_km)
         try:
             path = nx.dijkstra_path(spare, demand.src, demand.dst, weight="length_km")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
-        return tuple(next(lp.lp_id for lp in links[(u, v)] if lp.spare_gbps >= rate)
+        return tuple(next(lp.lp_id for lp in links[(u, v)]
+                          if lp.rate_gbps - lp.carried_gbps >= rate)
                      for u, v in zip(path, path[1:]))
 
     def _groom_transparent(self, demand, routes):
@@ -761,7 +779,8 @@ class ReferenceProvisioner(Provisioner):
                 best_id, best_j = None, i
                 for lp in self._lps:
                     j = pos.get(lp.drop_node, -1)
-                    if lp.add_node == route[i] and j > best_j and lp.spare_gbps >= rate:
+                    if (lp.add_node == route[i] and j > best_j
+                            and lp.rate_gbps - lp.carried_gbps >= rate):
                         best_id, best_j = lp.lp_id, j
                 if best_id is None:
                     break
@@ -795,26 +814,58 @@ class TestGroomingAgainstReference:
         assert got.lightpaths == want.lightpaths
 
 
-def test_runtime_imports_no_networkx():
+def run_python(code: str, check: bool = True, **kwargs) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports this checkout's ppmplan."""
     src = str(Path(ppmplan.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, ppmplan, ppmplan.experiment, ppmplan.cli; "
-            "assert 'networkx' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], check=check,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, **kwargs)
+
+
+def test_runtime_imports_no_networkx():
+    run_python("import sys, ppmplan, ppmplan.experiment, ppmplan.cli; "
+               "assert 'networkx' not in sys.modules")
+
+
+def test_runtime_imports_leave_scipy_optimize_unloaded():
+    # exact.py loads scipy's HiGHS binding from its file, and a later import
+    # of scipy.optimize runs scipy's front end on that same module
+    run_python("import sys, ppmplan, ppmplan.experiment, ppmplan.cli; "
+               "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'; "
+               "import scipy.optimize; "
+               "core = ppmplan.exact._core; "
+               "assert sys.modules['scipy.optimize._highspy._core'] is core; "
+               "assert scipy.optimize._highspy._highs_wrapper._h is core; "
+               "res = scipy.optimize.linprog([1], bounds=[(1, 2)], method='highs'); "
+               "assert res.status == 0 and res.x.tolist() == [1.0], res")
+
+
+def test_exact_reuses_the_binding_scipy_optimize_loaded():
+    # pybind11 registers the binding's types once per process, so a second
+    # load would fail; the instance has a two-link route, so HiGHS runs
+    run_python("import scipy.optimize, ppmplan; "
+               "assert ppmplan.exact._core is scipy.optimize._highspy._core; "
+               "inst = ppmplan.make_instance(['a', 'b'], "
+               "[(['a', 'b'], 2), (['a'], 1), (['b'], 1)], 2); "
+               "assert ppmplan.solve_exact(inst).total_monitors == 2")
+
+
+def test_exact_import_names_where_it_looked_for_the_binding(tmp_path):
+    moved = tmp_path / "scipy"
+    run = run_python(f"import scipy; scipy.__file__ = {str(moved / '__init__.py')!r}; "
+                     "import ppmplan", check=False, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert (f"ImportError: scipy's HiGHS binding is not in {moved / 'optimize' / '_highspy'}: "
+            "no _core with a suffix in [") in run.stderr
 
 
 def test_provisioning_does_not_import_traffic():
     # traffic imports provisioning, so the reverse import would be a cycle. The
     # package __init__ imports every module, so it is bypassed with a bare
     # package object to see what provisioning itself loads.
-    src = str(Path(ppmplan.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import importlib.util, sys, types; "
-            "pkg = types.ModuleType('ppmplan'); "
-            "pkg.__path__ = importlib.util.find_spec('ppmplan').submodule_search_locations; "
-            "sys.modules['ppmplan'] = pkg; "
-            "import ppmplan.provisioning; "
-            "assert 'ppmplan.traffic' not in sys.modules, 'ppmplan.traffic loaded'")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    run_python("import importlib.util, sys, types; "
+               "pkg = types.ModuleType('ppmplan'); "
+               "pkg.__path__ = importlib.util.find_spec('ppmplan').submodule_search_locations; "
+               "sys.modules['ppmplan'] = pkg; "
+               "import ppmplan.provisioning; "
+               "assert 'ppmplan.traffic' not in sys.modules, 'ppmplan.traffic loaded'")
