@@ -13,16 +13,13 @@ from .placement import (
     CoverInstance,
     PathGroup,
     PlacementSolution,
-    brute_force_oracle,
     build_cover_instance,
     make_instance,
     solve_greedy,
 )
 from .provisioning import (
-    DEFAULT_REACH_TABLE,
     Lightpath,
     LightpathSet,
-    ReachTable,
     provision,
 )
 from .topology import (

@@ -27,8 +27,6 @@ from .lpfile import export_lp
 from .otdr import count_otdrs
 from .placement import (
     InstanceError,
-    OracleCapError,
-    brute_force_oracle,
     build_cover_instance,
     solve_greedy,
 )
@@ -103,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     place = sub.add_parser("place", help="solve monitor placement over dumped lightpaths")
     place.add_argument("--topo", required=True)
     place.add_argument("--lightpaths", required=True)
-    place.add_argument("--solver", choices=["greedy", "exact", "oracle"], default="exact")
+    place.add_argument("--solver", choices=["greedy", "exact"], default="exact")
     place.add_argument("--gamma", type=int, required=True)
     place.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     place.add_argument("--out", default="-")
@@ -185,10 +183,8 @@ def _cmd_place(args) -> int:
     instance = build_cover_instance(lps, topo, args.gamma)
     if args.solver == "greedy":
         sol = solve_greedy(instance)
-    elif args.solver == "exact":
-        sol = solve_exact(instance, node_budget=args.node_budget)
     else:
-        sol = brute_force_oracle(instance)
+        sol = solve_exact(instance, node_budget=args.node_budget)
     write_json(args.out, sol.to_json_dict())
     if args.solver == "exact" and not sol.optimal:
         print("node budget exceeded: incumbent only", file=sys.stderr)
@@ -307,9 +303,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -69,17 +68,48 @@ def read_object(path: str | Path) -> dict:
     return data
 
 
-def read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """Rows as dicts keyed by the header; "#" lines before the header are
-    skipped. A header without one of `columns`, the ones the caller reads,
-    is a ValueError naming the file and the columns it lacks, and so are
-    bytes that are not UTF-8."""
+def read_csv(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    """(line, row) pairs: each row keyed by the header, and the file line
+    it ends on. "#" lines before the header and blank lines are skipped. A
+    header without one of `columns`, the ones the caller reads, or with a
+    column twice, a row with more or fewer cells than the header, and bytes
+    that are not UTF-8 are ValueErrors naming the file (and the line)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
         try:
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"{path} has no {', '.join(missing)} column")
-            return list(reader)
+            lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    skipped = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    reader = csv.reader(lines[skipped:])
+    rows = []
+    try:
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path} has no {', '.join(missing)} column")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise ValueError(f"{path} has the {', '.join(repeated)} column more than once")
+        for cells in reader:
+            if not cells:  # a blank line
+                continue
+            line = skipped + reader.line_num
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: line {line} has {len(cells)} cells, "
+                                 f"not the header's {len(header)}")
+            rows.append((line, dict(zip(header, cells))))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {skipped + reader.line_num}: {exc}") from None
+    return rows
+
+
+def int_cell(path, where: str, row: dict[str, str], column: str, rule: str, ok) -> int:
+    """`row[column]` as an int passing `ok`; otherwise a ValueError naming the
+    file, the row (`where`), the column and `rule`."""
+    try:
+        value = int(row[column])
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise ValueError(f"{path}: {where} has {column} {row[column]!r}, not {rule}")
+    return value

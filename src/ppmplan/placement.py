@@ -1,5 +1,4 @@
-"""Monitoring-placement core: cover instances, the greedy solver, and the
-exhaustive oracle.
+"""Monitoring-placement core: cover instances and the greedy solver.
 
 A cover instance groups established lightpaths by identical physical route;
 placing a monitor on one lightpath of a group raises the achieved
@@ -21,10 +20,6 @@ from scipy import sparse
 
 class InstanceError(ValueError):
     """Invalid cover-instance data."""
-
-
-class OracleCapError(RuntimeError):
-    """Enumeration space exceeds the configured oracle cap."""
 
 
 def route_key(links: tuple[str, ...]) -> str:
@@ -342,23 +337,3 @@ def _greedy_counts(instance: CoverInstance) -> tuple[list[int], list[int]]:
             v[ls] = 0
     return p, selection
 
-
-def brute_force_oracle(instance: CoverInstance, cap: int = 1_000_000) -> PlacementSolution:
-    """Exhaustive optimum by enumerating every p vector; testing-scale only.
-
-    Keeps the vectors that bring every link to its `requirement` and returns
-    the first with the fewest monitors, by enumeration rather than HiGHS.
-    Refuses when prod(count+1) exceeds `cap`.
-    """
-    counts = instance.counts
-    space = float(np.prod((counts + 1).astype(np.float64))) if len(counts) else 1.0
-    if space > cap:
-        raise OracleCapError(f"enumeration space {space:.3g} exceeds cap {cap}")
-    if len(counts) == 0:
-        return solution_from_counts(instance, np.zeros(0, dtype=np.int64), optimal=True)
-    grids = np.meshgrid(*(np.arange(cc + 1) for cc in counts), indexing="ij")
-    all_p = np.stack([g.ravel() for g in grids], axis=1)  # (space, |groups|)
-    feasible = np.all(all_p @ instance.delta.T >= instance.requirement, axis=1)
-    monitors = np.where(feasible, all_p.sum(axis=1), np.iinfo(np.int64).max)
-    best = int(np.argmin(monitors))  # first minimum: deterministic; p = counts is feasible
-    return solution_from_counts(instance, all_p[best], optimal=True)

@@ -27,10 +27,11 @@ by its end nodes. A transparent demand looks its routes up once and hands
 them to grooming and then to establishment; an opaque demand grooms over the
 spare links and looks its routes up only when it must establish.
 
-The reach table is fixed, so each Provisioner memoises its answers in two
-caches of its own: the longest lightpath per demand rate (`max_length_for`)
-and the line rate per lightpath length (`best_rate`). They live and die with
-the Provisioner.
+The reach table is `RATE_REACH_ROWS`, and each Provisioner memoises its
+answers in two caches of its own: the longest lightpath per demand rate
+(`max_length_for`) and the line rate per lightpath length (`best_rate`).
+They live and die with the Provisioner, so a script that rebinds
+`RATE_REACH_ROWS` between Provisioners gets the new table's answers.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .files import read_csv, write_csv
+from .files import int_cell, read_csv, write_csv
 from .topology import Topology, link_label
 
 if TYPE_CHECKING:
     from .traffic import Demand
 
 # Table of long-haul transponder operating points: (rate Gb/s, reach km),
-# all at 100 GHz spacing.
+# all at 100 GHz spacing. Rates strictly fall and reaches strictly rise down
+# the table; `best_rate` and the maximum reach rely on that order.
 RATE_REACH_ROWS = (
     (800, 150),
     (700, 400),
@@ -68,45 +70,26 @@ DEFAULT_K_PATHS = 3
 
 
 class ProvisioningError(ValueError):
-    """Configuration errors: bad architecture, unreachable links, bad tables."""
+    """Configuration errors: bad architecture, k or channel count, or a link
+    longer than every reach."""
 
 
-@dataclass(frozen=True)
-class ReachTable:
-    rows: tuple[tuple[int, int], ...] = RATE_REACH_ROWS
-
-    def __post_init__(self):
-        rates = [r for r, _ in self.rows]
-        reaches = [d for _, d in self.rows]
-        if not self.rows:
-            raise ProvisioningError("empty reach table")
-        if any(rates[i] <= rates[i + 1] for i in range(len(rates) - 1)):
-            raise ProvisioningError("rates must be strictly decreasing")
-        if any(reaches[i] >= reaches[i + 1] for i in range(len(reaches) - 1)):
-            raise ProvisioningError("reaches must be strictly increasing")
-
-    @property
-    def max_reach_km(self) -> int:
-        return self.rows[-1][1]
-
-    def best_rate(self, length_km: float) -> int | None:
-        """Highest rate whose reach covers `length_km`."""
-        for rate, reach in self.rows:
-            if reach >= length_km:
-                return rate
-        return None
-
-    def max_length_for(self, rate_gbps: int) -> int | None:
-        """Longest lightpath still able to carry `rate_gbps` in one hop set:
-        the reach of the lowest table rate >= rate_gbps."""
-        best = None
-        for rate, reach in self.rows:
-            if rate >= rate_gbps:
-                best = reach
-        return best
+def best_rate(length_km: float) -> int | None:
+    """Highest rate of `RATE_REACH_ROWS` whose reach covers `length_km`."""
+    for rate, reach in RATE_REACH_ROWS:
+        if reach >= length_km:
+            return rate
+    return None
 
 
-DEFAULT_REACH_TABLE = ReachTable()
+def max_length_for(rate_gbps: int) -> int | None:
+    """Longest lightpath still able to carry `rate_gbps` in one hop set:
+    the reach of the lowest `RATE_REACH_ROWS` rate >= rate_gbps."""
+    best = None
+    for rate, reach in RATE_REACH_ROWS:
+        if rate >= rate_gbps:
+            best = reach
+    return best
 
 
 @dataclass
@@ -123,14 +106,6 @@ class Lightpath:
         """Directed link labels along the route; a Provisioner sets them at
         creation, otherwise they are computed on first access."""
         return tuple(link_label(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
-
-    @property
-    def add_node(self) -> str:
-        return self.nodes[0]
-
-    @property
-    def drop_node(self) -> str:
-        return self.nodes[-1]
 
     @property
     def hops(self) -> int:
@@ -190,7 +165,6 @@ class Provisioner:
     """Stateful sequential provisioner; serve() demands one at a time."""
 
     def __init__(self, topology: Topology, architecture: str,
-                 reach_table: ReachTable = DEFAULT_REACH_TABLE,
                  k: int = DEFAULT_K_PATHS, n_channels: int = CHANNELS_PER_FIBER):
         if architecture not in ("opaque", "transparent"):
             raise ProvisioningError(f"unknown architecture {architecture!r}")
@@ -199,13 +173,13 @@ class Provisioner:
         if n_channels < 1:
             raise ProvisioningError(f"n_channels must be >= 1, got {n_channels}")
         longest = topology.max_link_length()
-        if longest > reach_table.max_reach_km:
+        max_reach = RATE_REACH_ROWS[-1][1]  # the lowest rate reaches furthest
+        if longest > max_reach:
             raise ProvisioningError(
                 f"link of {longest} km exceeds the maximum reach "
-                f"{reach_table.max_reach_km} km; no rate can cross it")
+                f"{max_reach} km; no rate can cross it")
         self.topology = topology
         self.architecture = architecture
-        self.reach_table = reach_table
         self.k = k
         self.n_channels = n_channels
         # per link, a bitmask of the channels in use: bit c set <=> channel c taken
@@ -227,8 +201,8 @@ class Provisioner:
         self._assignments: list[tuple[Demand, tuple[int, ...]]] = []
         # the reach table's answers, per demand rate (the longest lightpath
         # that carries it) and per lightpath length (its line rate)
-        self._max_length = functools.cache(reach_table.max_length_for)
-        self._line_rate = functools.cache(reach_table.best_rate)
+        self._max_length = functools.cache(max_length_for)
+        self._line_rate = functools.cache(best_rate)
 
     @property
     def rejected_count(self) -> int:
@@ -476,12 +450,10 @@ class Provisioner:
 
 
 def provision(topology: Topology, demands, architecture: str,
-              reach_table: ReachTable = DEFAULT_REACH_TABLE,
               k: int = DEFAULT_K_PATHS,
               n_channels: int = CHANNELS_PER_FIBER) -> LightpathSet:
     """Provision a demand set (DemandSet or iterable of Demand) in order."""
-    prov = Provisioner(topology, architecture, reach_table=reach_table, k=k,
-                       n_channels=n_channels)
+    prov = Provisioner(topology, architecture, k=k, n_channels=n_channels)
     if hasattr(demands, "demands"):
         demands = demands.demands
     for d in demands:
@@ -501,34 +473,25 @@ def write_lightpaths_csv(lightpaths, path: str | Path,
               config_hash)
 
 
-def _int_cell(path, row: dict[str, str], column: str, rule: str, ok) -> int:
-    """`row[column]` as an int passing `ok`; otherwise a ValueError naming the
-    file, the row's lp_id, the column and `rule`."""
-    try:
-        value = int(row[column])
-    except ValueError:
-        value = None
-    if value is None or not ok(value):
-        raise ValueError(f"{path}: lightpath {row['lp_id']!r} has {column} "
-                         f"{row[column]!r}, not {rule}")
-    return value
-
-
 def read_lightpaths_csv(path: str | Path, topology: Topology) -> list[Lightpath]:
     """Lightpaths of a dump, each row checked as `provision` writes it: an
-    integer lp_id, a channel >= 0, a rate of `RATE_REACH_ROWS` and
-    0 < carried <= rate. A row that breaks one is a ValueError naming the
-    file, the lp_id and the column; a route off `topology` raises
-    TopologyError."""
+    integer lp_id, a route of two or more nodes, a channel >= 0, a rate of
+    `RATE_REACH_ROWS` and 0 < carried <= rate. A row that breaks one is a
+    ValueError naming the file, the lp_id and the column; a route off
+    `topology` raises TopologyError."""
     rates = [rate for rate, _ in RATE_REACH_ROWS]
     lps = []
-    for row in read_csv(path, ("lp_id", "route", "rate_gbps", "channel", "carried_gbps")):
+    for _, row in read_csv(path, ("lp_id", "route", "rate_gbps", "channel", "carried_gbps")):
+        where = f"lightpath {row['lp_id']!r}"
         nodes = tuple(row["route"].split("->"))
-        rate = _int_cell(path, row, "rate_gbps", f"one of {rates}", rates.__contains__)
+        if len(nodes) < 2:
+            raise ValueError(f"{path}: {where} has route {row['route']!r}, "
+                             "not two or more nodes joined by '->'")
+        rate = int_cell(path, where, row, "rate_gbps", f"one of {rates}", rates.__contains__)
         lps.append(Lightpath(
-            lp_id=_int_cell(path, row, "lp_id", "an integer", lambda v: True), nodes=nodes,
+            lp_id=int_cell(path, where, row, "lp_id", "an integer", lambda v: True), nodes=nodes,
             length_km=topology.route_links[nodes].length_km, rate_gbps=rate,
-            channel=_int_cell(path, row, "channel", "an integer >= 0", lambda v: v >= 0),
-            carried_gbps=_int_cell(path, row, "carried_gbps", f"an integer in 1..{rate}",
-                                   lambda v: 0 < v <= rate)))
+            channel=int_cell(path, where, row, "channel", "an integer >= 0", lambda v: v >= 0),
+            carried_gbps=int_cell(path, where, row, "carried_gbps", f"an integer in 1..{rate}",
+                                  lambda v: 0 < v <= rate)))
     return lps

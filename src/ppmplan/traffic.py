@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import read_csv, read_object, write_csv, write_json
+from .files import int_cell, read_csv, read_object, write_csv, write_json
 from .provisioning import LightpathSet, Provisioner
 from .topology import Topology, TopologyError
 
@@ -128,11 +128,19 @@ def write_demands_csv(demand_set: DemandSet, path: str | Path) -> None:
 
 
 def read_demands_csv(path: str | Path) -> DemandSet:
+    """Demands of a CSV, each row checked as `Demand` requires; a row that
+    breaks a check is a ValueError naming the file, the line and the column."""
     path = Path(path)
-    demands = tuple(Demand(row["src"], row["dst"], int(row["rate_gbps"]))
-                    for row in read_csv(path, ("src", "dst", "rate_gbps")))
+    demands = []
+    for line, row in read_csv(path, ("src", "dst", "rate_gbps")):
+        where = f"line {line}"
+        if row["dst"] == row["src"]:
+            raise ValueError(f"{path}: {where} has dst {row['dst']!r}, not a node other than src")
+        rate = int_cell(path, where, row, "rate_gbps", f"one of {list(ALLOWED_RATES_GBPS)}",
+                        ALLOWED_RATES_GBPS.__contains__)
+        demands.append(Demand(row["src"], row["dst"], rate))
     seed = None
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
         seed = read_object(sidecar).get("seed")
-    return DemandSet(demands=demands, seed=seed)
+    return DemandSet(demands=tuple(demands), seed=seed)

@@ -11,11 +11,12 @@ import time
 import numpy as np
 
 from conftest import random_instance, saturating_demands
+from oracle import brute_force_oracle
 from ppmplan.analysis import CostModel, crossing_value
 from ppmplan.exact import solve_exact
 from ppmplan.experiment import ExperimentConfig, run_experiment
 from ppmplan.otdr import count_otdrs
-from ppmplan.placement import brute_force_oracle, build_cover_instance, solve_greedy
+from ppmplan.placement import build_cover_instance, solve_greedy
 from ppmplan.provisioning import Provisioner, provision
 from ppmplan.topology import bundled_topology, generate_gabriel, topology_from_dict, topology_to_dict
 from ppmplan.traffic import generate_demands

@@ -4,15 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ppmplan
 from ppmplan.cli import main
-from ppmplan.provisioning import write_lightpaths_csv
+from ppmplan.provisioning import provision, write_lightpaths_csv
 from ppmplan.topology import bundled_topology
-from ppmplan.traffic import find_load_at_rejection
+from ppmplan.traffic import find_load_at_rejection, generate_demands, write_demands_csv
 
 
 def run_cli(*argv):
@@ -144,6 +147,16 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    def test_place_has_no_oracle_solver(self, tmp_path, capsys):
+        # the exact solver answers what an enumeration would, at any size
+        out = tmp_path / "sol.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("place", "--topo", "n14", "--lightpaths", "lps.csv", "--solver", "oracle",
+                    "--gamma", "1", "--out", str(out))
+        assert exc.value.code == 1
+        assert "argument --solver: invalid choice: 'oracle'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["place", "export-lp"])
     def test_no_alpha_policy_flag(self, capsys, command):
         # the placement model has no weight: it asks for the fewest monitors
@@ -168,17 +181,10 @@ class TestPipeline:
     def test_place_solvers_agree_format(self, tmp_path, stage_files):
         _, lps = stage_files
         sols = {}
-        for solver in ("greedy", "exact", "oracle"):
+        for solver in ("greedy", "exact"):
             out = tmp_path / f"{solver}.json"
-            code = run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
-                           "--solver", solver, "--gamma", "1", "--out", str(out))
-            if solver == "oracle":
-                # enumeration may legitimately refuse on larger dumps
-                assert code in (0, 3)
-                if code == 3:
-                    continue
-            else:
-                assert code == 0
+            assert run_cli("place", "--topo", "n14", "--lightpaths", str(lps),
+                           "--solver", solver, "--gamma", "1", "--out", str(out)) == 0
             sols[solver] = json.loads(out.read_text())
         assert set(sols["exact"]) == {"p", "x", "unsatisfied", "monitors", "optimal"}
         assert sols["exact"]["optimal"] is True
@@ -292,6 +298,46 @@ class TestPipeline:
         assert run_cli("provision", "--topo", "n14", "--demands", str(demands),
                        "--arch", "opaque", "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {demands} has no {missing} column\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2", "line 2 has 2 cells, not the header's 3"),
+        ("1,2,abc", "line 2 has rate_gbps 'abc', not one of [100, 200, 300, 400]"),
+        ("1,1,100", "line 2 has dst '1', not a node other than src"),
+    ], ids=["short-row", "bad-rate", "same-ends"])
+    def test_provision_bad_demand_row_is_data_error(self, tmp_path, capsys, row, message):
+        demands, out = tmp_path / "d.csv", tmp_path / "lps.csv"
+        demands.write_text(f"src,dst,rate_gbps\n{row}\n")
+        assert run_cli("provision", "--topo", "n14", "--demands", str(demands),
+                       "--arch", "opaque", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {demands}: {message}\n"
+        assert not out.exists()
+
+    def test_provision_repeated_column_is_data_error(self, tmp_path, capsys):
+        demands, out = tmp_path / "d.csv", tmp_path / "lps.csv"
+        demands.write_text("src,dst,rate_gbps,rate_gbps\n1,2,100,200\n")
+        assert run_cli("provision", "--topo", "n14", "--demands", str(demands),
+                       "--arch", "opaque", "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {demands} has the rate_gbps column more than once\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"],
+                                         ["export-lp", "--gamma", "1"]],
+                             ids=["place", "baseline", "export-lp"])
+    @pytest.mark.parametrize("text, message", [
+        ("{header}\n0,1,2,1->2,800\n", ": line 2 has 5 cells, not the header's 7"),
+        ("{header}\n0,1,2\n", ": line 2 has 3 cells, not the header's 7"),
+        ("{header},channel\n0,1,2,1->2,800,0,100,0\n", " has the channel column more than once"),
+    ], ids=["short-row", "route-only", "repeated-column"])
+    def test_lightpath_file_of_bad_shape_is_data_error(self, tmp_path, capsys, command,
+                                                       text, message):
+        lps, out = tmp_path / "lps.csv", tmp_path / "out"
+        lps.write_text(text.format(
+            header="lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps"))
+        assert run_cli(*command, "--topo", "n14", "--lightpaths", str(lps),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {lps}{message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"]],
@@ -848,3 +894,85 @@ class TestRunAndAnalyze:
     def test_run_requires_some_topology(self, tmp_path):
         assert run_cli("run", "--mode", "rejection",
                        "--out", str(tmp_path / "o")) == 2
+
+
+@cache
+def valid_inputs() -> dict[str, bytes]:
+    """A demands CSV with its sidecar and the transparent lightpath dump
+    (hash line included) that provisioning them on N14 writes."""
+    n14 = bundled_topology("n14")
+    demands = generate_demands(n14, 8, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_demands_csv(demands, tmp / "d.csv")
+        write_lightpaths_csv(provision(n14, demands, "transparent"), tmp / "lps.csv", "abc")
+        return {path.name: path.read_bytes() for path in tmp.iterdir()}
+
+
+# the commands that read each file
+READERS = {
+    "d.csv": [["provision", "--arch", "transparent"]],
+    "d.csv.meta.json": [["provision", "--arch", "opaque"]],
+    "lps.csv": [["place", "--gamma", "1"], ["baseline"], ["export-lp", "--gamma", "1"]],
+}
+BAD_CELLS = st.sampled_from(["abc", "1.5", "1e400", "NaN", "inf", "", "-1", "0", " 7",
+                             str(10**400), "9" * 5000, "1->", "->"])
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The valid inputs with one file changed by one mutation: a cell dropped
+    or added, a header column repeated, a cell replaced by a bad value, or
+    the whole file emptied, prefixed with a BOM or given a non-UTF-8 byte.
+    The sidecar is JSON, so it takes only the last three."""
+    files = dict(valid_inputs())
+    name = draw(st.sampled_from(sorted(READERS)))
+    data = files[name]
+    kinds = ["empty", "bom", "non-utf8"]
+    if name.endswith(".csv"):
+        kinds += ["drop-cell", "add-cell", "repeat-column", "bad-value"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        data = b""
+    elif kind == "bom":
+        data = "\ufeff".encode() + data
+    elif kind == "non-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    else:
+        lines = [line.split(",") for line in data.decode().splitlines()]
+        header = 1 if lines[0][0].startswith("#") else 0
+        last = len(lines) - 1
+        if kind == "repeat-column":
+            lines[header].append(draw(st.sampled_from(lines[header])))
+        else:
+            cells = lines[draw(st.integers(header + (kind == "bad-value"), last))]
+            at = draw(st.integers(0, len(cells) - (kind != "add-cell")))
+            if kind == "drop-cell":
+                del cells[at]
+            elif kind == "add-cell":
+                cells.insert(at, draw(BAD_CELLS))
+            else:
+                cells[at] = draw(BAD_CELLS)
+        data = "".join(",".join(cells) + "\r\n" for cells in lines).encode()
+    files[name] = data
+    return name, files
+
+
+# 150 examples keep the test near 1 s; derandomized, every run draws the same ones
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_inputs())
+def test_malformed_input_exits_0_or_2_and_writes_nothing_on_2(case):
+    name, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for file, data in files.items():
+            (tmp / file).write_bytes(data)
+        for command, *flags in READERS[name]:
+            given_file = (["--demands", str(tmp / "d.csv")] if command == "provision"
+                          else ["--lightpaths", str(tmp / "lps.csv")])
+            out = tmp / f"{command}.out"
+            code = main([command, "--topo", "n14", *given_file, *flags, "--out", str(out)])
+            assert code in (0, 2), (command, code)
+            written = [path.name for path in tmp.glob(f"{command}.out*")]
+            assert bool(written) == (code == 0), (command, code, written)

@@ -9,11 +9,11 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog as scipy_linprog
 
 from conftest import cover_instances, lp_model, random_instance
+from oracle import brute_force_oracle
 from ppmplan import exact, placement
 from ppmplan.exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from ppmplan.placement import (
     InstanceError,
-    brute_force_oracle,
     make_instance,
     solve_greedy,
     verify_solution,

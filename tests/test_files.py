@@ -15,10 +15,11 @@ SRC = Path(files.__file__).parent
 
 def test_csv_round_trip_with_and_without_hash(tmp_path):
     path = tmp_path / "t.csv"
-    for chash, first in ((None, "a,b\r\n"), ("abc", "# config_hash=abc\n")):
+    for chash, first, line in ((None, "a,b\r\n", 2), ("abc", "# config_hash=abc\n", 3)):
         write_csv(path, ["a", "b"], [[1, "x,y"], [fmt(0.5), fmt(None)]], chash)
         assert path.read_bytes().decode().startswith(first)
-        assert read_csv(path, ("a", "b")) == [{"a": "1", "b": "x,y"}, {"a": "0.5", "b": ""}]
+        assert read_csv(path, ("a", "b")) == [(line, {"a": "1", "b": "x,y"}),
+                                              (line + 1, {"a": "0.5", "b": ""})]
 
 
 @pytest.mark.parametrize("text, missing", [("a,b\n1,2\n", "c"), ("b\n", "a, c"), ("", "a, b, c")])
@@ -47,6 +48,48 @@ def test_csv_of_non_utf8_bytes_names_the_file(tmp_path):
     path.write_bytes(b"a,b\n1,\xff\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not UTF-8 text: "):
         read_csv(path, ("a", "b"))
+
+
+@pytest.mark.parametrize("last, cells", [("4", 1), ("4,5,6", 3)], ids=["short", "long"])
+def test_csv_row_of_another_length_names_the_file_and_line(tmp_path, last, cells):
+    # the line counts the "#" line, the blank line and both lines of the quoted cell
+    path = tmp_path / "t.csv"
+    path.write_text(f'# config_hash=abc\na,b\n1,2\n\n"x\ny",3\n{last}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 7 has {cells} "
+                                         "cells, not the header's 2$"):
+        read_csv(path, ("a",))
+    path.write_text('a,b\n1,2\n\n"x\ny",3\n')
+    assert read_csv(path, ("a",)) == [(2, {"a": "1", "b": "2"}), (5, {"a": "x\ny", "b": "3"})]
+
+
+def test_csv_header_with_a_repeated_column_names_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,a,c,c\n1,2,3,4,5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has the a, c column "
+                                         "more than once$"):
+        read_csv(path, ("b",))
+
+
+def test_csv_cell_beyond_the_field_limit_names_the_file_and_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n1," + "9" * 200_000 + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: field larger "):
+        read_csv(path, ("a",))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2,abc", "rate_gbps 'abc', not one of [100, 200, 300, 400]"),
+    ("1,2,1e400", "rate_gbps '1e400', not one of [100, 200, 300, 400]"),
+    ("1,2,", "rate_gbps '', not one of [100, 200, 300, 400]"),
+    ("1,2,150", "rate_gbps '150', not one of [100, 200, 300, 400]"),
+    ("1,1,100", "dst '1', not a node other than src"),
+], ids=["word", "huge-float", "empty", "off-the-list", "same-ends"])
+def test_demand_row_error_names_the_file_line_and_column(tmp_path, row, message):
+    path = tmp_path / "d.csv"
+    path.write_text(f"src,dst,rate_gbps\n2,3,100\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        read_demands_csv(path)
+    assert str(err.value) == f"{path}: line 3 has {message}"
 
 
 def test_demands_sidecar_of_non_object_json_is_a_value_error(tmp_path):

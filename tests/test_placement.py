@@ -10,14 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cover_instances, random_instance
+from oracle import OracleCapError, brute_force_oracle
 from ppmplan import placement
 from ppmplan.experiment import ExperimentConfig, run_experiment
 from ppmplan.placement import (
     CoverInstance,
     InstanceError,
-    OracleCapError,
     PathGroup,
-    brute_force_oracle,
     build_cover_instance,
     greedy_cost,
     index_lists,

@@ -13,12 +13,14 @@ import ppmplan
 from ppmplan import topology
 from ppmplan.exact import solve_exact
 from ppmplan.placement import build_cover_instance, solve_greedy, verify_solution
+from ppmplan import provisioning
 from ppmplan.provisioning import (
     CHANNELS_PER_FIBER,
-    DEFAULT_REACH_TABLE,
+    RATE_REACH_ROWS,
     ProvisioningError,
     Provisioner,
-    ReachTable,
+    best_rate,
+    max_length_for,
     provision,
     read_lightpaths_csv,
     write_lightpaths_csv,
@@ -50,32 +52,48 @@ def single_link(length):
 
 class TestReachTable:
     def test_default_rows(self):
-        assert DEFAULT_REACH_TABLE.rows == (
+        assert RATE_REACH_ROWS == (
             (800, 150), (700, 400), (600, 700), (500, 1300),
             (400, 2500), (300, 4700), (200, 5700))
         assert CHANNELS_PER_FIBER == 60  # 6 THz / 100 GHz
 
     def test_best_rate(self):
-        t = DEFAULT_REACH_TABLE
-        assert t.best_rate(100) == 800
-        assert t.best_rate(150) == 800
-        assert t.best_rate(151) == 700
-        assert t.best_rate(500) == 600
-        assert t.best_rate(5700) == 200
-        assert t.best_rate(5701) is None
+        assert best_rate(100) == 800
+        assert best_rate(150) == 800
+        assert best_rate(151) == 700
+        assert best_rate(500) == 600
+        assert best_rate(5700) == 200
+        assert best_rate(5701) is None
 
     def test_max_length_for(self):
-        t = DEFAULT_REACH_TABLE
-        assert t.max_length_for(400) == 2500
-        assert t.max_length_for(100) == 5700
-        assert t.max_length_for(800) == 150
-        assert t.max_length_for(900) is None
+        assert max_length_for(400) == 2500
+        assert max_length_for(100) == 5700
+        assert max_length_for(800) == 150
+        assert max_length_for(900) is None
 
     def test_monotonicity_validation(self):
-        with pytest.raises(ProvisioningError):
-            ReachTable(rows=((800, 150), (700, 150)))
-        with pytest.raises(ProvisioningError):
-            ReachTable(rows=((700, 150), (800, 400)))
+        # best_rate takes the first row that reaches, and the last row's
+        # reach is the maximum: both need rates falling and reaches rising
+        rates = [rate for rate, _ in RATE_REACH_ROWS]
+        reaches = [reach for _, reach in RATE_REACH_ROWS]
+        assert all(a > b for a, b in zip(rates, rates[1:]))
+        assert all(a < b for a, b in zip(reaches, reaches[1:]))
+
+    def test_no_reach_table_parameter(self, line3):
+        with pytest.raises(TypeError):
+            Provisioner(line3, "opaque", reach_table=RATE_REACH_ROWS)
+        with pytest.raises(TypeError):
+            provision(line3, [], "opaque", reach_table=RATE_REACH_ROWS)
+
+    def test_a_rebound_table_reaches_the_next_provisioner(self, line3, monkeypatch):
+        # a Provisioner's caches are its own, so one made after the table is
+        # rebound answers from the new table
+        demands = [Demand("A", "C", 100)]
+        lp, = provision(line3, demands, "transparent").lightpaths
+        assert lp.rate_gbps == 700
+        monkeypatch.setattr(provisioning, "RATE_REACH_ROWS", ((1000, 5000),))
+        lp, = provision(line3, demands, "transparent").lightpaths
+        assert lp.rate_gbps == 1000
 
 
 class TestTransparent:
@@ -218,7 +236,7 @@ class TestInvariants:
     def test_reach_respected(self, n14):
         lset = provision(n14, generate_demands(n14, 300, seed=4), "transparent")
         for lp in lset.lightpaths:
-            reach = dict(DEFAULT_REACH_TABLE.rows)[lp.rate_gbps]
+            reach = dict(RATE_REACH_ROWS)[lp.rate_gbps]
             assert lp.length_km <= reach
             assert lp.carried_gbps <= lp.rate_gbps
 
@@ -290,18 +308,20 @@ class TestInvariants:
             read_lightpaths_csv(path)
 
     @pytest.mark.parametrize("cells, column, value, rule", [
-        ("400,-1,100", "channel", "-1", "an integer >= 0"),
-        ("400,x,100", "channel", "x", "an integer >= 0"),
-        ("150,0,100", "rate_gbps", "150", "one of [800, 700, 600, 500, 400, 300, 200]"),
-        ("400,0,500", "carried_gbps", "500", "an integer in 1..400"),
-        ("400,0,0", "carried_gbps", "0", "an integer in 1..400"),
+        ("1->2,400,-1,100", "channel", "-1", "an integer >= 0"),
+        ("1->2,400,x,100", "channel", "x", "an integer >= 0"),
+        ("1->2,150,0,100", "rate_gbps", "150", "one of [800, 700, 600, 500, 400, 300, 200]"),
+        ("1->2,400,0,500", "carried_gbps", "500", "an integer in 1..400"),
+        ("1->2,400,0,0", "carried_gbps", "0", "an integer in 1..400"),
+        ("1,400,0,100", "route", "1", "two or more nodes joined by '->'"),
+        (",400,0,100", "route", "", "two or more nodes joined by '->'"),
     ], ids=["negative-channel", "text-channel", "rate-off-the-table",
-            "carried-above-rate", "nothing-carried"])
+            "carried-above-rate", "nothing-carried", "one-node-route", "empty-route"])
     def test_csv_read_rejects_a_row_provision_never_writes(self, n14, tmp_path,
                                                            cells, column, value, rule):
         path = tmp_path / "lps.csv"
         path.write_text("lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\n"
-                        f"0,1,2,1->2,400,0,100\n7,1,2,1->2,{cells}\n")
+                        f"0,1,2,1->2,400,0,100\n7,1,2,{cells}\n")
         with pytest.raises(ValueError) as err:
             read_lightpaths_csv(path, n14)
         assert str(err.value) == f"{path}: lightpath '7' has {column} {value!r}, not {rule}"
@@ -384,13 +404,13 @@ class TestInvariantsOnRandomTopologies:
                     cov[label] += 1
                 assert lp.length_km == sum_in_order(
                     topo.link(a, b).length_km for a, b in zip(lp.nodes, lp.nodes[1:]))
-                assert lp.length_km <= DEFAULT_REACH_TABLE.max_length_for(lp.rate_gbps)
+                assert lp.length_km <= max_length_for(lp.rate_gbps)
             carried = dict.fromkeys(by_id, 0)
             assert len(lset.assignments) == len(lset.accepted)
             for demand, chain in lset.assignments:
                 hops = [by_id[i] for i in chain]
-                assert hops[0].add_node == demand.src and hops[-1].drop_node == demand.dst
-                assert all(x.drop_node == y.add_node for x, y in zip(hops, hops[1:]))
+                assert hops[0].nodes[0] == demand.src and hops[-1].nodes[-1] == demand.dst
+                assert all(x.nodes[-1] == y.nodes[0] for x, y in zip(hops, hops[1:]))
                 for i in chain:
                     carried[i] += demand.rate_gbps
             for lp in lset.lightpaths:
@@ -423,8 +443,8 @@ class TestInvariantsOnRandomTopologies:
                 for lp in lps:
                     links.setdefault(lp.nodes, [])
                     if lp.rate_gbps > lp.carried_gbps:
-                        by_ends.setdefault(lp.add_node, {}).setdefault(
-                            lp.drop_node, []).append(lp.lp_id)
+                        by_ends.setdefault(lp.nodes[0], {}).setdefault(
+                            lp.nodes[-1], []).append(lp.lp_id)
                         links[lp.nodes].append(lp.lp_id)
                 assert prov._by_ends == by_ends
                 if arch == "transparent":
@@ -451,7 +471,7 @@ class TestRouteLinkRecords:
                 hops = list(zip(lp.nodes, lp.nodes[1:]))
                 assert lp.links == tuple(topo.link(a, b).label for a, b in hops)
                 assert lp.length_km == sum_in_order(topo.link(a, b).length_km for a, b in hops)
-                assert lp.rate_gbps == DEFAULT_REACH_TABLE.best_rate(lp.length_km)
+                assert lp.rate_gbps == best_rate(lp.length_km)
         assert topo.route_links  # every established lightpath resolved its route
         for route, record in topo.route_links.items():
             hops = list(zip(route, route[1:]))
@@ -778,8 +798,8 @@ class ReferenceProvisioner(Provisioner):
             while i < len(route) - 1:
                 best_id, best_j = None, i
                 for lp in self._lps:
-                    j = pos.get(lp.drop_node, -1)
-                    if (lp.add_node == route[i] and j > best_j
+                    j = pos.get(lp.nodes[-1], -1)
+                    if (lp.nodes[0] == route[i] and j > best_j
                             and lp.rate_gbps - lp.carried_gbps >= rate):
                         best_id, best_j = lp.lp_id, j
                 if best_id is None:
