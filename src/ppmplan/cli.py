@@ -1,14 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver budget exceeded,
-4 solver failure (LP relaxation or MIP failed).
+4 solver failure (LP relaxation or MIP failed). Any other exception is a bug:
+it propagates, and Python exits 1 with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -25,15 +25,10 @@ from .experiment import (
 from .files import read_object, write_json
 from .lpfile import export_lp
 from .otdr import count_otdrs
-from .placement import (
-    InstanceError,
-    build_cover_instance,
-    solve_greedy,
-)
+from .placement import build_cover_instance, solve_greedy
 from .provisioning import (
     CHANNELS_PER_FIBER,
     DEFAULT_K_PATHS,
-    ProvisioningError,
     provision,
     read_lightpaths_csv,
     write_lightpaths_csv,
@@ -41,7 +36,6 @@ from .provisioning import (
 from .topology import (
     DEFAULT_EXTENT_KM,
     DEFAULT_SPAN_KM,
-    TopologyError,
     generate_gabriel,
     load_topology,
     resolve_topology,
@@ -161,7 +155,7 @@ def _cmd_demands(args) -> int:
 
 def _cmd_provision(args) -> int:
     topo = resolve_topology(args.topo)
-    ds = read_demands_csv(args.demands)
+    ds = read_demands_csv(args.demands, topo)
     lset = provision(topo, ds, args.arch, k=args.k, n_channels=args.channels)
     write_lightpaths_csv(lset, args.out)
     write_json(str(Path(args.out)) + ".meta.json",
@@ -216,9 +210,14 @@ def _cmd_analyze(args) -> int:
     otdr_total = summary.get("otdr_total")
     if otdr_total is None:
         raise ConfigError("summary has no otdr_total; run with an OTDR scenario")
+    if "config_hash" not in summary:
+        raise ConfigError(f"{summary_path} has no config_hash key")
     # the bundle's config gives the cost model, fractions and scenario order
-    bundle = read_object(summary_path.with_name("config.json"))
-    config = ExperimentConfig.from_dict(bundle["config"])
+    config_path = summary_path.with_name("config.json")
+    data = read_object(config_path).get("config")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{config_path} has no JSON object under the config key")
+    config = ExperimentConfig.from_dict(data)
     if args.fractions is not None:  # the config's own check applies to the flag
         config = dataclasses.replace(config, ppm_fractions=tuple(
             _number_items(args.fractions, "--fractions", float)))
@@ -306,9 +305,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (TopologyError, ProvisioningError, InstanceError, ConfigError,
-            SaturationError, AllSeedsFailedError, ValueError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, SaturationError, AllSeedsFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -282,15 +282,11 @@ class Provisioner:
         max_spare = self._max_spare
         adj = self.topology.link_lengths
         # no chain unless a link leaving src and a link entering dst can carry
-        # it; links come in both directions, so dst's successors feed it
-        try:
-            if (max(max_spare[src].values(), default=0) < rate
-                    or not any(max_spare[u].get(dst, 0) >= rate for u in adj[dst])):
-                return None
-        except KeyError:
-            for node in (src, dst):
-                self.topology.neighbors(node)  # raises TopologyError for an unknown node
-            raise
+        # it; links come in both directions, so dst's successors feed it. An
+        # unknown node has neither: the route lookup after it raises
+        if (max(max_spare.get(src, {}).values(), default=0) < rate
+                or not any(max_spare[u].get(dst, 0) >= rate for u in adj.get(dst, ()))):
+            return None
         heappush, heappop = heapq.heappush, heapq.heappop
         inf = math.inf
         pushes = 0
@@ -475,21 +471,35 @@ def write_lightpaths_csv(lightpaths, path: str | Path,
 
 def read_lightpaths_csv(path: str | Path, topology: Topology) -> list[Lightpath]:
     """Lightpaths of a dump, each row checked as `provision` writes it: an
-    integer lp_id, a route of two or more nodes, a channel >= 0, a rate of
-    `RATE_REACH_ROWS` and 0 < carried <= rate. A row that breaks one is a
-    ValueError naming the file, the lp_id and the column; a route off
-    `topology` raises TopologyError."""
+    integer lp_id no earlier row has, a route of two or more nodes that
+    visits each node once, add_node and drop_node its first and last nodes,
+    a channel >= 0, a rate of `RATE_REACH_ROWS` and 0 < carried <= rate. A
+    row that breaks one is a ValueError naming the file, the lp_id and the
+    column; a route off `topology` raises TopologyError."""
     rates = [rate for rate, _ in RATE_REACH_ROWS]
     lps = []
-    for _, row in read_csv(path, ("lp_id", "route", "rate_gbps", "channel", "carried_gbps")):
+    seen: set[int] = set()
+    for _, row in read_csv(path, ("lp_id", "add_node", "drop_node", "route", "rate_gbps",
+                                  "channel", "carried_gbps")):
         where = f"lightpath {row['lp_id']!r}"
         nodes = tuple(row["route"].split("->"))
         if len(nodes) < 2:
             raise ValueError(f"{path}: {where} has route {row['route']!r}, "
                              "not two or more nodes joined by '->'")
+        if len(set(nodes)) < len(nodes):
+            raise ValueError(f"{path}: {where} has route {row['route']!r}, "
+                             "not a route that visits each node once")
+        for column, end, node in (("add_node", "first", nodes[0]),
+                                  ("drop_node", "last", nodes[-1])):
+            if row[column] != node:
+                raise ValueError(f"{path}: {where} has {column} {row[column]!r}, "
+                                 f"not the route's {end} node")
         rate = int_cell(path, where, row, "rate_gbps", f"one of {rates}", rates.__contains__)
+        lp_id = int_cell(path, where, row, "lp_id", "an integer unused by earlier rows",
+                         lambda v: v not in seen)
+        seen.add(lp_id)
         lps.append(Lightpath(
-            lp_id=int_cell(path, where, row, "lp_id", "an integer", lambda v: True), nodes=nodes,
+            lp_id=lp_id, nodes=nodes,
             length_km=topology.route_links[nodes].length_km, rate_gbps=rate,
             channel=int_cell(path, where, row, "channel", "an integer >= 0", lambda v: v >= 0),
             carried_gbps=int_cell(path, where, row, "carried_gbps", f"an integer in 1..{rate}",

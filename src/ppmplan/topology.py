@@ -7,9 +7,8 @@ object also keeps the table of candidate routes (k shortest loopless paths,
 found by one best-first search) that provisioning asks it for, and beside it
 one link record per route: the route's link labels and link lengths, resolved
 once. Every user of one object shares both. Routes are ordered by length,
-summed link by link in path order, then by the tuple of node names. They are
-searched on integer node ids numbered in sorted-name order, so a tuple of ids
-orders as its tuple of names does.
+summed link by link in path order, then by the tuple of node names, and the
+search pushes and pops the name tuples themselves.
 """
 
 from __future__ import annotations
@@ -128,23 +127,19 @@ class Topology:
         return adj
 
     @cached_property
-    def _id_names(self) -> tuple[str, ...]:
-        """Node names by integer id: ids follow the sorted names, so tuples of
-        ids order as the tuples of names they stand for."""
-        return tuple(sorted(self.nodes))
-
-    @cached_property
     def _ids(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self._id_names)}
+        """Integer id per node, its index in `nodes`: the index of the
+        distance tables and of `_id_lengths`."""
+        return {n: i for i, n in enumerate(self.nodes)}
 
     @cached_property
-    def _id_lengths(self) -> list[dict[int, float]]:
+    def _id_lengths(self) -> list[list[tuple[int, float]]]:
         """`link_lengths` on node ids: per id, each successor id and the
         length of the link to it, in link order."""
         ids = self._ids
-        adj: list[dict[int, float]] = [{} for _ in ids]
+        adj: list[list[tuple[int, float]]] = [[] for _ in ids]
         for l in self.links:
-            adj[ids[l.src]][ids[l.dst]] = l.length_km
+            adj[ids[l.src]].append((ids[l.dst], l.length_km))
         return adj
 
     @cached_property
@@ -159,27 +154,16 @@ class Topology:
         return RouteLinkTable(self.link_lengths, self.name)
 
     @cached_property
-    def _distance_table(self) -> dict[int, list[float]]:
+    def _distance_table(self) -> dict[str, list[float]]:
         return {}
-
-    @cached_property
-    def _id_into(self) -> list[list[tuple[int, float]]]:
-        """Per node id, each predecessor id and the length of the link from
-        it, in link order: the reverse graph the distance tables search."""
-        into: list[list[tuple[int, float]]] = [[] for _ in self._id_names]
-        for u, succ in enumerate(self._id_lengths):
-            for v, w in succ.items():
-                into[v].append((u, w))
-        return into
 
     @cached_property
     def undirected_edges(self) -> tuple[tuple[str, str, float], ...]:
         """One (a, b, length) entry per bidirectional pair, in link order."""
-        order = {n: i for i, n in enumerate(self.nodes)}
         seen: set[tuple[str, str]] = set()
         edges = []
         for l in self.links:
-            a, b = sorted((l.src, l.dst), key=order.__getitem__)
+            a, b = sorted((l.src, l.dst), key=self._ids.__getitem__)
             if (a, b) not in seen:
                 seen.add((a, b))
                 edges.append((a, b, l.length_km))
@@ -230,28 +214,28 @@ class Topology:
             routes = self._route_table[key] = _best_first(self, src, dst, k)
         return routes
 
-    def _distances_to(self, dst: int) -> list[float]:
-        """Shortest distance to node id dst from every node id (inf where
-        dst cannot be reached)."""
+    def _distances_to(self, dst: str) -> list[float]:
+        """Shortest distance to node dst from every node, by node id (inf
+        where dst cannot be reached)."""
         dist = self._distance_table.get(dst)
         if dist is None:
-            dist = self._distance_table[dst] = _distances(self._id_into, dst, set())
+            dist = self._distance_table[dst] = _distances(self._id_lengths, self._ids[dst], set())
         return dist
 
 
-def _distances(into: list[list[tuple[int, float]]], dst: int,
-               avoid: set[int]) -> list[float]:
+def _distances(adj: list[list[tuple[int, float]]], dst: int, avoid: set[int]) -> list[float]:
     """Shortest distance to node id dst from every node id, over paths that
-    pass through no node id in `avoid` (inf where there is none). `into`
-    lists per node id each predecessor id and the length of the link from it."""
-    dist = [math.inf] * len(into)
+    pass through no node id in `avoid` (inf where there is none). `adj` gives
+    per node id each successor id and the length of the link to it; every
+    link has a reverse of the same length, so the search walks it from dst."""
+    dist = [math.inf] * len(adj)
     dist[dst] = 0.0
     heap = [(0.0, dst)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for u, w in into[v]:
+        for u, w in adj[v]:
             if d + w < dist[u] and u not in avoid:
                 dist[u] = d + w
                 heapq.heappush(heap, (d + w, u))
@@ -267,16 +251,16 @@ _BOUND_SLACK = 1e-9
 def _best_first(topology: Topology, src: str, dst: str, k: int,
                 prune: bool = False) -> tuple[tuple[str, ...], ...]:
     """The k shortest loopless routes, found by a best-first search over
-    loopless paths from src.
+    loopless paths from src, each a tuple of node names.
 
     Paths pop in order of their length plus an estimate of the distance from
-    their end to dst, a lower bound on any route that extends them; a path
-    popped at dst is a route. Once k routes are found, a path longer than the
-    k-th of them can neither make the cut nor tie with it, so the search
-    drops such paths and stops when the next pop is one. Every route up to
-    the k-th length is thus found, and the routes are sorted by (length, id
-    tuple) and cut to k. Lengths are summed link by link from src, as
-    `route_length` sums them.
+    their end to dst, a lower bound on any route that extends them, and then
+    of their node names; a path popped at dst is a route. Once k routes are
+    found, a path longer than the k-th of them can neither make the cut nor
+    tie with it, so the search drops such paths and stops when the next pop
+    is one. Every route up to the k-th length is thus found, and the routes
+    are sorted by (length, node names) and cut to k. Lengths are summed link
+    by link from src, as `route_length` sums them.
 
     The estimate is the distance in the whole graph, which ignores the
     path's own nodes. Where fewer than k routes exist, or a path has cut
@@ -289,15 +273,14 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
     expands is thus a prefix of a route no longer than the k-th (or tied
     with it), so it needs no pop limit.
     """
-    adj = topology._id_lengths
-    s, t = topology._ids[src], topology._ids[dst]
-    to_dst = topology._distances_to(t)
-    if to_dst[s] == math.inf:
+    adj, ids, names = topology._id_lengths, topology._ids, topology.nodes
+    to_dst = topology._distances_to(dst)
+    if to_dst[ids[src]] == math.inf:
         return ()
     heappush, heappop = heapq.heappush, heapq.heappop
     pops_left = math.inf if prune else 2 * k * len(adj)
-    heap = [(to_dst[s], (s,), 0)]
-    found: list[tuple[float, tuple[int, ...]]] = []
+    heap = [(to_dst[ids[src]], (src,), 0)]
+    found: list[tuple[float, tuple[str, ...]]] = []
     # until k routes are found, any path that can still reach dst is kept
     bound = sys.float_info.max
     while heap:
@@ -308,23 +291,23 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
         if pops_left < 0:
             return _best_first(topology, src, dst, k, prune=True)
         u = path[-1]
-        if u == t:
+        if u == dst:
             found.append((length, path))
             if len(found) >= k:
                 found.sort()
                 bound = found[k - 1][0] * (1 + _BOUND_SLACK)
             continue
-        ahead = _distances(topology._id_into, t, set(path)) if prune else to_dst
-        for v, w in adj[u].items():
+        ahead = _distances(adj, ids[dst], {ids[n] for n in path}) if prune else to_dst
+        for i, w in adj[ids[u]]:
+            v = names[i]
             if v in path:
                 continue
             reached = length + w
-            estimate = reached + ahead[v]
+            estimate = reached + ahead[i]
             if estimate <= bound:
                 heappush(heap, (estimate, path + (v,), reached))
     found.sort()
-    names = topology._id_names
-    return tuple(tuple(names[i] for i in p) for _, p in found[:k])
+    return tuple(p for _, p in found[:k])
 
 
 def _build(name: str, span_length_km: float,

@@ -127,13 +127,19 @@ def write_demands_csv(demand_set: DemandSet, path: str | Path) -> None:
                {"seed": demand_set.seed, "count": len(demand_set)})
 
 
-def read_demands_csv(path: str | Path) -> DemandSet:
-    """Demands of a CSV, each row checked as `Demand` requires; a row that
-    breaks a check is a ValueError naming the file, the line and the column."""
+def read_demands_csv(path: str | Path, topology: Topology) -> DemandSet:
+    """Demands of a CSV, each row checked as `Demand` requires and with both
+    ends nodes of `topology`; a row that breaks a check is a ValueError
+    naming the file, the line and the column."""
     path = Path(path)
+    nodes = set(topology.nodes)
     demands = []
     for line, row in read_csv(path, ("src", "dst", "rate_gbps")):
         where = f"line {line}"
+        for column in ("src", "dst"):
+            if row[column] not in nodes:
+                raise ValueError(f"{path}: {where} has {column} {row[column]!r}, "
+                                 f"not a node of topology {topology.name!r}")
         if row["dst"] == row["src"]:
             raise ValueError(f"{path}: {where} has dst {row['dst']!r}, not a node other than src")
         rate = int_cell(path, where, row, "rate_gbps", f"one of {list(ALLOWED_RATES_GBPS)}",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ppmplan
+from ppmplan import cli
 from ppmplan.cli import main
 from ppmplan.provisioning import provision, write_lightpaths_csv
 from ppmplan.topology import bundled_topology
@@ -257,15 +258,17 @@ class TestPipeline:
         assert out.read_text().startswith("\\ monitor-cover integer model")
 
     def test_provision_unknown_node_is_data_error(self, tmp_path, capsys):
-        # the first demand leaves spare on a link leaving node 1, so opaque
-        # grooming looks for a link entering an unknown destination
+        # the demand reader checks each row against the topology, so provision
+        # stops on the file's line before it serves any demand
         d = tmp_path / "bad.csv"
         for arch in ("opaque", "transparent"):
-            for bad in ("99,2", "1,99"):
+            for bad, column in (("99,2", "src"), ("1,99", "dst")):
                 d.write_text(f"src,dst,rate_gbps\n1,2,100\n{bad},100\n")
                 assert run_cli("provision", "--topo", "n14", "--demands", str(d), "--arch", arch,
                                "--out", str(tmp_path / "lps.csv")) == 2, (arch, bad)
-                assert capsys.readouterr().err == "error: unknown node '99' in topology 'N14'\n"
+                assert capsys.readouterr().err == \
+                    f"error: {d}: line 3 has {column} '99', not a node of topology 'N14'\n"
+                assert not (tmp_path / "lps.csv").exists()
 
     @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"]],
                              ids=["place", "baseline"])
@@ -354,19 +357,26 @@ class TestPipeline:
     @pytest.mark.parametrize("command", [["place", "--gamma", "1"], ["baseline"],
                                          ["export-lp", "--gamma", "1"]],
                              ids=["place", "baseline", "export-lp"])
-    @pytest.mark.parametrize("cells, message", [
-        ("400,-1,100", "channel '-1', not an integer >= 0"),
-        ("150,0,100", "rate_gbps '150', not one of [800, 700, 600, 500, 400, 300, 200]"),
-        ("400,0,500", "carried_gbps '500', not an integer in 1..400"),
-    ], ids=["negative-channel", "rate-off-the-table", "carried-above-rate"])
+    @pytest.mark.parametrize("rows, message", [
+        ("3,1,2,1->2,400,-1,100", "lightpath '3' has channel '-1', not an integer >= 0"),
+        ("3,1,2,1->2,150,0,100",
+         "lightpath '3' has rate_gbps '150', not one of [800, 700, 600, 500, 400, 300, 200]"),
+        ("3,1,2,1->2,400,0,500", "lightpath '3' has carried_gbps '500', not an integer in 1..400"),
+        ("3,1,2,1->2,400,0,100\n3,2,1,2->1,400,0,100",
+         "lightpath '3' has lp_id '3', not an integer unused by earlier rows"),
+        ("3,1,1,1->2->1,400,0,100",
+         "lightpath '3' has route '1->2->1', not a route that visits each node once"),
+        ("3,1,1,1->2,400,0,100", "lightpath '3' has drop_node '1', not the route's last node"),
+    ], ids=["negative-channel", "rate-off-the-table", "carried-above-rate",
+            "repeated-lp-id", "node-twice", "drop-node-off-the-route"])
     def test_lightpath_row_provision_never_writes_is_data_error(self, tmp_path, capsys,
-                                                                command, cells, message):
+                                                                command, rows, message):
         lps, out = tmp_path / "lps.csv", tmp_path / "out"
         lps.write_text("lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\n"
-                       f"3,1,2,1->2,{cells}\n")
+                       f"{rows}\n")
         assert run_cli(*command, "--topo", "n14", "--lightpaths", str(lps),
                        "--out", str(out)) == 2
-        assert capsys.readouterr().err == f"error: {lps}: lightpath '3' has {message}\n"
+        assert capsys.readouterr().err == f"error: {lps}: {message}\n"
         assert not out.exists()
 
     def test_baseline_n14(self, tmp_path):
@@ -874,6 +884,37 @@ class TestRunAndAnalyze:
         assert capsys.readouterr().err == \
             f"error: {out / name} must hold a JSON object, got list\n"
         assert not analysis.exists()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("config.json", lambda data: data.pop("config"), "has no JSON object under the config key"),
+        ("config.json", lambda data: data.update(config=5),
+         "has no JSON object under the config key"),
+        ("summary.json", lambda data: data.pop("config_hash"), "has no config_hash key"),
+    ], ids=["no-config", "config-not-an-object", "no-config-hash"])
+    def test_analyze_missing_key_is_config_error(self, tmp_path, capsys, name, edit, message):
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                       "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "greedy", "--out", str(out)) == 0
+        path = out / name
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        analysis = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(out / "summary.json"),
+                       "--out", str(analysis)) == 2
+        assert capsys.readouterr().err == f"error: {path} {message}\n"
+        assert not analysis.exists()
+
+    def test_key_error_in_a_command_is_a_bug_not_a_data_error(self, monkeypatch):
+        # a KeyError is a bug: main lets it out, and Python exits 1 with its traceback
+        def broken(args):
+            raise KeyError("oops")
+
+        monkeypatch.setitem(cli._HANDLERS, "analyze", broken)
+        with pytest.raises(KeyError, match="oops"):
+            run_cli("analyze", "--summary", "s.json", "--out", "o")
 
     def test_run_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ import pytest
 
 from ppmplan import files
 from ppmplan.files import fmt, is_number, read_csv, read_object, write_csv, write_json
+from ppmplan.topology import topology_from_dict
 from ppmplan.traffic import Demand, DemandSet, read_demands_csv, write_demands_csv
 
 SRC = Path(files.__file__).parent
@@ -83,21 +84,23 @@ def test_csv_cell_beyond_the_field_limit_names_the_file_and_line(tmp_path):
     ("1,2,", "rate_gbps '', not one of [100, 200, 300, 400]"),
     ("1,2,150", "rate_gbps '150', not one of [100, 200, 300, 400]"),
     ("1,1,100", "dst '1', not a node other than src"),
-], ids=["word", "huge-float", "empty", "off-the-list", "same-ends"])
-def test_demand_row_error_names_the_file_line_and_column(tmp_path, row, message):
+    ("0,2,100", "src '0', not a node of topology 'N14'"),
+    ("1,99,100", "dst '99', not a node of topology 'N14'"),
+], ids=["word", "huge-float", "empty", "off-the-list", "same-ends", "unknown-src", "unknown-dst"])
+def test_demand_row_error_names_the_file_line_and_column(n14, tmp_path, row, message):
     path = tmp_path / "d.csv"
     path.write_text(f"src,dst,rate_gbps\n2,3,100\n{row}\n")
     with pytest.raises(ValueError) as err:
-        read_demands_csv(path)
+        read_demands_csv(path, n14)
     assert str(err.value) == f"{path}: line 3 has {message}"
 
 
-def test_demands_sidecar_of_non_object_json_is_a_value_error(tmp_path):
+def test_demands_sidecar_of_non_object_json_is_a_value_error(n14, tmp_path):
     path = tmp_path / "d.csv"
     write_demands_csv(DemandSet((Demand("1", "2", 100),), seed=4), path)
     (tmp_path / "d.csv.meta.json").write_text("[1]")
     with pytest.raises(ValueError, match="d.csv.meta.json must hold a JSON object, got list"):
-        read_demands_csv(path)
+        read_demands_csv(path, n14)
 
 
 def test_hash_lines_after_the_header_are_rows(tmp_path):
@@ -105,7 +108,9 @@ def test_hash_lines_after_the_header_are_rows(tmp_path):
     ds = DemandSet((Demand("#1", "2", 100), Demand("2", "#1", 200)), seed=4)
     path = tmp_path / "d.csv"
     write_demands_csv(ds, path)
-    assert read_demands_csv(path) == ds
+    topo = topology_from_dict({"name": "hash", "nodes": ["#1", "2"],
+                               "edges": [{"a": "#1", "b": "2", "length_km": 100}]})
+    assert read_demands_csv(path, topo) == ds
     assert json.loads((tmp_path / "d.csv.meta.json").read_text()) == {"count": 2, "seed": 4}
 
 

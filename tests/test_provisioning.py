@@ -307,24 +307,30 @@ class TestInvariants:
         with pytest.raises(TypeError):
             read_lightpaths_csv(path)
 
-    @pytest.mark.parametrize("cells, column, value, rule", [
-        ("1->2,400,-1,100", "channel", "-1", "an integer >= 0"),
-        ("1->2,400,x,100", "channel", "x", "an integer >= 0"),
-        ("1->2,150,0,100", "rate_gbps", "150", "one of [800, 700, 600, 500, 400, 300, 200]"),
-        ("1->2,400,0,500", "carried_gbps", "500", "an integer in 1..400"),
-        ("1->2,400,0,0", "carried_gbps", "0", "an integer in 1..400"),
-        ("1,400,0,100", "route", "1", "two or more nodes joined by '->'"),
-        (",400,0,100", "route", "", "two or more nodes joined by '->'"),
+    @pytest.mark.parametrize("row, column, value, rule", [
+        ("7,1,2,1->2,400,-1,100", "channel", "-1", "an integer >= 0"),
+        ("7,1,2,1->2,400,x,100", "channel", "x", "an integer >= 0"),
+        ("7,1,2,1->2,150,0,100", "rate_gbps", "150", "one of [800, 700, 600, 500, 400, 300, 200]"),
+        ("7,1,2,1->2,400,0,500", "carried_gbps", "500", "an integer in 1..400"),
+        ("7,1,2,1->2,400,0,0", "carried_gbps", "0", "an integer in 1..400"),
+        ("7,1,2,1,400,0,100", "route", "1", "two or more nodes joined by '->'"),
+        ("7,1,2,,400,0,100", "route", "", "two or more nodes joined by '->'"),
+        ("0,1,2,1->2,400,1,100", "lp_id", "0", "an integer unused by earlier rows"),
+        ("7,1,1,1->2->1,400,0,100", "route", "1->2->1", "a route that visits each node once"),
+        ("7,2,2,1->2,400,0,100", "add_node", "2", "the route's first node"),
+        ("7,1,1,1->2,400,0,100", "drop_node", "1", "the route's last node"),
     ], ids=["negative-channel", "text-channel", "rate-off-the-table",
-            "carried-above-rate", "nothing-carried", "one-node-route", "empty-route"])
+            "carried-above-rate", "nothing-carried", "one-node-route", "empty-route",
+            "repeated-lp-id", "node-twice", "add-node-off-the-route", "drop-node-off-the-route"])
     def test_csv_read_rejects_a_row_provision_never_writes(self, n14, tmp_path,
-                                                           cells, column, value, rule):
+                                                           row, column, value, rule):
         path = tmp_path / "lps.csv"
         path.write_text("lp_id,add_node,drop_node,route,rate_gbps,channel,carried_gbps\n"
-                        f"0,1,2,1->2,400,0,100\n7,1,2,{cells}\n")
+                        f"0,1,2,1->2,400,0,100\n{row}\n")
         with pytest.raises(ValueError) as err:
             read_lightpaths_csv(path, n14)
-        assert str(err.value) == f"{path}: lightpath '7' has {column} {value!r}, not {rule}"
+        lp_id = row.split(",")[0]
+        assert str(err.value) == f"{path}: lightpath {lp_id!r} has {column} {value!r}, not {rule}"
 
     def test_lightpath_links_cached_without_changing_identity(self, tmp_path):
         from dataclasses import fields

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import given, strategies as st
 from ppmplan.provisioning import read_lightpaths_csv
 from ppmplan.topology import (
     RouteLinks,
-    Topology,
     TopologyError,
     bundled_topology,
     gabriel_edges,
@@ -389,26 +387,16 @@ class TestRouteLinks:
         assert again.route_links[route] == uneven3.route_links[route]
 
 
-def test_reverse_adjacency_built_once(monkeypatch):
+def test_distance_tables_are_shortest_distances_one_per_destination():
     topo = generate_gabriel(30, seed=1)
-    builds = []
-    build = Topology._id_into.func
-
-    def counted(self):
-        builds.append(self)
-        return build(self)
-
-    spy = cached_property(counted)
-    spy.__set_name__(Topology, "_id_into")
-    monkeypatch.setattr(Topology, "_id_into", spy)
-    adj = topo._id_lengths
-    for dst in range(len(topo.nodes)):
-        dist = topo._distances_to(dst)
+    adj, ids = topo._id_lengths, topo._ids
+    for name in topo.nodes:
+        dist = topo._distances_to(name)
+        assert topo._distances_to(name) is dist
+        dst = ids[name]
         # each table is the shortest distance to dst: no link shortens it
         assert dist[dst] == 0.0
-        assert all(dist[u] <= w + dist[v] for u, succ in enumerate(adj)
-                   for v, w in succ.items())
-        assert all(dist[u] == min(w + dist[v] for v, w in adj[u].items())
+        assert all(dist[u] <= w + dist[v] for u, succ in enumerate(adj) for v, w in succ)
+        assert all(dist[u] == min(w + dist[v] for v, w in adj[u])
                    for u in range(len(adj)) if u != dst)
     assert len(topo._distance_table) == len(topo.nodes)
-    assert builds == [topo]

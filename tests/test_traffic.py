@@ -243,6 +243,6 @@ class TestCsv:
         ds = generate_demands(n14, 20, seed=11)
         path = tmp_path / "demands.csv"
         write_demands_csv(ds, path)
-        again = read_demands_csv(path)
+        again = read_demands_csv(path, n14)
         assert again.demands == ds.demands
         assert again.seed == 11
