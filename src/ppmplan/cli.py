@@ -22,7 +22,7 @@ from .experiment import (
     run_experiment,
     write_curves,
 )
-from .files import read_object, write_json
+from .files import is_number, read_object, write_json
 from .lpfile import export_lp
 from .otdr import count_otdrs
 from .placement import build_cover_instance, solve_greedy
@@ -209,7 +209,9 @@ def _cmd_analyze(args) -> int:
     summary = read_object(summary_path)
     otdr_total = summary.get("otdr_total")
     if otdr_total is None:
-        raise ConfigError("summary has no otdr_total; run with an OTDR scenario")
+        raise ConfigError(f"{summary_path} has no otdr_total; run with an OTDR scenario")
+    if not is_number(otdr_total):
+        raise ConfigError(f"{summary_path} has no number under the otdr_total key")
     if "config_hash" not in summary:
         raise ConfigError(f"{summary_path} has no config_hash key")
     # the bundle's config gives the cost model, fractions and scenario order
@@ -222,10 +224,22 @@ def _cmd_analyze(args) -> int:
         config = dataclasses.replace(config, ppm_fractions=tuple(
             _number_items(args.fractions, "--fractions", float)))
     scenarios = summary.get("scenarios", {})
+    if not isinstance(scenarios, dict):
+        raise ConfigError(f"{summary_path} has no JSON object under the scenarios key")
     missing = [name for name in config.scenarios if name not in scenarios]
     if missing:
         raise ConfigError(f"summary {summary_path} has no scenario {missing[0]!r} of its config")
+    if "OTDR" not in config.scenarios:
+        raise ConfigError(f"{config_path} has no OTDR scenario for the baseline")
     rows = {name: scenarios[name] for name in config.scenarios}
+    for name, row in rows.items():
+        if not isinstance(row, dict):
+            raise ConfigError(f"{summary_path} scenario {name!r} is not a JSON object")
+        # the OTDR row gives the baseline count; the others a curve each
+        for key in ("monitors",) if name == "OTDR" else ("monitors", "carried_tbps"):
+            if not is_number(row.get(key)):
+                raise ConfigError(
+                    f"{summary_path} scenario {name!r} has no number under the {key} key")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "crossing.json", {"otdr_total": otdr_total,

@@ -36,5 +36,7 @@ def export_lp(instance: CoverInstance, path: str | Path) -> None:
               for i in rows]
     lines.append("Bounds")
     lines += [f" 0 <= p{j} <= {g.count}" for j, g in enumerate(instance.groups)]
-    lines += ["Generals", " " + " ".join(names), "End"]
+    if names:
+        lines += ["Generals", " " + " ".join(names)]
+    lines.append("End")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

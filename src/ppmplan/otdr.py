@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import Topology, TopologyError, ceil_div
+from .topology import Topology, TopologyError, ceil_div, span_count
 
 
 def undirected_label(a: str, b: str) -> str:
@@ -56,7 +56,7 @@ def count_otdrs(topology: Topology, lit_links=None) -> OtdrPlan:
             continue
         degrees[a] += 1
         degrees[b] += 1
-        spans = topology.link(a, b).spans
+        spans = span_count(length, topology.span_length_km)
         inline[undirected_label(a, b)] = max(0, ceil_div(spans - 2, 2))
     per_node = {n: ceil_div(2 * d, 4) for n, d in degrees.items()}
     return OtdrPlan(per_node=per_node, per_link_inline=inline)

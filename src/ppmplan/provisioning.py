@@ -172,7 +172,7 @@ class Provisioner:
             raise ProvisioningError(f"k must be >= 1, got {k}")
         if n_channels < 1:
             raise ProvisioningError(f"n_channels must be >= 1, got {n_channels}")
-        longest = topology.max_link_length()
+        longest = max((w for *_, w in topology.edges), default=0.0)
         max_reach = RATE_REACH_ROWS[-1][1]  # the lowest rate reaches furthest
         if longest > max_reach:
             raise ProvisioningError(

@@ -106,16 +106,46 @@ class RouteLinkTable(dict):
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable directed-link view of a bidirectional fiber network."""
+    """Immutable bidirectional fiber network: its undirected edges
+    (a, b, length_km), checked on construction, and the directed-link views
+    built from them."""
 
     name: str
     span_length_km: float
     nodes: tuple[str, ...]
-    links: tuple[DirectedLink, ...]
+    edges: tuple[tuple[str, str, float], ...]
+
+    def __post_init__(self):
+        if not 0 < self.span_length_km < math.inf:
+            raise TopologyError(
+                f"span_length_km must be positive and finite, got {self.span_length_km}")
+        node_set = set(self.nodes)
+        if len(node_set) != len(self.nodes):
+            raise TopologyError("duplicate node ids")
+        for node in self.nodes:
+            if "->" in node:  # the separator of link labels and lightpath routes
+                raise TopologyError(f"node {node!r} contains '->'")
+        seen: set[frozenset[str]] = set()
+        for a, b, length in self.edges:
+            if a not in node_set or b not in node_set:
+                raise TopologyError(f"edge {a}-{b} references unknown node")
+            if a == b:
+                raise TopologyError(f"self-loop on node {a!r}")
+            key = frozenset((a, b))
+            if key in seen:
+                raise TopologyError(f"duplicate or asymmetric edge {a}-{b}")
+            seen.add(key)
+            if not 0 < length < math.inf:
+                raise TopologyError(f"edge {a}-{b} length must be positive and finite, got {length}")
 
     @cached_property
-    def _link_map(self) -> dict[tuple[str, str], DirectedLink]:
-        return {(l.src, l.dst): l for l in self.links}
+    def links(self) -> tuple[DirectedLink, ...]:
+        """Both directions of each edge, a->b then b->a, in edge order."""
+        links: list[DirectedLink] = []
+        for a, b, length in self.edges:
+            spans = span_count(length, self.span_length_km)
+            links += DirectedLink(a, b, length, spans), DirectedLink(b, a, length, spans)
+        return tuple(links)
 
     @cached_property
     def link_lengths(self) -> dict[str, dict[str, float]]:
@@ -159,15 +189,9 @@ class Topology:
 
     @cached_property
     def undirected_edges(self) -> tuple[tuple[str, str, float], ...]:
-        """One (a, b, length) entry per bidirectional pair, in link order."""
-        seen: set[tuple[str, str]] = set()
-        edges = []
-        for l in self.links:
-            a, b = sorted((l.src, l.dst), key=self._ids.__getitem__)
-            if (a, b) not in seen:
-                seen.add((a, b))
-                edges.append((a, b, l.length_km))
-        return tuple(edges)
+        """The edges, each with its ends in node order."""
+        ids = self._ids
+        return tuple((a, b, w) if ids[a] < ids[b] else (b, a, w) for a, b, w in self.edges)
 
     @cached_property
     def link_labels(self) -> tuple[str, ...]:
@@ -179,24 +203,10 @@ class Topology:
         nodes and links of a single-hop lightpath on it, shared by all."""
         return {l.label: ((l.src, l.dst), (l.label,)) for l in self.links}
 
-    def link(self, src: str, dst: str) -> DirectedLink:
-        try:
-            return self._link_map[(src, dst)]
-        except KeyError:
-            raise TopologyError(f"no link {src}->{dst} in topology {self.name!r}") from None
-
     def neighbors(self, node: str) -> tuple[str, ...]:
         if node not in self.link_lengths:
             raise TopologyError(f"unknown node {node!r} in topology {self.name!r}")
         return tuple(self.link_lengths[node])
-
-    def max_link_length(self) -> float:
-        return max(l.length_km for l in self.links) if self.links else 0.0
-
-    def route_length(self, nodes) -> float:
-        """Length of a node chain, summed link by link in path order."""
-        adj = self.link_lengths
-        return _sum_in_order(adj[a][b] for a, b in zip(nodes, nodes[1:]))
 
     def k_shortest_routes(self, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
         """The k shortest loopless routes src -> dst, ordered by (length, node
@@ -260,7 +270,7 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
     tie with it, so the search drops such paths and stops when the next pop
     is one. Every route up to the k-th length is thus found, and the routes
     are sorted by (length, node names) and cut to k. Lengths are summed link
-    by link from src, as `route_length` sums them.
+    by link from src, as `route_links` sums them.
 
     The estimate is the distance in the whole graph, which ignores the
     path's own nodes. Where fewer than k routes exist, or a path has cut
@@ -310,34 +320,11 @@ def _best_first(topology: Topology, src: str, dst: str, k: int,
     return tuple(p for _, p in found[:k])
 
 
-def _build(name: str, span_length_km: float,
-           nodes: list[str], edges: list[tuple[str, str, float]]) -> Topology:
-    if not 0 < span_length_km < math.inf:
-        raise TopologyError(f"span_length_km must be positive and finite, got {span_length_km}")
-    if len(set(nodes)) != len(nodes):
-        raise TopologyError("duplicate node ids")
-    for node in nodes:
-        if "->" in node:  # the separator of link labels and lightpath routes
-            raise TopologyError(f"node {node!r} contains '->'")
-    node_set = set(nodes)
-    seen: set[frozenset[str]] = set()
-    links: list[DirectedLink] = []
-    for a, b, length in edges:
-        if a not in node_set or b not in node_set:
-            raise TopologyError(f"edge {a}-{b} references unknown node")
-        if a == b:
-            raise TopologyError(f"self-loop on node {a!r}")
-        key = frozenset((a, b))
-        if key in seen:
-            raise TopologyError(f"duplicate or asymmetric edge {a}-{b}")
-        seen.add(key)
-        if not 0 < length < math.inf:
-            raise TopologyError(f"edge {a}-{b} length must be positive and finite, got {length}")
-        spans = span_count(length, span_length_km)
-        links.append(DirectedLink(a, b, float(length), spans))
-        links.append(DirectedLink(b, a, float(length), spans))
-    return Topology(name=name, span_length_km=float(span_length_km),
-                    nodes=tuple(nodes), links=tuple(links))
+def _name(value, field: str) -> str:
+    """A name in topology JSON: a string, or an integer taken as its digits."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TopologyError(f"{field} must be a string or an integer, got {value!r}")
+    return str(value)
 
 
 def topology_from_dict(data: dict, span_length_km: float | None = None) -> Topology:
@@ -355,15 +342,17 @@ def topology_from_dict(data: dict, span_length_km: float | None = None) -> Topol
     edges = []
     for e in raw_edges:
         try:
-            a, b, length = str(e["a"]), str(e["b"]), e["length_km"]
+            a, b, length = e["a"], e["b"], e["length_km"]
         except (KeyError, TypeError) as exc:
             raise TopologyError(f"bad edge entry {e!r}: {exc}") from None
+        a, b = _name(a, "edge end a"), _name(b, "edge end b")
         if not is_number(length):
             raise TopologyError(f"edge {a}-{b} length_km must be a number, got {length!r}")
         edges.append((a, b, float(length)))
     if not is_number(span):
         raise TopologyError(f"span_length_km must be a number, got {span!r}")
-    return _build(str(name), float(span), [str(n) for n in nodes], edges)
+    return Topology(_name(name, "name"), float(span), tuple(_name(n, "node") for n in nodes),
+                    tuple(edges))
 
 
 def load_topology(path: str | Path, span_length_km: float | None = None) -> Topology:
@@ -461,4 +450,4 @@ def generate_gabriel(n: int, seed: int, extent_km: float = DEFAULT_EXTENT_KM,
         if length <= 0:
             raise TopologyError("coincident points in Gabriel generation")
         edges.append((nodes[i], nodes[j], length))
-    return _build(f"gabriel-n{n}-s{seed}", span_length_km, nodes, edges)
+    return Topology(f"gabriel-n{n}-s{seed}", float(span_length_km), tuple(nodes), tuple(edges))

@@ -15,7 +15,7 @@ import ppmplan
 from ppmplan import cli
 from ppmplan.cli import main
 from ppmplan.provisioning import provision, write_lightpaths_csv
-from ppmplan.topology import bundled_topology
+from ppmplan.topology import bundled_topology, save_topology
 from ppmplan.traffic import find_load_at_rejection, generate_demands, write_demands_csv
 
 
@@ -890,7 +890,25 @@ class TestRunAndAnalyze:
         ("config.json", lambda data: data.update(config=5),
          "has no JSON object under the config key"),
         ("summary.json", lambda data: data.pop("config_hash"), "has no config_hash key"),
-    ], ids=["no-config", "config-not-an-object", "no-config-hash"])
+        ("summary.json", lambda data: data.update(scenarios=list(data["scenarios"])),
+         "has no JSON object under the scenarios key"),
+        ("summary.json", lambda data: data["scenarios"].update({"Tr-O-1": 5}),
+         "scenario 'Tr-O-1' is not a JSON object"),
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].pop("monitors"),
+         "scenario 'Tr-O-1' has no number under the monitors key"),
+        ("summary.json", lambda data: data.update(otdr_total="154"),
+         "has no number under the otdr_total key"),
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(monitors="17"),
+         "scenario 'Tr-O-1' has no number under the monitors key"),
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(carried_tbps="x"),
+         "scenario 'Tr-O-1' has no number under the carried_tbps key"),
+        ("summary.json", lambda data: data.pop("otdr_total"),
+         "has no otdr_total; run with an OTDR scenario"),
+        ("config.json", lambda data: data["config"].update(scenarios=["Tr-O-1"]),
+         "has no OTDR scenario for the baseline"),
+    ], ids=["no-config", "config-not-an-object", "no-config-hash", "scenarios-a-list",
+            "scenario-row-5", "no-monitors", "otdr-total-a-string", "monitors-a-string",
+            "carried-not-a-number", "no-otdr-total", "config-without-otdr"])
     def test_analyze_missing_key_is_config_error(self, tmp_path, capsys, name, edit, message):
         out = tmp_path / "bundle"
         assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
@@ -939,39 +957,72 @@ class TestRunAndAnalyze:
 
 @cache
 def valid_inputs() -> dict[str, bytes]:
-    """A demands CSV with its sidecar and the transparent lightpath dump
-    (hash line included) that provisioning them on N14 writes."""
+    """N14's topology JSON, a demands CSV with its sidecar and the
+    transparent lightpath dump (hash line included) that provisioning them
+    on N14 writes."""
     n14 = bundled_topology("n14")
     demands = generate_demands(n14, 8, seed=0)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        save_topology(n14, tmp / "topo.json")
         write_demands_csv(demands, tmp / "d.csv")
         write_lightpaths_csv(provision(n14, demands, "transparent"), tmp / "lps.csv", "abc")
         return {path.name: path.read_bytes() for path in tmp.iterdir()}
 
 
-# the commands that read each file
+OUT = object()  # the argument that names the output path
+# the commands that read each file; a file name among the arguments is that file
 READERS = {
-    "d.csv": [["provision", "--arch", "transparent"]],
-    "d.csv.meta.json": [["provision", "--arch", "opaque"]],
-    "lps.csv": [["place", "--gamma", "1"], ["baseline"], ["export-lp", "--gamma", "1"]],
+    "topo.json": [["topo", "validate", "topo.json"],
+                  ["demands", "--topo", "topo.json", "--count", "8", "--out", OUT],
+                  ["baseline", "--topo", "topo.json", "--lightpaths", "lps.csv", "--out", OUT]],
+    "d.csv": [["provision", "--topo", "n14", "--demands", "d.csv", "--arch", "transparent",
+               "--out", OUT]],
+    "d.csv.meta.json": [["provision", "--topo", "n14", "--demands", "d.csv", "--arch", "opaque",
+                         "--out", OUT]],
+    "lps.csv": [[command, "--topo", "n14", "--lightpaths", "lps.csv", *flags, "--out", OUT]
+                for command, *flags in (["place", "--gamma", "1"], ["baseline"],
+                                        ["export-lp", "--gamma", "1"])],
 }
 BAD_CELLS = st.sampled_from(["abc", "1.5", "1e400", "NaN", "inf", "", "-1", "0", " 7",
                              str(10**400), "9" * 5000, "1->", "->"])
+BAD_JSON = st.sampled_from([None, True, 1.5, -1, 0, 10**400, math.nan, math.inf, "x", "->",
+                            [], {"x": 1}])
+
+
+def json_paths(data) -> list[list]:
+    """The path from `data` to each key and list item within it."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return []
+    return [path for key, value in items
+            for path in [[key], *([key, *rest] for rest in json_paths(value))]]
+
+
+def names_are_strings_or_integers(topo: dict) -> bool:
+    names = [topo["name"], *topo["nodes"], *(e[end] for e in topo["edges"] for end in "ab")]
+    return all(isinstance(n, (str, int)) and not isinstance(n, bool) for n in names)
 
 
 @st.composite
 def mutated_inputs(draw):
-    """The valid inputs with one file changed by one mutation: a cell dropped
-    or added, a header column repeated, a cell replaced by a bad value, or
-    the whole file emptied, prefixed with a BOM or given a non-UTF-8 byte.
-    The sidecar is JSON, so it takes only the last three."""
+    """The valid inputs with one file changed by one mutation: the whole
+    file emptied, prefixed with a BOM or given a non-UTF-8 byte; in a CSV, a
+    cell dropped or added, a header column repeated or a cell replaced by a
+    bad value; in the topology, a key or list item dropped or a value
+    replaced by one of another type, a huge integer, NaN or Infinity. The
+    sidecar takes only the file-wide mutations."""
     files = dict(valid_inputs())
     name = draw(st.sampled_from(sorted(READERS)))
     data = files[name]
     kinds = ["empty", "bom", "non-utf8"]
     if name.endswith(".csv"):
         kinds += ["drop-cell", "add-cell", "repeat-column", "bad-value"]
+    elif name == "topo.json":
+        kinds += ["drop-item", "bad-value"]
     kind = draw(st.sampled_from(kinds))
     if kind == "empty":
         data = b""
@@ -980,6 +1031,17 @@ def mutated_inputs(draw):
     elif kind == "non-utf8":
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
+    elif name == "topo.json":
+        topo = json.loads(data)
+        *parents, last = draw(st.sampled_from(json_paths(topo)))
+        container = topo
+        for key in parents:
+            container = container[key]
+        if kind == "drop-item":
+            del container[last]
+        else:
+            container[last] = draw(BAD_JSON)
+        data = json.dumps(topo).encode()
     else:
         lines = [line.split(",") for line in data.decode().splitlines()]
         header = 1 if lines[0][0].startswith("#") else 0
@@ -1000,8 +1062,9 @@ def mutated_inputs(draw):
     return name, files
 
 
-# 150 examples keep the test near 1 s; derandomized, every run draws the same ones
-@settings(max_examples=150, deadline=None, derandomize=True)
+# 300 examples, about 70 of them on the topology, keep the test under 2 s;
+# derandomized, every run draws the same ones
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutated_inputs())
 def test_malformed_input_exits_0_or_2_and_writes_nothing_on_2(case):
     name, files = case
@@ -1009,11 +1072,13 @@ def test_malformed_input_exits_0_or_2_and_writes_nothing_on_2(case):
         tmp = Path(tmp)
         for file, data in files.items():
             (tmp / file).write_bytes(data)
-        for command, *flags in READERS[name]:
-            given_file = (["--demands", str(tmp / "d.csv")] if command == "provision"
-                          else ["--lightpaths", str(tmp / "lps.csv")])
-            out = tmp / f"{command}.out"
-            code = main([command, "--topo", "n14", *given_file, *flags, "--out", str(out)])
-            assert code in (0, 2), (command, code)
-            written = [path.name for path in tmp.glob(f"{command}.out*")]
-            assert bool(written) == (code == 0), (command, code, written)
+        for argv in READERS[name]:
+            out = tmp / f"{argv[0]}.out"
+            code = main([str(out) if arg is OUT else str(tmp / arg) if arg in files else arg
+                         for arg in argv])
+            assert code in (0, 2), (argv, code)
+            if OUT in argv:
+                written = [path.name for path in tmp.glob(f"{argv[0]}.out*")]
+                assert bool(written) == (code == 0), (argv, code, written)
+            if name == "topo.json" and code == 0:
+                assert names_are_strings_or_integers(json.loads(files[name])), argv

@@ -174,12 +174,26 @@ class TestHighsReadsTheExport:
 
     @settings(max_examples=100, deadline=None)
     @given(cover_instances())
-    # the empty export (an objective with no term, a blank Generals line)
+    # the empty export (an objective with no term and no Generals section)
     # reads as an empty model with optimum 0
     @example(make_instance(["e1"], [], gamma=3))
     def test_drawn_instances(self, inst):
         with tempfile.TemporaryDirectory() as tmp:
             assert_highs_reads_the_optimum(inst, Path(tmp) / "m.lp")
+
+    def test_instance_without_groups(self, tmp_path):
+        # no route gives no column, so the export has no Generals section,
+        # and HiGHS reads it as the empty model
+        inst = make_instance(["e1"], [], gamma=3)
+        path = tmp_path / "m.lp"
+        export_lp(inst, path)
+        assert "Generals" not in path.read_text()
+        highs = _core._Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(path)) == _core.HighsStatus.kOk
+        assert (highs.getLp().num_col_, highs.getLp().num_row_) == (0, 0)
+        assert highs.run() == _core.HighsStatus.kOk
+        assert highs.getModelStatus() == _core.HighsModelStatus.kModelEmpty
 
 
 def test_structure_two_links(tmp_path):

@@ -26,10 +26,10 @@ from ppmplan.provisioning import (
     write_lightpaths_csv,
 )
 from ppmplan.topology import (
-    Topology,
     TopologyError,
     bundled_topology,
     generate_gabriel,
+    link_label,
     topology_from_dict,
     topology_to_dict,
 )
@@ -404,12 +404,12 @@ class TestInvariantsOnRandomTopologies:
                 assert 0 <= lp.channel < n_channels
                 assert lp.hops >= 1 and (arch == "transparent" or lp.hops == 1)
                 for a, b in zip(lp.nodes, lp.nodes[1:]):
-                    label = topo.link(a, b).label
+                    label = link_label(a, b)
                     assert (label, lp.channel) not in used, "channel reused on a link"
                     used.add((label, lp.channel))
                     cov[label] += 1
                 assert lp.length_km == sum_in_order(
-                    topo.link(a, b).length_km for a, b in zip(lp.nodes, lp.nodes[1:]))
+                    topo.link_lengths[a][b] for a, b in zip(lp.nodes, lp.nodes[1:]))
                 assert lp.length_km <= max_length_for(lp.rate_gbps)
             carried = dict.fromkeys(by_id, 0)
             assert len(lset.assignments) == len(lset.accepted)
@@ -475,25 +475,22 @@ class TestRouteLinkRecords:
         for arch in ("opaque", "transparent"):
             for lp in provision(topo, demands, arch, k=k).lightpaths:
                 hops = list(zip(lp.nodes, lp.nodes[1:]))
-                assert lp.links == tuple(topo.link(a, b).label for a, b in hops)
-                assert lp.length_km == sum_in_order(topo.link(a, b).length_km for a, b in hops)
+                assert lp.links == tuple(link_label(a, b) for a, b in hops)
+                assert lp.length_km == sum_in_order(topo.link_lengths[a][b] for a, b in hops)
                 assert lp.rate_gbps == best_rate(lp.length_km)
         assert topo.route_links  # every established lightpath resolved its route
         for route, record in topo.route_links.items():
             hops = list(zip(route, route[1:]))
-            assert record.labels == tuple(topo.link(a, b).label for a, b in hops)
-            assert record.lengths == tuple(topo.link(a, b).length_km for a, b in hops)
+            assert record.labels == tuple(link_label(a, b) for a, b in hops)
+            assert record.lengths == tuple(topo.link_lengths[a][b] for a, b in hops)
             assert record.length_km == sum_in_order(record.lengths)
 
     def test_serving_looks_up_no_link(self):
         # links are resolved once per route record; serving a demand set
-        # names no link by its end nodes and sums no route
+        # labels no link per demand
         topo = bundled_topology("n14")
         demands = generate_demands(topo, 700, seed=4).demands
-        fail = AssertionError("resolved per demand")
-        with mock.patch.object(Topology, "link", side_effect=fail), \
-                mock.patch.object(Topology, "route_length", side_effect=fail), \
-                mock.patch.object(topology, "link_label", wraps=topology.link_label) as label:
+        with mock.patch.object(topology, "link_label", wraps=topology.link_label) as label:
             for arch in ("opaque", "transparent"):
                 assert len(provision(topo, demands, arch).accepted) > 600
         assert label.call_count == sum(len(r.labels) for r in topo.route_links.values())
@@ -510,7 +507,7 @@ def nx_digraph(topo):
 def brute_force_routes(topo, a, b):
     """Every simple path a -> b, ordered by (length, node names)."""
     return sorted((tuple(p) for p in nx.all_simple_paths(nx_digraph(topo), a, b)),
-                  key=lambda p: (topo.route_length(p), p))
+                  key=lambda p: (topo.route_links[p].length_km, p))
 
 
 def coarse(topo, grid_km=100.0):
@@ -527,10 +524,11 @@ def networkx_routes(topo, a, b, k):
     tied with the k-th, ordered by (length, node names) and cut to k."""
     paths = []
     for p in nx.shortest_simple_paths(nx_digraph(topo), a, b, weight="length_km"):
-        if len(paths) >= k and topo.route_length(p) > topo.route_length(paths[k - 1]):
+        length = topo.route_links[tuple(p)].length_km
+        if len(paths) >= k and length > topo.route_links[paths[k - 1]].length_km:
             break
         paths.append(tuple(p))
-    return sorted(paths, key=lambda p: (topo.route_length(p), p))[:k]
+    return sorted(paths, key=lambda p: (topo.route_links[p].length_km, p))[:k]
 
 
 def search_passes(topo, a, b, k):
@@ -587,10 +585,10 @@ class TestRoutes:
                     continue
                 paths = [tuple(p) for p in islice(
                     nx.shortest_simple_paths(g, a, b, weight="length_km"), k + 1)]
-                lengths = [topo.route_length(p) for p in paths]
+                lengths = [topo.route_links[p].length_km for p in paths]
                 if len(paths) > k and lengths[k - 1] == lengths[k]:
                     continue
-                expected = sorted(paths[:k], key=lambda p: (topo.route_length(p), p))
+                expected = sorted(paths[:k], key=lambda p: (topo.route_links[p].length_km, p))
                 assert topo.k_shortest_routes(a, b, k) == tuple(expected)
 
     @settings(max_examples=15, deadline=None)
@@ -730,7 +728,8 @@ class TestRoutes:
                       {"a": "a", "b": "b", "length_km": 0.2},
                       {"a": "b", "b": "t", "length_km": 0.1},
                       {"a": "s", "b": "t", "length_km": 0.6}]})
-        assert topo.route_length(("s", "a", "b", "t")) == topo.route_length(("s", "t"))
+        assert topo.route_links[("s", "a", "b", "t")].length_km == \
+            topo.route_links[("s", "t")].length_km
         assert topology._best_first(topo, "s", "t", 1) == (("s", "a", "b", "t"),)
         assert topo.k_shortest_routes("s", "t", 2) == (("s", "a", "b", "t"), ("s", "t"))
 
@@ -785,7 +784,7 @@ class ReferenceProvisioner(Provisioner):
         spare.add_nodes_from(self.topology.nodes)
         for (u, v), lps in links.items():
             if any(lp.rate_gbps - lp.carried_gbps >= rate for lp in lps):
-                spare.add_edge(u, v, length_km=self.topology.link(u, v).length_km)
+                spare.add_edge(u, v, length_km=self.topology.link_lengths[u][v])
         try:
             path = nx.dijkstra_path(spare, demand.src, demand.dst, weight="length_km")
         except (nx.NetworkXNoPath, nx.NodeNotFound):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from ppmplan.provisioning import read_lightpaths_csv
 from ppmplan.topology import (
     RouteLinks,
+    Topology,
     TopologyError,
     bundled_topology,
     gabriel_edges,
@@ -28,6 +29,15 @@ def write_topo(tmp_path, payload):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def direct_error(payload) -> str:
+    """The message of the TopologyError that the Topology constructor raises
+    on the fields of topology JSON `payload`, as the file reader passes them."""
+    with pytest.raises(TopologyError) as exc:
+        Topology(payload["name"], float(payload["span_length_km"]), tuple(payload["nodes"]),
+                 tuple((e["a"], e["b"], float(e["length_km"])) for e in payload["edges"]))
+    return str(exc.value)
 
 
 class TestLoading:
@@ -54,8 +64,9 @@ class TestLoading:
         assert topo.links[0].spans == 2
 
     def test_bidirectional_symmetry(self, n14):
+        by_ends = {(l.src, l.dst): l for l in n14.links}
         for link in n14.links:
-            rev = n14.link(link.dst, link.src)
+            rev = by_ends[(link.dst, link.src)]
             assert rev.length_km == link.length_km
             assert rev.spans == link.spans
 
@@ -111,49 +122,78 @@ class TestLoading:
             topology_from_dict(data, span_length_km=True)
         assert topology_from_dict(data, span_length_km=40).links[0].spans == 3
 
+    # each check rejects the file and the same fields given to the
+    # constructor directly with one message
     def test_nonpositive_length(self, tmp_path):
-        path = write_topo(tmp_path, {
-            "name": "t", "span_length_km": 80, "nodes": ["A", "B"],
-            "edges": [{"a": "A", "b": "B", "length_km": 0}]})
-        with pytest.raises(TopologyError, match="length"):
-            load_topology(path)
+        payload = {"name": "t", "span_length_km": 80, "nodes": ["A", "B"],
+                   "edges": [{"a": "A", "b": "B", "length_km": 0}]}
+        with pytest.raises(TopologyError, match="length") as exc:
+            load_topology(write_topo(tmp_path, payload))
+        assert direct_error(payload) == str(exc.value)
 
     def test_duplicate_pair_rejected(self, tmp_path):
-        path = write_topo(tmp_path, {
-            "name": "t", "span_length_km": 80, "nodes": ["A", "B"],
-            "edges": [{"a": "A", "b": "B", "length_km": 100},
-                      {"a": "B", "b": "A", "length_km": 200}]})
-        with pytest.raises(TopologyError, match="duplicate or asymmetric"):
-            load_topology(path)
+        payload = {"name": "t", "span_length_km": 80, "nodes": ["A", "B"],
+                   "edges": [{"a": "A", "b": "B", "length_km": 100},
+                             {"a": "B", "b": "A", "length_km": 200}]}
+        with pytest.raises(TopologyError, match="duplicate or asymmetric") as exc:
+            load_topology(write_topo(tmp_path, payload))
+        assert direct_error(payload) == str(exc.value)
 
     def test_self_loop_rejected(self, tmp_path):
-        path = write_topo(tmp_path, {
-            "name": "t", "span_length_km": 80, "nodes": ["A"],
-            "edges": [{"a": "A", "b": "A", "length_km": 5}]})
-        with pytest.raises(TopologyError, match="self-loop"):
-            load_topology(path)
+        payload = {"name": "t", "span_length_km": 80, "nodes": ["A"],
+                   "edges": [{"a": "A", "b": "A", "length_km": 5}]}
+        with pytest.raises(TopologyError, match="self-loop") as exc:
+            load_topology(write_topo(tmp_path, payload))
+        assert direct_error(payload) == str(exc.value)
 
     def test_unknown_endpoint_rejected(self, tmp_path):
-        path = write_topo(tmp_path, {
-            "name": "t", "span_length_km": 80, "nodes": ["A", "B"],
-            "edges": [{"a": "A", "b": "C", "length_km": 5}]})
-        with pytest.raises(TopologyError, match="unknown node"):
-            load_topology(path)
+        payload = {"name": "t", "span_length_km": 80, "nodes": ["A", "B"],
+                   "edges": [{"a": "A", "b": "C", "length_km": 5}]}
+        with pytest.raises(TopologyError, match="unknown node") as exc:
+            load_topology(write_topo(tmp_path, payload))
+        assert direct_error(payload) == str(exc.value)
 
     @pytest.mark.parametrize("bad", ["B->C", "->", "A->", "->A"])
     def test_node_name_with_arrow_rejected(self, bad):
         # "->" joins link labels and lightpath routes: with a node "B->C" the
         # label "A->B->C" would name the link A -> B->C, and a route through
         # the node could not be split back into its nodes
-        with pytest.raises(TopologyError, match=f"node '{bad}' contains '->'"):
-            topology_from_dict({"name": "t", "span_length_km": 80, "nodes": ["A", bad, "D"],
-                                "edges": [{"a": "A", "b": bad, "length_km": 100},
-                                          {"a": bad, "b": "D", "length_km": 100}]})
+        payload = {"name": "t", "span_length_km": 80, "nodes": ["A", bad, "D"],
+                   "edges": [{"a": "A", "b": bad, "length_km": 100},
+                             {"a": bad, "b": "D", "length_km": 100}]}
+        with pytest.raises(TopologyError, match=f"node '{bad}' contains '->'") as exc:
+            topology_from_dict(payload)
+        assert direct_error(payload) == str(exc.value)
 
     def test_node_name_with_single_dash_or_gt_accepted(self):
         topo = topology_from_dict({"name": "t", "span_length_km": 80, "nodes": ["A-", ">B"],
                                    "edges": [{"a": "A-", "b": ">B", "length_km": 100}]})
         assert topo.link_labels == ("A-->>B", ">B->A-")
+
+    @pytest.mark.parametrize("value", [None, True, 1.5, ["A"], {"x": 1}])
+    @pytest.mark.parametrize("field", ["name", "node", "edge end a", "edge end b"])
+    def test_name_of_the_wrong_type_rejected(self, field, value):
+        # str() would turn these into names such as "None" or "{'x': 1}"
+        data = {"name": "t", "span_length_km": 80, "nodes": ["A", "B"],
+                "edges": [{"a": "A", "b": "B", "length_km": 100}]}
+        if field == "name":
+            data["name"] = value
+        elif field == "node":
+            data["nodes"][1] = value
+        else:
+            data["edges"][0][field[-1]] = value
+        message = f"{field} must be a string or an integer, got {value!r}"
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            topology_from_dict(data)
+
+    def test_integer_names_read_as_their_digits(self):
+        topo = topology_from_dict({"name": 7, "span_length_km": 80, "nodes": [1, 2],
+                                   "edges": [{"a": 1, "b": 2, "length_km": 100}]})
+        assert (topo.name, topo.nodes, topo.edges) == ("7", ("1", "2"), (("1", "2", 100.0),))
+        payload = {"name": "t", "span_length_km": 80, "nodes": [1, "1"], "edges": []}
+        with pytest.raises(TopologyError, match="^duplicate node ids$") as exc:
+            topology_from_dict(payload)
+        assert direct_error({**payload, "nodes": ["1", "1"]}) == str(exc.value)
 
     def test_save_round_trip(self, tmp_path, j14):
         path = tmp_path / "j14.json"
@@ -185,8 +225,10 @@ def write_raw_topo(tmp_path, span, length):
 class TestFiniteNumbers:
     @pytest.mark.parametrize("span, length, message", NON_FINITE_TOPOLOGIES)
     def test_non_finite_file_values_rejected(self, tmp_path, span, length, message):
-        with pytest.raises(TopologyError, match=message):
-            load_topology(write_raw_topo(tmp_path, span, length))
+        path = write_raw_topo(tmp_path, span, length)
+        with pytest.raises(TopologyError, match=message) as exc:
+            load_topology(path)
+        assert direct_error(json.loads(path.read_text())) == str(exc.value)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_span_override_rejected(self, tmp_path, value):
@@ -341,9 +383,8 @@ def uneven3():
 class TestLengthsInPathOrder:
     def test_route_length_sums_left_to_right(self, uneven3):
         route = ("A", "B", "C", "D")
-        assert uneven3.route_length(route) == (100.1 + 200.2) + 300.3
-        assert uneven3.route_length(route[::-1]) == (300.3 + 200.2) + 100.1
         assert uneven3.route_links[route].length_km == (100.1 + 200.2) + 300.3
+        assert uneven3.route_links[route[::-1]].length_km == (300.3 + 200.2) + 100.1
 
     def test_read_lightpaths_sums_left_to_right(self, uneven3, tmp_path):
         path = tmp_path / "lps.csv"
@@ -385,6 +426,15 @@ class TestRouteLinks:
         assert uneven3.route_links[route] is uneven3.route_links[route]
         assert again.route_links[route] is not uneven3.route_links[route]
         assert again.route_links[route] == uneven3.route_links[route]
+
+
+def test_one_way_edge_is_a_fiber_pair():
+    # an edge stands for both directions of a fiber pair however the
+    # topology is built, so the route search finds both
+    topo = Topology("oneway", 80.0, ("A", "B"), (("A", "B", 100.0),))
+    assert topo.k_shortest_routes("A", "B", 1) == (("A", "B"),)
+    assert topo.k_shortest_routes("B", "A", 1) == (("B", "A"),)
+    assert topo.link_labels == ("A->B", "B->A")
 
 
 def test_distance_tables_are_shortest_distances_one_per_destination():
