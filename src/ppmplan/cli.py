@@ -240,6 +240,10 @@ def _cmd_analyze(args) -> int:
             if not is_number(row.get(key)):
                 raise ConfigError(
                     f"{summary_path} scenario {name!r} has no number under the {key} key")
+    # the crossings read otdr_total and the curves the OTDR row: one baseline
+    if otdr_total != rows["OTDR"]["monitors"]:
+        raise ConfigError(f"{summary_path} otdr_total {otdr_total!r} disagrees with "
+                          f"scenario 'OTDR' monitors {rows['OTDR']['monitors']!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "crossing.json", {"otdr_total": otdr_total,

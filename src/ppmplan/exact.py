@@ -51,7 +51,6 @@ from .placement import (
     CoverInstance,
     InstanceError,
     PlacementSolution,
-    index_lists,
     solution_from_counts,
 )
 
@@ -134,17 +133,16 @@ def _round_lp(instance: CoverInstance, x: np.ndarray) -> np.ndarray:
        each falls while every one of its links stays at or above its
        requirement.
     """
-    delta = instance.delta
     floor = np.minimum(np.floor(x + _INT_TOL).astype(np.int64), instance.counts)
-    links, counts = index_lists(delta), instance.counts.tolist()
-    req, cover, p = instance.requirement.tolist(), (delta @ floor).tolist(), floor.tolist()
+    links, counts = instance.group_links, instance.counts.tolist()
+    req, cover, p = instance.requirement.tolist(), instance.coverage(floor).tolist(), floor.tolist()
     for j in np.argsort(floor - x, kind="stable").tolist():
         rise = min(counts[j] - p[j], max(req[e] - cover[e] for e in links[j]))
         if rise > 0:
             p[j] += rise
             for e in links[j]:
                 cover[e] += rise
-    for j in np.argsort(np.diff(delta.indptr), kind="stable").tolist():
+    for j in np.argsort(np.diff(instance.delta[0]), kind="stable").tolist():
         fall = min(p[j], min(cover[e] - req[e] for e in links[j]))
         if fall > 0:
             p[j] -= fall
@@ -169,9 +167,9 @@ def solve_exact(instance: CoverInstance,
         # the greedy's p, min(counts, gamma), is optimal
         return solution_from_counts(instance, _greedy_p(instance),
                                     optimal=node_budget >= 1)
-    counts, req, delta = instance.counts, instance.requirement, instance.delta
+    counts, req, (starts, link_rows) = instance.counts, instance.requirement, instance.delta
     best_p = _greedy_p(instance)
-    if np.any(delta @ best_p < req):
+    if np.any(instance.coverage(best_p) < req):
         best_p = counts.copy()  # always feasible
     if node_budget < 1:
         return solution_from_counts(instance, best_p, optimal=False)
@@ -184,9 +182,9 @@ def solve_exact(instance: CoverInstance,
     lp = _core.HighsLp()
     lp.num_col_, lp.num_row_ = n_l, len(rows)
     lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = delta.indptr
-    lp.a_matrix_.index_ = (np.cumsum(req > 0, dtype=delta.indices.dtype) - 1)[delta.indices]
-    lp.a_matrix_.value_ = np.full(delta.nnz, -1.0)
+    lp.a_matrix_.start_ = starts
+    lp.a_matrix_.index_ = (np.cumsum(req > 0, dtype=link_rows.dtype) - 1)[link_rows]
+    lp.a_matrix_.value_ = np.full(len(link_rows), -1.0)
     lp.col_cost_ = np.ones(n_l)
     lp.col_lower_, lp.col_upper_ = np.zeros(n_l), counts.astype(np.float64)
     lp.row_lower_, lp.row_upper_ = np.full(len(rows), -np.inf), -req[rows].astype(np.float64)

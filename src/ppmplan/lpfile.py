@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .placement import CoverInstance, index_lists
+from .placement import CoverInstance
 
 
 def export_lp(instance: CoverInstance, path: str | Path) -> None:
     """Write `solve_exact`'s model of `instance` in LP file format."""
     req = instance.requirement.tolist()
     rows = [i for i, r in enumerate(req) if r > 0]
-    covering = index_lists(instance.delta_rows)
+    covering = instance.link_groups
     names = [f"p{j}" for j in range(len(instance.groups))]
     lines = [
         "\\ monitor-cover integer model: minimize sum_j p_j subject to",

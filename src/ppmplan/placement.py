@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 
 class InstanceError(ValueError):
@@ -69,8 +68,9 @@ class CoverInstance:
     groups: tuple[PathGroup, ...]
     gamma: int
     max_hops: int = field(init=False, repr=False, compare=False)
-    # `delta`'s row indices and column starts; `delta` holds and sorts them
-    _route_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # coverage indicator (|links| x |groups|) in column form, HiGHS's
+    # (start, index): group j covers links rows[starts[j]:starts[j + 1]], ascending
+    delta: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma < 1:
@@ -89,8 +89,12 @@ class CoverInstance:
             self._reject_routes()
         hops = [len(g.links) for g in self.groups]
         object.__setattr__(self, "max_hops", max(hops, default=0))
-        object.__setattr__(self, "_route_rows", (np.array(rows, dtype=np.int32),
-                                                 np.cumsum([0] + hops, dtype=np.int32)))
+        # sorting group * |links| + row puts each group's rows in ascending
+        # order and leaves the groups where they are
+        offset = np.repeat(np.arange(len(hops), dtype=np.int64) * len(self.links), hops)
+        rows = np.sort(np.array(rows, dtype=np.int64) + offset) - offset
+        object.__setattr__(self, "delta", (np.cumsum([0] + hops, dtype=np.int32),
+                                           rows.astype(np.int32)))
 
     def _reject_routes(self) -> None:
         """Raise for the first route that repeats an earlier one or uses an
@@ -108,19 +112,30 @@ class CoverInstance:
     def link_index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.links)}
 
-    @cached_property
-    def delta(self) -> sparse.csc_array:
-        """Coverage indicator (|links| x |groups|): column j lists group j's links, ascending."""
-        rows, ends = self._route_rows
-        d = sparse.csc_array((np.ones(len(rows), dtype=np.int64), rows, ends),
-                             shape=(len(self.links), len(self.groups)))
-        d.sort_indices()
-        return d
+    # group_links and link_groups are built on each read, not cached: each
+    # solver reads them once, and an instance that is kept holds only `delta`
+    @property
+    def group_links(self) -> list[list[int]]:
+        """Per group, the indices of its route's links, ascending."""
+        starts, rows = (a.tolist() for a in self.delta)
+        return [rows[a:b] for a, b in zip(starts, starts[1:])]
 
-    @cached_property
-    def delta_rows(self) -> sparse.csr_array:
-        """`delta` by rows: row e lists the groups covering link e, ascending."""
-        return self.delta.tocsr()
+    @property
+    def link_groups(self) -> list[list[int]]:
+        """Per link, the indices of the groups whose route uses it, ascending."""
+        starts, rows = self.delta
+        # a stable sort by link keeps each link's groups in group order
+        by_link = np.argsort(rows, kind="stable")
+        groups = np.repeat(np.arange(len(self.groups)), np.diff(starts))[by_link].tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=len(self.links))).tolist()
+        return [groups[a:b] for a, b in zip([0] + ends, ends)]
+
+    def coverage(self, p) -> np.ndarray:
+        """`delta @ p`: per link, the sum of p over the groups covering it."""
+        starts, rows = self.delta
+        # bincount sums in float64, exact for integer sums below 2**53
+        return np.bincount(rows, np.repeat(p, np.diff(starts)),
+                           minlength=len(self.links)).astype(np.int64)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -129,7 +144,7 @@ class CoverInstance:
     @cached_property
     def max_coverage(self) -> np.ndarray:
         """Per-link coverage when every lightpath gets a monitor."""
-        return self.delta @ self.counts
+        return self.coverage(self.counts)
 
     @cached_property
     def requirement(self) -> np.ndarray:
@@ -214,7 +229,7 @@ def solution_from_counts(instance: CoverInstance, p_vec, optimal: bool,
         raise InstanceError("p vector length mismatch")
     if np.any(p < 0) or np.any(p > instance.counts):
         raise InstanceError("p out of bounds")
-    x = np.minimum(instance.gamma, instance.delta @ p)
+    x = np.minimum(instance.gamma, instance.coverage(p))
     return PlacementSolution(
         p={g.key: c for g, c in zip(instance.groups, p.tolist()) if c > 0},
         x=dict(zip(instance.links, x.tolist())),
@@ -240,16 +255,10 @@ def verify_solution(instance: CoverInstance, sol: PlacementSolution) -> bool:
     if np.any(p > instance.counts) or sol.x.keys() != set(instance.links):
         return False
     x = np.array([sol.x[e] for e in instance.links], dtype=np.int64)
-    if np.any(x != np.minimum(instance.gamma, instance.delta @ p)):
+    if np.any(x != np.minimum(instance.gamma, instance.coverage(p))):
         return False
     return (sol.unsatisfied == int((instance.gamma - x).sum())
             and sol.total_monitors == int(p.sum()))
-
-
-def index_lists(m: sparse.csc_array | sparse.csr_array) -> list[list[int]]:
-    """Per column of a CSC matrix, or per row of a CSR one, its index list."""
-    inner, starts = m.indices.tolist(), m.indptr.tolist()
-    return [inner[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def greedy_cost(z_values) -> float:
@@ -288,7 +297,7 @@ def solve_greedy(instance: CoverInstance) -> PlacementSolution:
 def _greedy_counts(instance: CoverInstance) -> tuple[list[int], list[int]]:
     """Per-group monitor counts and pick sequence of the greedy."""
     gamma = instance.gamma
-    rows, covering = index_lists(instance.delta), index_lists(instance.delta_rows)
+    rows, covering = instance.group_links, instance.link_groups
     counts = instance.counts.tolist()
     z = instance.max_coverage.tolist()  # availability: lightpaths left on a needy link
     need = [gamma] * len(instance.links)

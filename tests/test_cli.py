@@ -925,6 +925,28 @@ class TestRunAndAnalyze:
         assert capsys.readouterr().err == f"error: {path} {message}\n"
         assert not analysis.exists()
 
+    def test_analyze_otdr_total_disagreeing_with_the_otdr_row_is_config_error(
+            self, tmp_path, capsys):
+        # crossing.json would take the baseline from otdr_total and the curve
+        # files from the OTDR row
+        out = tmp_path / "bundle"
+        assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                       "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
+                       "--solver", "greedy", "--out", str(out)) == 0
+        path = out / "summary.json"
+        data = json.loads(path.read_text())
+        otdr_monitors = data["scenarios"]["OTDR"]["monitors"]
+        assert data["otdr_total"] == otdr_monitors != 1.0
+        data["otdr_total"] = 1.0
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        analysis = tmp_path / "analysis"
+        assert run_cli("analyze", "--summary", str(path), "--out", str(analysis)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} otdr_total 1.0 disagrees with "
+            f"scenario 'OTDR' monitors {otdr_monitors!r}\n")
+        assert not analysis.exists()
+
     def test_key_error_in_a_command_is_a_bug_not_a_data_error(self, monkeypatch):
         # a KeyError is a bug: main lets it out, and Python exits 1 with its traceback
         def broken(args):
@@ -1062,8 +1084,8 @@ def mutated_inputs(draw):
     return name, files
 
 
-# 300 examples, about 70 of them on the topology, keep the test under 2 s;
-# derandomized, every run draws the same ones
+# 300 examples, about 70 of them on the topology, take 1.9-2.9 s alone on a
+# shared 2-CPU host; derandomized, every run draws the same ones
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutated_inputs())
 def test_malformed_input_exits_0_or_2_and_writes_nothing_on_2(case):

@@ -9,7 +9,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog as scipy_linprog
 
 from conftest import cover_instances, lp_model, random_instance
-from oracle import brute_force_oracle
+from oracle import brute_force_oracle, incidence
 from ppmplan import exact, placement
 from ppmplan.exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from ppmplan.placement import (
@@ -204,14 +204,15 @@ def test_lp_and_mip_get_sparse_constraint_matrices(monkeypatch):
     monkeypatch.setattr(exact, "linprog", linprog_spy)
     monkeypatch.setattr(exact, "_run_highs", run_spy)
     solve_exact(inst)
-    expected = -inst.delta.toarray()[inst.max_coverage > 0]
+    dense = incidence(inst)
+    expected = -dense[dense.any(axis=1)]
     assert set(seen) == {"linprog", "mip"}
     assert seen["linprog"] is seen["mip"]
     lp = seen["mip"]
-    # in column form with sorted rows, as HiGHS takes it: delta's column
-    # starts, and its row indices renumbered
+    # in column form with sorted rows, as HiGHS takes it: each column starts
+    # after the routes before it, and its row indices are renumbered
     assert lp.a_matrix_.format_ == exact._core.MatrixFormat.kColwise
-    assert np.array_equal(lp.a_matrix_.start_, inst.delta.indptr)
+    assert np.array_equal(lp.a_matrix_.start_, np.cumsum([0] + [len(g.links) for g in inst.groups]))
     model = lp_model(lp)
     assert model.A.has_sorted_indices
     assert np.array_equal(model.A.toarray(), expected)
@@ -407,7 +408,7 @@ class TestRounding:
         p = exact._round_lp(inst, x)
         assert p.dtype == np.int64
         assert np.all(p >= 0) and np.all(p <= inst.counts)
-        assert np.all(inst.delta @ p >= inst.requirement)
+        assert np.all(incidence(inst) @ p >= inst.requirement)
         assert p.sum() >= bound
         assert sol.total_monitors >= bound
 

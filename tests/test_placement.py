@@ -5,12 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cover_instances, random_instance
-from oracle import OracleCapError, brute_force_oracle
+from oracle import OracleCapError, brute_force_oracle, incidence
 from ppmplan import placement
 from ppmplan.experiment import ExperimentConfig, run_experiment
 from ppmplan.placement import (
@@ -19,7 +18,6 @@ from ppmplan.placement import (
     PathGroup,
     build_cover_instance,
     greedy_cost,
-    index_lists,
     make_instance,
     solution_from_counts,
     solve_greedy,
@@ -36,11 +34,10 @@ class TestInstanceBuild:
         by_key = {g.key: g for g in inst.groups}
         assert by_key["A->B"].count == 2
         assert by_key["A->B->C"].count == 1
-        d = inst.delta.toarray()
         j = [i for i, g in enumerate(inst.groups) if g.key == "A->B->C"][0]
-        assert d[inst.link_index["A->B"], j] == 1
-        assert d[inst.link_index["B->C"], j] == 1
-        assert d[inst.link_index["B->A"], j] == 0
+        assert inst.link_index["A->B"] in inst.group_links[j]
+        assert inst.link_index["B->C"] in inst.group_links[j]
+        assert inst.link_index["B->A"] not in inst.group_links[j]
 
     def test_opaque_provisioning_single_hop_groups(self, line3):
         lset = provision(line3, [Demand("A", "C", 200), Demand("C", "A", 100)], "opaque")
@@ -265,8 +262,9 @@ class TestOracle:
         rng = np.random.default_rng(5)
         for _ in range(60):
             inst = random_instance(rng)
+            d = incidence(inst)
             feasible = [p for p in itertools.product(*(range(c + 1) for c in inst.counts))
-                        if np.all(inst.delta @ np.array(p, dtype=np.int64) >= inst.requirement)]
+                        if np.all(d @ np.array(p, dtype=np.int64) >= inst.requirement)]
             best = min(feasible, key=sum)  # min keeps the first of equal sums
             oracle = brute_force_oracle(inst)
             assert oracle.p == solution_from_counts(inst, best, optimal=True).p
@@ -341,7 +339,7 @@ def reference_greedy(instance):
     reproduce its picks exactly."""
     n_e, n_l = len(instance.links), len(instance.groups)
     gamma = instance.gamma
-    delta = instance.delta.toarray()
+    delta = incidence(instance)
     c = instance.counts.copy()
     if n_l == 0 or n_e == 0:
         return solution_from_counts(instance, np.zeros(n_l, dtype=np.int64),
@@ -422,24 +420,19 @@ class TestIncidence:
     @settings(max_examples=200, deadline=None)
     @given(cover_instances())
     def test_sparse_views_match_the_definition(self, inst):
-        n_e, n_l = len(inst.links), len(inst.groups)
-        expected = np.zeros((n_e, n_l), dtype=np.int64)
-        for j, g in enumerate(inst.groups):
-            for e in g.links:
-                expected[inst.link_index[e], j] = 1
-        cols, rows = inst.delta, inst.delta_rows
-        assert isinstance(cols, sparse.csc_array) and isinstance(rows, sparse.csr_array)
-        assert cols.shape == rows.shape == (n_e, n_l)
-        assert np.array_equal(cols.toarray(), expected)
-        assert np.array_equal(rows.toarray(), expected)
-        for m in (cols, rows):
-            assert all(np.all(np.diff(m.indices[a:b]) > 0)
-                       for a, b in zip(m.indptr[:-1], m.indptr[1:]))
-        assert index_lists(cols) == [sorted(inst.link_index[e] for e in g.links)
-                                     for g in inst.groups]
-        assert index_lists(rows) == [[j for j, g in enumerate(inst.groups) if e in g.links]
-                                     for e in inst.links]
+        expected = incidence(inst)
+        starts, rows = inst.delta
+        assert starts.dtype == rows.dtype == np.int32
+        assert starts.tolist() == np.cumsum([0] + [len(g.links) for g in inst.groups]).tolist()
+        assert len(rows) == expected.sum()
+        # each column's rows ascending, the order HiGHS's column form keeps
+        assert all(np.all(np.diff(rows[a:b]) > 0) for a, b in zip(starts[:-1], starts[1:]))
+        assert inst.group_links == [np.flatnonzero(col).tolist() for col in expected.T]
+        assert inst.link_groups == [np.flatnonzero(row).tolist() for row in expected]
         assert np.array_equal(inst.max_coverage, expected @ inst.counts)
+        assert inst.max_coverage.dtype == np.int64
+        p = np.arange(len(inst.groups), dtype=np.int64) % 3
+        assert np.array_equal(inst.coverage(p), expected @ p)
 
 
 # sha256 of the placement outputs of the README N14 config on seeds 0-2:

@@ -865,6 +865,17 @@ def test_runtime_imports_leave_scipy_optimize_unloaded():
                "assert res.status == 0 and res.x.tolist() == [1.0], res")
 
 
+def test_runtime_imports_leave_scipy_sparse_unloaded():
+    # the cover model is plain index arrays; an exact solve that runs HiGHS
+    # (a two-link route) loads scipy.sparse neither
+    run_python("import sys, ppmplan, ppmplan.experiment, ppmplan.cli; "
+               "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse loaded on import'; "
+               "inst = ppmplan.make_instance(['a', 'b'], "
+               "[(['a', 'b'], 2), (['a'], 1), (['b'], 1)], 2); "
+               "assert ppmplan.solve_exact(inst).total_monitors == 2; "
+               "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse loaded by a solve'")
+
+
 def test_exact_reuses_the_binding_scipy_optimize_loaded():
     # pybind11 registers the binding's types once per process, so a second
     # load would fail; the instance has a two-link route, so HiGHS runs
