@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
-from .files import is_number
+from .files import fmt, is_number, write_csv
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,18 @@ def crossing_value(n_ppm: float, n_otdr: float, cost_model: CostModel,
     return 100.0 * (n_otdr * o_unit) / (n_ppm * t_unit)
 
 
+def crossings(rows: dict, cost_model: CostModel) -> dict:
+    """{scenario: {"cost_pct", "power_pct", "break_even_ratio"}} for every
+    monitored scenario row (name -> row with "monitors") that places at least
+    one monitor; the "OTDR" row gives the baseline count, and the ratio is
+    OTDRs per monitor, n_otdr / monitors."""
+    n_otdr = rows["OTDR"]["monitors"]
+    return {name: {"cost_pct": crossing_value(row["monitors"], n_otdr, cost_model, "cost"),
+                   "power_pct": crossing_value(row["monitors"], n_otdr, cost_model, "power"),
+                   "break_even_ratio": n_otdr / row["monitors"]}
+            for name, row in rows.items() if name != "OTDR" and row["monitors"] > 0}
+
+
 def sweep_cost_curves(rows: dict, cost_model: CostModel, fractions,
                       dimension: str = "cost") -> list[tuple[str, float, float, float]]:
     """Monitoring expenditure per Tb/s versus the monitor unit-price fraction.
@@ -83,11 +96,27 @@ def sweep_cost_curves(rows: dict, cost_model: CostModel, fractions,
     t_unit, o_unit = cost_model.units(dimension)
     points = []
     for name, row in rows.items():
-        monitors, carried = row["monitors"], row["carried_tbps"]
-        if name == "OTDR" or not carried or monitors <= 0:
+        # the OTDR row gives no curve, so its carried_tbps is never read
+        if name == "OTDR" or not row["carried_tbps"] or row["monitors"] <= 0:
             continue
+        monitors, carried = row["monitors"], row["carried_tbps"]
         otdr_line = n_otdr * o_unit / carried
         for f in fractions:
             points.append((name, float(f), monitors * (f / 100.0 * t_unit) / carried,
                            otdr_line))
     return points
+
+
+def write_curves(out: Path, chash: str, rows: dict, cost_model: CostModel,
+                 fractions) -> None:
+    """Write cost_curves.csv and power_curves.csv into `out`.
+
+    `rows` maps scenario name -> row with "monitors" and "carried_tbps", in
+    the order the curves are written; its OTDR row gives the baseline."""
+    for dim in ("cost", "power"):
+        points = sweep_cost_curves(rows, cost_model, fractions, dim)
+        write_csv(out / f"{dim}_curves.csv",
+                  ["scenario", "fraction_pct", "cost_per_tbps", "otdr_cost_per_tbps"],
+                  ([name, fmt(fraction), fmt(cost), fmt(otdr_cost)]
+                   for name, fraction, cost, otdr_cost in points),
+                  chash)

@@ -9,19 +9,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import re
 import sys
 from pathlib import Path
 
 from . import __version__
+from .analysis import crossings, write_curves
 from .exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
-from .experiment import (
-    AllSeedsFailedError,
-    ConfigError,
-    ExperimentConfig,
-    crossings,
-    run_experiment,
-    write_curves,
-)
+from .experiment import AllSeedsFailedError, ConfigError, ExperimentConfig, run_experiment
 from .files import is_number, read_object, write_json
 from .lpfile import export_lp
 from .otdr import count_otdrs
@@ -207,13 +203,10 @@ def _cmd_export_lp(args) -> int:
 def _cmd_analyze(args) -> int:
     summary_path = Path(args.summary)
     summary = read_object(summary_path)
-    otdr_total = summary.get("otdr_total")
-    if otdr_total is None:
-        raise ConfigError(f"{summary_path} has no otdr_total; run with an OTDR scenario")
-    if not is_number(otdr_total):
-        raise ConfigError(f"{summary_path} has no number under the otdr_total key")
-    if "config_hash" not in summary:
-        raise ConfigError(f"{summary_path} has no config_hash key")
+    chash = summary.get("config_hash")
+    # the curve files' header line carries it, as content_hash writes it
+    if not (isinstance(chash, str) and re.fullmatch("[0-9a-f]{16}", chash)):
+        raise ConfigError(f"{summary_path} has no 16 hex digits under the config_hash key")
     # the bundle's config gives the cost model, fractions and scenario order
     config_path = summary_path.with_name("config.json")
     data = read_object(config_path).get("config")
@@ -237,18 +230,15 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(f"{summary_path} scenario {name!r} is not a JSON object")
         # the OTDR row gives the baseline count; the others a curve each
         for key in ("monitors",) if name == "OTDR" else ("monitors", "carried_tbps"):
-            if not is_number(row.get(key)):
-                raise ConfigError(
-                    f"{summary_path} scenario {name!r} has no number under the {key} key")
-    # the crossings read otdr_total and the curves the OTDR row: one baseline
-    if otdr_total != rows["OTDR"]["monitors"]:
-        raise ConfigError(f"{summary_path} otdr_total {otdr_total!r} disagrees with "
-                          f"scenario 'OTDR' monitors {rows['OTDR']['monitors']!r}")
+            value = row.get(key)
+            if not (is_number(value) and 0 <= value < math.inf):
+                raise ConfigError(f"{summary_path} scenario {name!r} has no finite "
+                                  f"number >= 0 under the {key} key")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "crossing.json", {"otdr_total": otdr_total,
-                                       "crossings": crossings(rows, otdr_total, config.cost_model)})
-    write_curves(out, summary["config_hash"], rows, config.cost_model, config.ppm_fractions)
+    write_json(out / "crossing.json", {"otdr_total": rows["OTDR"]["monitors"],
+                                       "crossings": crossings(rows, config.cost_model)})
+    write_curves(out, chash, rows, config.cost_model, config.ppm_fractions)
     print(f"wrote {out}/crossing.json and curves")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .analysis import CostModel, crossing_value, sweep_cost_curves, unsatisfied_npl_avg
+from .analysis import CostModel, crossings, unsatisfied_npl_avg, write_curves
 from .exact import DEFAULT_NODE_BUDGET, solve_exact
 from .files import content_hash, fmt, is_number, write_csv, write_json
 from .otdr import count_otdrs
@@ -48,6 +48,8 @@ class AllSeedsFailedError(RuntimeError):
 
 def parse_scenario(name: str) -> tuple[str | None, int | None]:
     """(architecture, gamma) for a scenario name; OTDR maps to (None, None)."""
+    if not isinstance(name, str):
+        raise ConfigError(f"scenarios must be strings, got {name!r}")
     m = _SCENARIO_RE.match(name)
     if not m:
         raise ConfigError(f"unknown scenario {name!r}")
@@ -216,7 +218,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     # summary at the final load point, with crossing values and the seed spread
     final = agg_points[-1]["scenarios"]
     otdr_count = final["OTDR"]["monitors"] if "OTDR" in final else None
-    cross = {} if otdr_count is None else crossings(final, otdr_count, config.cost_model)
+    cross = {} if otdr_count is None else crossings(final, config.cost_model)
     scenario_summaries = {}
     for name, row in final.items():
         values = cross.get(name, {})
@@ -269,31 +271,6 @@ def _standard_error(values) -> float | None:
     if len(values) < 2:
         return None
     return statistics.stdev(values) / math.sqrt(len(values))
-
-
-def crossings(rows: dict, otdr_total: float, cost_model: CostModel) -> dict:
-    """{scenario: {"cost_pct", "power_pct", "break_even_ratio"}} for every
-    monitored scenario row (name -> row with "monitors") that places at least
-    one monitor; the ratio is OTDRs per monitor, otdr_total / monitors."""
-    return {name: {"cost_pct": crossing_value(row["monitors"], otdr_total, cost_model, "cost"),
-                   "power_pct": crossing_value(row["monitors"], otdr_total, cost_model, "power"),
-                   "break_even_ratio": otdr_total / row["monitors"]}
-            for name, row in rows.items() if name != "OTDR" and row["monitors"] > 0}
-
-
-def write_curves(out: Path, chash: str, rows: dict, cost_model: CostModel,
-                 fractions) -> None:
-    """Write cost_curves.csv and power_curves.csv into `out`.
-
-    `rows` maps scenario name -> row with "monitors" and "carried_tbps", in
-    the order the curves are written; its OTDR row gives the baseline."""
-    for dim in ("cost", "power"):
-        points = sweep_cost_curves(rows, cost_model, fractions, dim)
-        write_csv(out / f"{dim}_curves.csv",
-                  ["scenario", "fraction_pct", "cost_per_tbps", "otdr_cost_per_tbps"],
-                  ([name, fmt(fraction), fmt(cost), fmt(otdr_cost)]
-                   for name, fraction, cost, otdr_cost in points),
-                  chash)
 
 
 def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from ppmplan.analysis import (
     CostModel,
     crossing_value,
+    crossings,
     sweep_cost_curves,
     unsatisfied_npl_avg,
 )
@@ -88,6 +89,17 @@ class TestCrossingValue:
             pytest.approx(crossing_value(15, 154, base, "cost"))
 
 
+class TestCrossings:
+    def test_the_otdr_row_is_the_baseline(self):
+        # a scenario with no monitor has no crossing; the OTDR row needs no traffic
+        rows = {"Tr": {"monitors": 0}, "Tr-O-1": {"monitors": 15}, "OTDR": {"monitors": 154}}
+        cm = CostModel()
+        assert crossings(rows, cm) == {"Tr-O-1": {
+            "cost_pct": crossing_value(15, 154, cm, "cost"),
+            "power_pct": crossing_value(15, 154, cm, "power"),
+            "break_even_ratio": 154 / 15}}
+
+
 class TestSweep:
     def rows(self):
         return {"Tr-O-1": {"monitors": 15, "carried_tbps": 160.0},
@@ -131,3 +143,9 @@ class TestSweep:
         assert sweep_cost_curves(rows, CostModel(), [50]) == [
             ("Tr-O-3", 50.0, 4 * 2.0 / 2.0, 10 * 0.2 / 2.0),
             ("Op", 50.0, 2 * 2.0 / 1.0, 10 * 0.2 / 1.0)]
+
+    def test_the_otdr_row_needs_no_carried_traffic(self):
+        # it used to be read, and a summary's OTDR row without it ended in a KeyError
+        rows = {"Tr-O-1": {"monitors": 15, "carried_tbps": 160.0}, "OTDR": {"monitors": 154}}
+        assert sweep_cost_curves(rows, CostModel(), [50]) == \
+            sweep_cost_curves(self.rows(), CostModel(), [50])

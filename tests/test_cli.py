@@ -751,7 +751,11 @@ class TestRunAndAnalyze:
                                      {"span_length_km": "80"},
                                      {"span_length_km": 0},
                                      {"span_length_km": 10**400},
-                                     {"ppm_fractions": [0, 10**400]}])
+                                     {"ppm_fractions": [0, 10**400]},
+                                     # a non-string name used to end in a TypeError
+                                     {"scenarios": ["Tr-O-1", 5, "OTDR"]},
+                                     {"scenarios": ["Tr-O-1", None, "OTDR"]},
+                                     {"scenarios": ["Tr-O-1", 1.5, "OTDR"]}])
     def test_run_bad_list_element_or_span_is_config_error(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"topology": "n14", "seeds": [0],
@@ -889,26 +893,41 @@ class TestRunAndAnalyze:
         ("config.json", lambda data: data.pop("config"), "has no JSON object under the config key"),
         ("config.json", lambda data: data.update(config=5),
          "has no JSON object under the config key"),
-        ("summary.json", lambda data: data.pop("config_hash"), "has no config_hash key"),
+        ("summary.json", lambda data: data.pop("config_hash"),
+         "has no 16 hex digits under the config_hash key"),
         ("summary.json", lambda data: data.update(scenarios=list(data["scenarios"])),
          "has no JSON object under the scenarios key"),
         ("summary.json", lambda data: data["scenarios"].update({"Tr-O-1": 5}),
          "scenario 'Tr-O-1' is not a JSON object"),
         ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].pop("monitors"),
-         "scenario 'Tr-O-1' has no number under the monitors key"),
-        ("summary.json", lambda data: data.update(otdr_total="154"),
-         "has no number under the otdr_total key"),
+         "scenario 'Tr-O-1' has no finite number >= 0 under the monitors key"),
         ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(monitors="17"),
-         "scenario 'Tr-O-1' has no number under the monitors key"),
+         "scenario 'Tr-O-1' has no finite number >= 0 under the monitors key"),
         ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(carried_tbps="x"),
-         "scenario 'Tr-O-1' has no number under the carried_tbps key"),
-        ("summary.json", lambda data: data.pop("otdr_total"),
-         "has no otdr_total; run with an OTDR scenario"),
+         "scenario 'Tr-O-1' has no finite number >= 0 under the carried_tbps key"),
         ("config.json", lambda data: data["config"].update(scenarios=["Tr-O-1"]),
          "has no OTDR scenario for the baseline"),
+        # each of these used to be written out: NaN or negative curve cells, a
+        # negative crossing, or a curve file whose header row is the injected line
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(monitors=math.nan),
+         "scenario 'Tr-O-1' has no finite number >= 0 under the monitors key"),
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(monitors=math.inf),
+         "scenario 'Tr-O-1' has no finite number >= 0 under the monitors key"),
+        ("summary.json", lambda data: (data.update(otdr_total=-5),
+                                       data["scenarios"]["OTDR"].update(monitors=-5)),
+         "scenario 'OTDR' has no finite number >= 0 under the monitors key"),
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(carried_tbps=-1),
+         "scenario 'Tr-O-1' has no finite number >= 0 under the carried_tbps key"),
+        ("summary.json", lambda data: data.update(config_hash="abc\nscenario,x"),
+         "has no 16 hex digits under the config_hash key"),
+        # stopped before only because NaN differed from otdr_total; it would
+        # reach crossing.json as NaN, which is not JSON
+        ("summary.json", lambda data: data["scenarios"]["OTDR"].update(monitors=math.nan),
+         "scenario 'OTDR' has no finite number >= 0 under the monitors key"),
     ], ids=["no-config", "config-not-an-object", "no-config-hash", "scenarios-a-list",
-            "scenario-row-5", "no-monitors", "otdr-total-a-string", "monitors-a-string",
-            "carried-not-a-number", "no-otdr-total", "config-without-otdr"])
+            "scenario-row-5", "no-monitors", "monitors-a-string", "carried-not-a-number",
+            "config-without-otdr", "monitors-nan", "monitors-infinite", "otdr-negative",
+            "carried-negative", "config-hash-not-hex", "otdr-nan"])
     def test_analyze_missing_key_is_config_error(self, tmp_path, capsys, name, edit, message):
         out = tmp_path / "bundle"
         assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
@@ -925,27 +944,30 @@ class TestRunAndAnalyze:
         assert capsys.readouterr().err == f"error: {path} {message}\n"
         assert not analysis.exists()
 
-    def test_analyze_otdr_total_disagreeing_with_the_otdr_row_is_config_error(
-            self, tmp_path, capsys):
-        # crossing.json would take the baseline from otdr_total and the curve
-        # files from the OTDR row
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.update(otdr_total=1.0),
+        lambda data: data.update(otdr_total="154"),
+        lambda data: data.pop("otdr_total"),
+    ], ids=["otdr-total-1.0", "otdr-total-a-string", "no-otdr-total"])
+    def test_analyze_takes_the_baseline_from_the_otdr_row(self, tmp_path, edit):
+        # analyze reads no otdr_total: crossing.json and the curves both take
+        # the OTDR row's count, so an edited otdr_total changes no output byte
         out = tmp_path / "bundle"
         assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",
                        "--seeds", "0", "--scenarios", "Tr-O-1,OTDR",
                        "--solver", "greedy", "--out", str(out)) == 0
         path = out / "summary.json"
+        assert run_cli("analyze", "--summary", str(path), "--out", str(tmp_path / "want")) == 0
         data = json.loads(path.read_text())
         otdr_monitors = data["scenarios"]["OTDR"]["monitors"]
         assert data["otdr_total"] == otdr_monitors != 1.0
-        data["otdr_total"] = 1.0
+        edit(data)
         path.write_text(json.dumps(data))
-        capsys.readouterr()
-        analysis = tmp_path / "analysis"
-        assert run_cli("analyze", "--summary", str(path), "--out", str(analysis)) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path} otdr_total 1.0 disagrees with "
-            f"scenario 'OTDR' monitors {otdr_monitors!r}\n")
-        assert not analysis.exists()
+        assert run_cli("analyze", "--summary", str(path), "--out", str(tmp_path / "got")) == 0
+        want = {p.name: p.read_bytes() for p in (tmp_path / "want").iterdir()}
+        assert {p.name: p.read_bytes() for p in (tmp_path / "got").iterdir()} == want
+        assert sorted(want) == ["cost_curves.csv", "crossing.json", "power_curves.csv"]
+        assert json.loads(want["crossing.json"])["otdr_total"] == otdr_monitors
 
     def test_key_error_in_a_command_is_a_bug_not_a_data_error(self, monkeypatch):
         # a KeyError is a bug: main lets it out, and Python exits 1 with its traceback
@@ -1029,58 +1051,63 @@ def names_are_strings_or_integers(topo: dict) -> bool:
     return all(isinstance(n, (str, int)) and not isinstance(n, bool) for n in names)
 
 
-@st.composite
-def mutated_inputs(draw):
-    """The valid inputs with one file changed by one mutation: the whole
-    file emptied, prefixed with a BOM or given a non-UTF-8 byte; in a CSV, a
-    cell dropped or added, a header column repeated or a cell replaced by a
-    bad value; in the topology, a key or list item dropped or a value
-    replaced by one of another type, a huge integer, NaN or Infinity. The
-    sidecar takes only the file-wide mutations."""
-    files = dict(valid_inputs())
-    name = draw(st.sampled_from(sorted(READERS)))
-    data = files[name]
-    kinds = ["empty", "bom", "non-utf8"]
-    if name.endswith(".csv"):
-        kinds += ["drop-cell", "add-cell", "repeat-column", "bad-value"]
-    elif name == "topo.json":
-        kinds += ["drop-item", "bad-value"]
+def mutate(draw, name: str, data: bytes, kinds: list[str]) -> bytes:
+    """`data`, the file `name`, changed by one mutation of `kinds`: the
+    whole file emptied, prefixed with a BOM or given a non-UTF-8 byte; in a
+    CSV, a cell dropped or added, a header column repeated or a cell
+    replaced by a bad value; in JSON, a key or list item dropped or a value
+    replaced by one of another type, a huge integer, NaN or Infinity."""
     kind = draw(st.sampled_from(kinds))
     if kind == "empty":
-        data = b""
-    elif kind == "bom":
-        data = "\ufeff".encode() + data
-    elif kind == "non-utf8":
+        return b""
+    if kind == "bom":
+        return "\ufeff".encode() + data
+    if kind == "non-utf8":
         at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    elif name == "topo.json":
-        topo = json.loads(data)
-        *parents, last = draw(st.sampled_from(json_paths(topo)))
-        container = topo
+        return data[:at] + b"\xff" + data[at:]
+    if name.endswith(".json"):
+        doc = json.loads(data)
+        *parents, last = draw(st.sampled_from(json_paths(doc)))
+        container = doc
         for key in parents:
             container = container[key]
         if kind == "drop-item":
             del container[last]
         else:
             container[last] = draw(BAD_JSON)
-        data = json.dumps(topo).encode()
+        return json.dumps(doc).encode()
+    lines = [line.split(",") for line in data.decode().splitlines()]
+    header = 1 if lines[0][0].startswith("#") else 0
+    last = len(lines) - 1
+    if kind == "repeat-column":
+        lines[header].append(draw(st.sampled_from(lines[header])))
     else:
-        lines = [line.split(",") for line in data.decode().splitlines()]
-        header = 1 if lines[0][0].startswith("#") else 0
-        last = len(lines) - 1
-        if kind == "repeat-column":
-            lines[header].append(draw(st.sampled_from(lines[header])))
+        cells = lines[draw(st.integers(header + (kind == "bad-value"), last))]
+        at = draw(st.integers(0, len(cells) - (kind != "add-cell")))
+        if kind == "drop-cell":
+            del cells[at]
+        elif kind == "add-cell":
+            cells.insert(at, draw(BAD_CELLS))
         else:
-            cells = lines[draw(st.integers(header + (kind == "bad-value"), last))]
-            at = draw(st.integers(0, len(cells) - (kind != "add-cell")))
-            if kind == "drop-cell":
-                del cells[at]
-            elif kind == "add-cell":
-                cells.insert(at, draw(BAD_CELLS))
-            else:
-                cells[at] = draw(BAD_CELLS)
-        data = "".join(",".join(cells) + "\r\n" for cells in lines).encode()
-    files[name] = data
+            cells[at] = draw(BAD_CELLS)
+    return "".join(",".join(cells) + "\r\n" for cells in lines).encode()
+
+
+FILE_WIDE = ["empty", "bom", "non-utf8"]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The valid inputs with one file changed by one mutation; the sidecar
+    takes only the file-wide ones."""
+    files = dict(valid_inputs())
+    name = draw(st.sampled_from(sorted(READERS)))
+    kinds = list(FILE_WIDE)
+    if name.endswith(".csv"):
+        kinds += ["drop-cell", "add-cell", "repeat-column", "bad-value"]
+    elif name == "topo.json":
+        kinds += ["drop-item", "bad-value"]
+    files[name] = mutate(draw, name, files[name], kinds)
     return name, files
 
 
@@ -1104,3 +1131,45 @@ def test_malformed_input_exits_0_or_2_and_writes_nothing_on_2(case):
                 assert bool(written) == (code == 0), (argv, code, written)
             if name == "topo.json" and code == 0:
                 assert names_are_strings_or_integers(json.loads(files[name])), argv
+
+
+@cache
+def valid_bundle() -> dict[str, bytes]:
+    """summary.json and config.json of a one-seed J14 bundle, greedy at 20
+    demands, with a curve for each architecture beside the OTDR row."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bundle"
+        assert main(["run", "--topo", "j14", "--mode", "counts", "--counts", "20",
+                     "--seeds", "0", "--scenarios", "Op,Tr-O-1,OTDR", "--solver", "greedy",
+                     "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in ("summary.json", "config.json")}
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# 150 examples take 0.9-1.2 s on a shared 2-CPU host, with the bundle built
+# once; analyze reaches no solver
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_malformed_bundle_exits_0_or_2_and_analyze_writes_finite_numbers(data):
+    files = dict(valid_bundle())
+    name = data.draw(st.sampled_from(sorted(files)))
+    files[name] = mutate(data.draw, name, files[name], FILE_WIDE + ["drop-item", "bad-value"])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for file, text in files.items():
+            (tmp / file).write_bytes(text)
+        out = tmp / "analysis"
+        code = main(["analyze", "--summary", str(tmp / "summary.json"), "--out", str(out)])
+        assert code in (0, 2), code
+        assert out.exists() == (code == 0)
+        if code == 0:
+            json.loads((out / "crossing.json").read_text(encoding="utf-8"),
+                       parse_constant=reject_constant)
+            for dim in ("cost", "power"):
+                lines = (out / f"{dim}_curves.csv").read_text(encoding="utf-8").splitlines()
+                assert lines[1] == "scenario,fraction_pct,cost_per_tbps,otdr_cost_per_tbps"
+                for line in lines[2:]:
+                    assert all(math.isfinite(float(cell)) for cell in line.split(",")[1:]), line
