@@ -529,6 +529,11 @@ OPAQUE_ONLY_N14_BUNDLE = "6ada66d734bab9c79f07a00917e29f771077d15b175d1b6ce42247
 # per_seed/seed_1/solution_Tr-O-3_n1000.json hold the rounding's p, with
 # monitors, unsatisfied and optimal unchanged; every other file is unchanged.
 J14_K5_BUNDLE = "f5bee22ae8cf15b4b6197a7c1c14d2d3f80fde452d9c62c3094c12e408cb8ed9"
+# Whole-bundle sha256 of a counts-mode J14 run over three load points. Opaque
+# has only its unmonitored row and transparent only gamma 3, so each
+# architecture's rows come from the points' shared lightpath sets without a
+# gamma-1 placement.
+J14_COUNTS_BUNDLE = "3be01bbcc2b3bba418392c9e7e5a92f7c81e793ef0523ed217d5529c24a3e615"
 
 
 def test_opaque_only_rejection_bundle_golden(tmp_path):
@@ -549,3 +554,12 @@ def test_j14_k5_bundle_golden(tmp_path):
         "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
     run_experiment(cfg, tmp_path)
     assert whole_bundle_sha(tmp_path) == J14_K5_BUNDLE
+
+
+def test_j14_counts_bundle_golden(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "topology": "j14", "scenarios": ["Op", "Tr-O-3", "OTDR"],
+        "seeds": [0, 1, 2], "load_mode": "counts", "counts": [100, 300, 600],
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+    run_experiment(cfg, tmp_path)
+    assert whole_bundle_sha(tmp_path) == J14_COUNTS_BUNDLE
