@@ -1,4 +1,4 @@
-"""Monitoring metrics and the techno-economic crossing-value analysis.
+"""The techno-economic crossing-value analysis and its cost curves.
 
 The crossing value is the per-module monitor cost (or power), expressed as a
 percentage of a transponder's, at which network-wide monitor expenditure
@@ -40,18 +40,6 @@ class CostModel:
         if dimension == "power":
             return self.transponder_power, self.otdr_power
         raise ValueError(f"unknown dimension {dimension!r}")
-
-
-def unsatisfied_npl_avg(solution_or_counts, gamma: int) -> float:
-    """Mean unsatisfied monitors-per-link over all links: gamma minus the
-    achieved (capped) count. At gamma = 1 it is the share of unmonitored links."""
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    counts = getattr(solution_or_counts, "x", solution_or_counts)
-    values = list(counts.values())
-    if not values:
-        raise ValueError("no per-link counts given")
-    return sum(max(0, gamma - min(gamma, v)) for v in values) / len(values)
 
 
 def crossing_value(n_ppm: float, n_otdr: float, cost_model: CostModel,
@@ -107,14 +95,15 @@ def sweep_cost_curves(rows: dict, cost_model: CostModel, fractions,
     return points
 
 
-def write_curves(out: Path, chash: str, rows: dict, cost_model: CostModel,
-                 fractions) -> None:
-    """Write cost_curves.csv and power_curves.csv into `out`.
+def curve_points(rows: dict, cost_model: CostModel, fractions) -> dict:
+    """{"cost": points, "power": points}: `sweep_cost_curves` in each dimension."""
+    return {dim: sweep_cost_curves(rows, cost_model, fractions, dim) for dim in ("cost", "power")}
 
-    `rows` maps scenario name -> row with "monitors" and "carried_tbps", in
-    the order the curves are written; its OTDR row gives the baseline."""
-    for dim in ("cost", "power"):
-        points = sweep_cost_curves(rows, cost_model, fractions, dim)
+
+def write_curves(out: Path, chash: str, curves: dict) -> None:
+    """Write cost_curves.csv and power_curves.csv into `out` from
+    `curve_points`' lists, each in the order of its rows."""
+    for dim, points in curves.items():
         write_csv(out / f"{dim}_curves.csv",
                   ["scenario", "fraction_pct", "cost_per_tbps", "otdr_cost_per_tbps"],
                   ([name, fmt(fraction), fmt(cost), fmt(otdr_cost)]

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import crossings, write_curves
+from .analysis import crossings, curve_points, write_curves
 from .exact import DEFAULT_NODE_BUDGET, SolverError, solve_exact
 from .experiment import AllSeedsFailedError, ConfigError, ExperimentConfig, run_experiment
 from .files import is_number, read_object, write_json
@@ -234,11 +234,22 @@ def _cmd_analyze(args) -> int:
             if not (is_number(value) and 0 <= value < math.inf):
                 raise ConfigError(f"{summary_path} scenario {name!r} has no finite "
                                   f"number >= 0 under the {key} key")
+    cross = crossings(rows, config.cost_model)
+    curves = curve_points(rows, config.cost_model, config.ppm_fractions)
+    # a ratio over a near-zero value overflows, and neither JSON nor the
+    # curve files hold an infinity: every value is checked before any is written
+    cells = [(name, key, value, "crossing.json")
+             for name, row in cross.items() for key, value in row.items()]
+    cells += [(name, key, value, f"{dim}_curves.csv")
+              for dim, points in curves.items() for name, _, *values in points
+              for key, value in zip(("cost_per_tbps", "otdr_cost_per_tbps"), values)]
+    for name, key, value, file in cells:
+        if not math.isfinite(value):
+            raise ConfigError(f"{summary_path} scenario {name!r} gives a non-finite {key} in {file}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "crossing.json", {"otdr_total": rows["OTDR"]["monitors"],
-                                       "crossings": crossings(rows, config.cost_model)})
-    write_curves(out, chash, rows, config.cost_model, config.ppm_fractions)
+    write_json(out / "crossing.json", {"otdr_total": rows["OTDR"]["monitors"], "crossings": cross})
+    write_curves(out, chash, curves)
     print(f"wrote {out}/crossing.json and curves")
     return EXIT_OK
 

@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .analysis import CostModel, crossings, unsatisfied_npl_avg, write_curves
+from .analysis import CostModel, crossings, curve_points, write_curves
 from .exact import DEFAULT_NODE_BUDGET, solve_exact
 from .files import content_hash, fmt, is_number, write_csv, write_json
 from .otdr import count_otdrs
-from .placement import CoverInstance, build_cover_instance, make_instance, solve_greedy
+from .placement import build_cover_instance, make_instance, solve_greedy
 from .provisioning import (
     CHANNELS_PER_FIBER,
     DEFAULT_K_PATHS,
@@ -245,7 +245,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     write_json(out / "summary.json", summary)
     _write_monitors_csv(out / "monitors.csv", chash, config.scenarios, agg_points)
     if otdr_count is not None:
-        write_curves(out, chash, final, config.cost_model, config.ppm_fractions)
+        write_curves(out, chash, curve_points(final, config.cost_model, config.ppm_fractions))
     if config.solver == "exact":
         write_csv(out / "gap.csv", ["seed", "load_tbps", "scenario", "greedy_monitors",
                                     "exact_monitors", "exact_optimal", "gap_pct"],
@@ -306,35 +306,27 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
                 prov.serve(d)
         served = n
         lsets = {a: built[a] if a in built else provisioners[a].result() for a in archs}
-        # each set's link coverage and carried traffic, counted once per point
-        coverage = {a: ls.coverage(topo) for a, ls in lsets.items()}
+        # one gamma-1 cover instance per lightpath set holds its per-link
+        # lightpath counts; every row of the point reads it
+        bases = {a: build_cover_instance(ls, topo, 1) for a, ls in lsets.items()}
         carried = {a: ls.carried_gbps / 1000.0 for a, ls in lsets.items()}
         offered = sum(d.rate_gbps for d in demands[:n]) / 1000.0
         point = {"offered_tbps": offered, "scenarios": {}}
-        # each lightpath set is grouped once; its other gammas reuse the groups
-        instances: dict[str, CoverInstance] = {}
         for name in config.scenarios:
             arch, gamma = parse_scenario(name)
-            if name == "OTDR":
-                ref = "transparent" if "transparent" in lsets else next(iter(lsets))
-                plan = count_otdrs(topo, lit_links=[e for e, c in coverage[ref].items() if c])
-                point["scenarios"][name] = {"monitors": plan.total,
-                                            "unsatisfied_npl_avg": None,
-                                            "carried_tbps": None}
+            if arch is None:  # OTDR: modules over the reference set's lit links
+                ref = bases["transparent" if "transparent" in bases else archs[0]]
+                lit = [e for e, c in zip(ref.links, ref.max_coverage) if c]
+                point["scenarios"][name] = {"monitors": count_otdrs(topo, lit_links=lit).total,
+                                            "unsatisfied_npl_avg": None, "carried_tbps": None}
                 continue
-            ls = lsets[arch]
+            base = bases[arch]
             if gamma is None:
-                point["scenarios"][name] = {
-                    "monitors": len(ls.lightpaths),
-                    "unsatisfied_npl_avg": unsatisfied_npl_avg(coverage[arch], 1),
-                    "carried_tbps": carried[arch],
-                }
+                # one monitor per lightpath is the placement p = counts, whose
+                # unsatisfied total at gamma 1 is the floor: the dark links
+                monitors, unsatisfied = len(lsets[arch].lightpaths), base.min_unsatisfied
             else:
-                if arch in instances:
-                    base = instances[arch]
-                    inst = make_instance(base.links, base.groups, gamma)
-                else:
-                    inst = instances[arch] = build_cover_instance(ls, topo, gamma)
+                inst = base if gamma == 1 else make_instance(base.links, base.groups, gamma)
                 if config.solver == "greedy":
                     sol = solve_greedy(inst)
                 else:
@@ -347,13 +339,12 @@ def _run_seed(config: ExperimentConfig, topo: Topology, seed: int, archs,
                         gap = 100.0 * (greedy - exact) / exact
                     gap_rows.append([seed, fmt(offered), name, greedy, exact,
                                      fmt(sol.optimal), fmt(gap)])
-                point["scenarios"][name] = {
-                    "monitors": sol.total_monitors,
-                    "unsatisfied_npl_avg": sol.unsatisfied / len(topo.links),
-                    "carried_tbps": carried[arch],
-                }
                 write_json(seed_dir / f"solution_{name}_n{n}.json",
                            {"config_hash": chash, **sol.to_json_dict()})
+                monitors, unsatisfied = sol.total_monitors, sol.unsatisfied
+            point["scenarios"][name] = {"monitors": monitors,
+                                        "unsatisfied_npl_avg": unsatisfied / len(topo.links),
+                                        "carried_tbps": carried[arch]}
         points.append(point)
 
     for arch, ls in lsets.items():

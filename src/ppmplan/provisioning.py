@@ -134,17 +134,6 @@ class LightpathSet:
         total = len(self.accepted) + len(self.rejected)
         return len(self.rejected) / total if total else 0.0
 
-    def coverage(self, topology: Topology) -> dict[str, int]:
-        """Lightpaths traversing each directed link (all links included)."""
-        cov = {e: 0 for e in topology.link_labels}
-        for lp in self.lightpaths:
-            for e in lp.links:
-                cov[e] += 1
-        return cov
-
-    def lit_links(self, topology: Topology) -> set[str]:
-        return {e for e, n in self.coverage(topology).items() if n > 0}
-
     def spectrum_occupancy(self, topology: Topology) -> float:
         used = sum(lp.hops for lp in self.lightpaths)
         return used / (self.n_channels * len(topology.links))

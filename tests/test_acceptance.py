@@ -6,9 +6,13 @@ to the terminal, bypassing capture).
 
 import functools
 import hashlib
+import json
+import math
+import statistics
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_instance, saturating_demands
 from oracle import brute_force_oracle
@@ -54,6 +58,18 @@ CROSSINGS = {
             "Tr-O-1": (13.2, 8.3), "Op-O-3": (1.4, 0.9), "Tr-O-3": (4.3, 2.7)},
 }
 EXACT_ROWS = ("Op-O-1", "Op-O-3")
+# The pipeline's record for the README configs (transparent's 1% rejection
+# point, exact, seeds 0-9): per scenario the mean monitors and their seed
+# standard error, as the ROADMAP Baseline table prints them, and the headline
+# ratio OTDR / Tr-O-1. A model change that moves one shows as a reviewed diff.
+PIPELINE = {
+    "N14": ({"Op": (826.7, 17.66), "Tr": (451.7, 11.33), "Op-O-1": (41.9, 0.10),
+             "Tr-O-1": (17.4, 0.22), "Op-O-3": (123.3, 0.62), "Tr-O-3": (54.7, 0.60),
+             "OTDR": (154.0, 0.0)}, 8.85),
+    "J14": ({"Op": (802.9, 13.53), "Tr": (419.7, 6.55), "Op-O-1": (42.8, 0.29),
+             "Tr-O-1": (19.5, 0.22), "Op-O-3": (123.2, 0.80), "Tr-O-3": (53.3, 0.47),
+             "OTDR": (37.0, 0.0)}, 1.90),
+}
 
 
 @criterion(1, "crossing-value tables")
@@ -209,10 +225,10 @@ def test_trends_n14(capsys):
                 arch = "opaque" if name.startswith("Op") else "transparent"
                 ls = lsets[arch]
                 if name in ("Op", "Tr"):
-                    cov = ls.coverage(topo)
+                    lit = {e for lp in ls.lightpaths for e in lp.links}
                     curves[name][seed].append(len(ls.lightpaths))
                     unsat[name][seed].append(
-                        sum(1 for v in cov.values() if v == 0) / len(cov))
+                        sum(1 for e in topo.link_labels if e not in lit) / len(topo.links))
                 else:
                     gamma = int(name.rsplit("-", 1)[1])
                     sol = solve_exact(build_cover_instance(ls, topo, gamma))
@@ -311,3 +327,28 @@ def test_run_determinism(capsys, tmp_path):
     assert digests[0] == digests[1], "bundles differ between identical runs"
     assert len(digests[0]) > 5
     return f"{len(digests[0])} files byte-identical across runs"
+
+
+@pytest.mark.parametrize("network", list(PIPELINE))
+def test_fidelity_record(tmp_path, network):
+    record, ratio = PIPELINE[network]
+    cfg = ExperimentConfig.from_dict({
+        "topology": network.lower(), "scenarios": list(record),
+        "seeds": list(range(10)), "load_mode": "rejection", "rejection_target": 0.01,
+        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
+    summary = run_experiment(cfg, tmp_path)
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
+    rows, otdr = summary["scenarios"], summary["otdr_total"]
+    assert {name: (round(row["monitors"], 1), round(row["monitors_se"], 2))
+            for name, row in rows.items()} == record
+    assert round(rows["Tr-O-1"]["break_even_ratio"], 2) == ratio
+    # one monitor per lightpath reaches the gamma-1 floor: the dark-link share
+    for arch in ("Op", "Tr"):
+        assert rows[arch]["unsatisfied_npl_avg"] == rows[f"{arch}-O-1"]["unsatisfied_npl_avg"]
+    for name, row in rows.items():
+        assert row["break_even_ratio"] == (None if name == "OTDR" else otdr / row["monitors"])
+        if "-O-" in name:  # the standard error of the per-seed solutions' monitors
+            monitors = [json.loads(path.read_text())["monitors"]
+                        for path in sorted(tmp_path.glob(f"per_seed/*/solution_{name}_n*.json"))]
+            assert len(monitors) == 10
+            assert row["monitors_se"] == statistics.stdev(monitors) / math.sqrt(10)

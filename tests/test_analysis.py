@@ -6,9 +6,7 @@ from ppmplan.analysis import (
     crossing_value,
     crossings,
     sweep_cost_curves,
-    unsatisfied_npl_avg,
 )
-from ppmplan.placement import make_instance, solve_greedy
 
 
 class TestCostModel:
@@ -35,30 +33,6 @@ class TestCostModel:
         assert cm.units("power") == (8.0, 0.25)
         with pytest.raises(ValueError):
             cm.units("mass")
-
-
-class TestUnsatisfiedAvg:
-    def test_all_satisfied(self):
-        assert unsatisfied_npl_avg({"a": 3, "b": 3}, gamma=3) == 0.0
-
-    def test_partial(self):
-        assert unsatisfied_npl_avg({"a": 3, "b": 1}, gamma=3) == pytest.approx(1.0)
-
-    def test_unoptimized_indicator(self):
-        # at gamma = 1 the capped shortfall is the zero-coverage indicator
-        assert unsatisfied_npl_avg({"a": 5, "b": 0, "c": 2}, gamma=1) == pytest.approx(1 / 3)
-
-    def test_accepts_solution(self):
-        inst = make_instance(["e1", "e2"], [(("e1",), 1)], gamma=2)
-        sol = solve_greedy(inst)
-        assert unsatisfied_npl_avg(sol, gamma=2) == pytest.approx(3 / 2)
-
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            unsatisfied_npl_avg({"a": 1}, gamma=0)
-
-    def test_overcoverage_capped(self):
-        assert unsatisfied_npl_avg({"a": 9}, gamma=2) == 0.0
 
 
 class TestCrossingValue:

@@ -924,10 +924,17 @@ class TestRunAndAnalyze:
         # reach crossing.json as NaN, which is not JSON
         ("summary.json", lambda data: data["scenarios"]["OTDR"].update(monitors=math.nan),
          "scenario 'OTDR' has no finite number >= 0 under the monitors key"),
+        # finite inputs whose ratios overflow: they used to reach crossing.json
+        # as Infinity, which is not JSON, and the curve files as inf cells
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(monitors=5e-324),
+         "scenario 'Tr-O-1' gives a non-finite cost_pct in crossing.json"),
+        ("summary.json", lambda data: data["scenarios"]["Tr-O-1"].update(carried_tbps=5e-324),
+         "scenario 'Tr-O-1' gives a non-finite otdr_cost_per_tbps in cost_curves.csv"),
     ], ids=["no-config", "config-not-an-object", "no-config-hash", "scenarios-a-list",
             "scenario-row-5", "no-monitors", "monitors-a-string", "carried-not-a-number",
             "config-without-otdr", "monitors-nan", "monitors-infinite", "otdr-negative",
-            "carried-negative", "config-hash-not-hex", "otdr-nan"])
+            "carried-negative", "config-hash-not-hex", "otdr-nan", "monitors-subnormal",
+            "carried-subnormal"])
     def test_analyze_missing_key_is_config_error(self, tmp_path, capsys, name, edit, message):
         out = tmp_path / "bundle"
         assert run_cli("run", "--topo", "j14", "--mode", "counts", "--counts", "20",

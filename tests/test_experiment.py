@@ -1,13 +1,12 @@
 import hashlib
 import json
-import math
-import statistics
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from ppmplan.exact import solve_exact
+from ppmplan.otdr import count_otdrs
 from ppmplan.experiment import ConfigError, ExperimentConfig, parse_scenario, run_experiment
 from ppmplan.placement import build_cover_instance
 from ppmplan.provisioning import read_lightpaths_csv
@@ -443,29 +442,6 @@ def test_readme_n14_lightpaths_golden(tmp_path):
 README_N14_BUNDLE = "3508eade2560226a7ddb3d962b42d5ec976aa5f8911fd45eac01ba3db696dea8"
 
 
-def test_readme_n14_break_even_ratio_and_seed_spread(tmp_path):
-    cfg = ExperimentConfig.from_dict({
-        "topology": "n14",
-        "scenarios": ["Op", "Tr", "Op-O-1", "Tr-O-1", "Op-O-3", "Tr-O-3", "OTDR"],
-        "seeds": list(range(10)), "load_mode": "rejection", "rejection_target": 0.01,
-        "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
-    summary = run_experiment(cfg, tmp_path)
-    assert json.loads((tmp_path / "summary.json").read_text()) == summary
-    rows, otdr = summary["scenarios"], summary["otdr_total"]
-    tr = rows["Tr-O-1"]
-    assert (tr["monitors"], otdr) == (pytest.approx(17.4), 154)
-    assert round(tr["break_even_ratio"], 2) == 8.85
-    assert round(tr["monitors_se"], 2) == 0.22
-    for name, row in rows.items():
-        assert row["break_even_ratio"] == (None if name == "OTDR" else otdr / row["monitors"])
-        if "-O-" in name:  # the standard error of the per-seed solutions' monitors
-            monitors = [json.loads(path.read_text())["monitors"]
-                        for path in sorted(tmp_path.glob(f"per_seed/*/solution_{name}_n*.json"))]
-            assert len(monitors) == 10
-            assert row["monitors_se"] == statistics.stdev(monitors) / math.sqrt(10)
-    assert rows["OTDR"]["monitors_se"] == 0.0  # one fixed topology
-
-
 def test_fixed_topology_resolved_once_per_run(tmp_path, monkeypatch):
     from ppmplan import topology
 
@@ -563,3 +539,43 @@ def test_j14_counts_bundle_golden(tmp_path):
         "solver": "exact", "ppm_fractions": [0, 5, 10, 25, 50, 75, 100]})
     run_experiment(cfg, tmp_path)
     assert whole_bundle_sha(tmp_path) == J14_COUNTS_BUNDLE
+
+
+def test_one_gamma1_instance_per_set_and_load_point(tmp_path, monkeypatch):
+    from ppmplan import experiment
+
+    built = []
+    build = experiment.build_cover_instance
+
+    def recording(lightpaths, topology, gamma):
+        built.append(gamma)
+        return build(lightpaths, topology, gamma)
+
+    monkeypatch.setattr(experiment, "build_cover_instance", recording)
+    cfg = ExperimentConfig.from_dict({
+        "topology": "j14", "scenarios": ["Op", "Op-O-3", "Tr-O-1", "Tr-O-3", "OTDR"],
+        "seeds": [0, 1], "load_mode": "counts", "counts": [100, 300, 600],
+        "solver": "greedy"})
+    run_experiment(cfg, tmp_path)
+    # every other gamma reuses the groups of its set's gamma-1 instance
+    assert built == [1] * (2 * 3 * 2)  # seeds x load points x architectures
+
+
+@pytest.mark.parametrize("scenarios, ref", [(["Op", "OTDR"], "opaque"),
+                                            (["Op", "Tr", "OTDR"], "transparent")])
+def test_rows_agree_with_the_dumped_lightpaths(tmp_path, scenarios, ref):
+    cfg = ExperimentConfig.from_dict({
+        "topology": "j14", "scenarios": scenarios, "seeds": [0],
+        "load_mode": "counts", "counts": [300]})
+    rows = run_experiment(cfg, tmp_path)["scenarios"]
+    topo = bundled_topology("j14")
+    lit = {}
+    for name in scenarios[:-1]:
+        arch = parse_scenario(name)[0]
+        lps = read_lightpaths_csv(tmp_path / "per_seed" / "seed_0" / f"lightpaths_{arch}.csv",
+                                  topo)
+        lit[arch] = {e for lp in lps for e in lp.links}
+        dark = sum(e not in lit[arch] for e in topo.link_labels)
+        assert (rows[name]["monitors"], rows[name]["unsatisfied_npl_avg"]) == \
+            (len(lps), dark / len(topo.links))
+    assert rows["OTDR"]["monitors"] == count_otdrs(topo, lit_links=lit[ref]).total

@@ -53,6 +53,12 @@ class TestInstanceBuild:
         inst = make_instance(["e1", "e2"], [(("e1",), 0), (("e2",), 2)], gamma=1)
         assert len(inst.groups) == 1
 
+    def test_unoptimized_indicator(self):
+        # at gamma 1 the unsatisfied floor counts the dark links: coverage
+        # a 5, b 0, c 2 leaves one link of three dark
+        inst = make_instance(["a", "b", "c"], [(("a",), 5), (("b",), 0), (("c",), 2)], gamma=1)
+        assert inst.min_unsatisfied / len(inst.links) == pytest.approx(1 / 3)
+
     def test_duplicate_route_rejected(self):
         with pytest.raises(InstanceError, match="duplicate route"):
             make_instance(["e1"], [(("e1",), 1), (("e1",), 2)], gamma=1)

@@ -421,8 +421,11 @@ class TestInvariantsOnRandomTopologies:
                     carried[i] += demand.rate_gbps
             for lp in lset.lightpaths:
                 assert lp.carried_gbps == carried[lp.lp_id] <= lp.rate_gbps
-            assert lset.coverage(topo) == cov
-            assert lset.lit_links(topo) == {e for e, n in cov.items() if n > 0}
+            base = build_cover_instance(lset, topo, 1)
+            assert dict(zip(base.links, base.max_coverage.tolist())) == cov
+            lit = {e for e, n in cov.items() if n}
+            assert {e for e, c in zip(base.links, base.max_coverage) if c} == lit
+            assert base.min_unsatisfied == len(cov) - len(lit)  # the dark links
             for gamma in (1, 3):
                 inst = build_cover_instance(lset, topo, gamma)
                 greedy = solve_greedy(inst)
