@@ -400,30 +400,58 @@ def resolve_topology(name_or_path: str | Path, span_length_km: float | None = No
 def gabriel_edges(points: np.ndarray) -> list[tuple[int, int]]:
     """Index pairs (i < j) forming the Gabriel graph of 2-D `points`.
 
-    Edge (i, j) is kept iff no third point lies strictly inside the circle
-    with diameter ij. Candidates come from the Delaunay triangulation when
-    available (the Gabriel graph is one of its subgraphs); degenerate inputs
-    fall back to checking all pairs.
+    Edge (i, j) is kept iff no third point k lies strictly inside the circle
+    with diameter ij, that is iff (p_i - p_k) . (p_j - p_k) >= 0 for every k.
+    So coincident points get a zero-length edge, and cocircular points keep
+    every edge the definition gives.
+
+    That test over all points decides each candidate pair. Each point's 6
+    nearest other points are its blockers (ties may fall either way), and a
+    pair is a candidate unless a blocker of one endpoint lies inside its
+    circle. Testing a subset of the points can only keep extra pairs, and a
+    blocker at p_i or p_j gives a zero dot product, which blocks nothing.
+    The filter costs O(n) per blocker per point, with no n-by-n array.
+
+    It never blocks a pair that the final test keeps. Both compute
+    u = p_i - p_k and v = p_j - p_k with the same subtractions, and any
+    evaluation of u0*v0 + u1*v1 (either order, fused multiply-add or not)
+    is within 2**-51 * (|u0*v0| + |u1*v1|) of the exact value, plus a few
+    subnormal steps on underflow. That sum is at most (|u0| + |u1|) * D,
+    with D the larger coordinate range. The filter blocks only below
+    -(1e-12 * D * (|u0| + |u1|) + the smallest normal float), where the
+    final test's dot product is negative too, for any coordinates whose
+    products do not overflow.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 2:
         raise TopologyError("need at least 2 points")
-    if n == 2:
-        return [(0, 1)]
-    candidates: set[tuple[int, int]] = set()
-    try:
-        from scipy.spatial import Delaunay, QhullError
+    x, y = pts[:, 0], pts[:, 1]
+    m = min(6, n - 1)
+    blockers = np.empty((n, m), dtype=np.intp)
+    for i in range(n):
+        d2 = (x - x[i]) ** 2 + (y - y[i]) ** 2
+        d2[i] = np.inf
+        blockers[i] = np.argpartition(d2, m - 1)[:m]
+    bx, by = x[blockers].T, y[blockers].T  # [r, i]: blocker r of point i
+    ux, uy = x - bx, y - by  # from each blocker to its owner
+    extent = max(np.ptp(x), np.ptp(y))
+    floor = -(1e-12 * extent * (np.abs(ux) + np.abs(uy)) + np.finfo(float).tiny)
 
-        tri = Delaunay(pts)
-        for simplex in tri.simplices:
-            for i in range(3):
-                a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
-                candidates.add((min(a, b), max(a, b)))
-    except QhullError:
-        candidates = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    def clear(a, b):
+        """Per pair (a, b), whether no blocker of a lies inside the circle on ab."""
+        dots = ux[:, a] * (x[b] - bx[:, a]) + uy[:, a] * (y[b] - by[:, a])
+        return ~(dots < floor[:, a]).any(axis=0)
+
+    # each pair against its first point's blockers, then the survivors
+    # against their second point's
+    firsts = [np.flatnonzero(clear([i], slice(i + 1, n))) + i + 1 for i in range(n - 1)]
+    i_s = np.repeat(np.arange(n - 1), [len(js) for js in firsts])
+    j_s = np.concatenate(firsts)
+    keep = clear(j_s, i_s)
+    candidates = zip(i_s[keep].tolist(), j_s[keep].tolist())
     edges = []
-    for i, j in sorted(candidates):
+    for i, j in candidates:
         # strictly inside the diameter circle <=> angle at k is obtuse
         vecs_i = pts[i] - pts
         vecs_j = pts[j] - pts

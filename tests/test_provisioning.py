@@ -879,6 +879,13 @@ def test_runtime_imports_leave_scipy_sparse_unloaded():
                "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse loaded by a solve'")
 
 
+def test_gabriel_generation_leaves_scipy_spatial_and_sparse_unloaded():
+    run_python("import sys, ppmplan.topology; "
+               "assert len(ppmplan.topology.generate_gabriel(50, 0).edges) > 49; "
+               "loaded = {'scipy.spatial', 'scipy.sparse'} & set(sys.modules); "
+               "assert not loaded, loaded")
+
+
 def test_exact_reuses_the_binding_scipy_optimize_loaded():
     # pybind11 registers the binding's types once per process, so a second
     # load would fail; the instance has a two-link route, so HiGHS runs

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ppmplan.provisioning import read_lightpaths_csv
 from ppmplan.topology import (
@@ -348,6 +348,61 @@ class TestGabriel:
             generate_gabriel(1, seed=0)
         with pytest.raises(TopologyError):
             generate_gabriel(5, seed=0, extent_km=-1)
+
+    def test_duplicated_point_gets_a_zero_length_edge(self):
+        pts = np.random.default_rng(0).uniform(0, 1000, size=(8, 2))
+        pts[5] = pts[2]
+        edges = set(gabriel_edges(pts))
+        assert (2, 5) in edges
+
+        def others(v):
+            return {a + b - v for a, b in edges if v in (a, b)} - {2, 5}
+
+        assert others(2) == others(5) != set()
+
+    def test_coincident_points_raise(self, monkeypatch):
+        pts = np.random.default_rng(0).uniform(0, 1000, size=(8, 2))
+        pts[5] = pts[2]
+
+        class Rng:
+            def uniform(self, low, high, size):
+                return pts
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Rng())
+        with pytest.raises(TopologyError, match="coincident points in Gabriel generation"):
+            generate_gabriel(8, seed=0)
+
+    def test_unit_square_keeps_both_diagonals(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert len(oracle_gabriel(pts)) == 6
+        assert set(gabriel_edges(pts)) == oracle_gabriel(pts)
+
+    def test_integer_grid_keeps_every_cocircular_edge(self):
+        pts = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+        assert len(oracle_gabriel(pts)) == 42
+        assert set(gabriel_edges(pts)) == oracle_gabriel(pts)
+
+
+def point_sets():
+    """Uniform, integer-grid and collinear point sets, some with repeated
+    points. Uniform points sit on a 1/1024 grid, so the oracle's arithmetic
+    is exact even for a point on a circle."""
+    uniform = st.builds(
+        lambda seed, n: np.round(np.random.default_rng(seed).uniform(0, 100, size=(n, 2)) * 1024) / 1024,
+        st.integers(0, 2**32 - 1), st.integers(2, 10))
+    grid = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=10)
+    collinear = st.builds(lambda ts, dx, dy: [(3 + dx * t, 1 + dy * t) for t in ts],
+                          st.lists(st.integers(-5, 5), min_size=2, max_size=8),
+                          st.integers(-3, 3), st.integers(-3, 3))
+    base = st.one_of(uniform, grid, collinear).map(lambda pts: np.asarray(pts, dtype=float))
+    return st.builds(lambda pts, repeats: np.concatenate([pts, pts[[r % len(pts) for r in repeats]]]),
+                     base, st.lists(st.integers(0, 9), max_size=3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pts=point_sets())
+def test_gabriel_edges_match_the_oracle(pts):
+    assert set(gabriel_edges(pts)) == oracle_gabriel(pts)
 
 
 @given(length=st.floats(min_value=0.001, max_value=1e5),
